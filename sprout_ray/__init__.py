@@ -9,8 +9,9 @@ Layers:
 
 - ``kernel``    — pure numpy sketch kernels (no Ray): murmur3, bloom, sbf,
                   hll, cms, tdigest, kll; the ``Sketch`` protocol + specs.
-- ``stages``    — Ray Data stages: SketchAgg (AggregateFnV2), partial
-                  builders + tree merge, broadcast bloom probes, dedup
+- ``stages``    — Ray Data stages: the sketch build (per-block leaf +
+                  streaming tree reduce), SketchAgg for grouped builds,
+                  broadcast bloom probes, dedup
                   (exact / minhash-LSH / simhash), similarity (ANN,
                   hyperplane LSH), text analysis, multimodal stubs.
 - ``sources``   — deterministic synthetic source-code corpus + readers.

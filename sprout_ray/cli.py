@@ -93,36 +93,21 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _load_ckpt(ckpt, args):
-    from .kernel.sketch import sketch_from_bytes
-    from .state.checkpoint import completed_partitions
+def _load_ckpt(ckpt):
+    from .state.checkpoint import read_checkpoint_dir
 
-    import pyarrow.parquet as pq
-
-    rows = []
-    for p in sorted(glob.glob(os.path.join(ckpt, "*.parquet"))):
-        rows.extend(pq.read_table(p).to_pylist())
-    if not rows:
-        raise SystemExit(f"no checkpoints under {ckpt}")
-    acc = None
-    for r in rows:
-        sk = sketch_from_bytes(r["state"])
-        if acc is None:
-            acc = sk
-        else:
-            acc.merge(sk)
-    return acc
+    return read_checkpoint_dir(ckpt)
 
 
 def cmd_probe(args) -> int:
-    sk = _load_ckpt(args.ckpt[0], args)
+    sk = _load_ckpt(args.ckpt[0])
     res = sk.contains_batch([k.encode() for k in args.keys])
     print(json.dumps({k: bool(v) for k, v in zip(args.keys, res)}))
     return 0
 
 
 def cmd_stats(args) -> int:
-    sk = _load_ckpt(args.ckpt[0], args)
+    sk = _load_ckpt(args.ckpt[0])
     print(json.dumps(sk.result()))
     return 0
 
@@ -134,7 +119,7 @@ def cmd_topk(args) -> int:
     from .kernel.kmv import KMVSketch
     from .kernel.misragries import MisraGries
 
-    sk = _load_ckpt(args.ckpt[0], args)
+    sk = _load_ckpt(args.ckpt[0])
     if isinstance(sk, MisraGries):
         print(json.dumps({
             "kind": "mg",
@@ -156,7 +141,7 @@ def cmd_topk(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    accs = [_load_ckpt(c, args) for c in args.ckpt]
+    accs = [_load_ckpt(c) for c in args.ckpt]
     acc = accs[0]
     for other in accs[1:]:
         acc.merge(other)
@@ -174,7 +159,7 @@ def cmd_export_ref(args) -> int:
     from .kernel.bloom import BloomFilter
     from .kernel.scalable_bloom import ScalableBloomFilter
 
-    accs = [_load_ckpt(c, args) for c in args.ckpt]
+    accs = [_load_ckpt(c) for c in args.ckpt]
     acc = accs[0]
     for other in accs[1:]:
         acc.merge(other)

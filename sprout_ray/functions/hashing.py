@@ -56,16 +56,6 @@ def murmur_column(arr, seed: int = 0) -> np.ndarray:
     return out
 
 
-def add_murmur(batch: pa.Table, column: str, out: str = "h64", seed: int = 0) -> pa.Table:
-    return batch.append_column(out, pa.array(murmur_column(batch[column])))
-
-
-def concat_key_columns(batch: pa.Table, columns: list[str], sep: str = "\x1f") -> pa.Array:
-    """Composite key column (e.g. repo<US>path) via Arrow binary_join."""
-    parts = [batch[c].cast(pa.string()) for c in columns]
-    return pc.binary_join_element_wise(*parts, sep)
-
-
 def token_count_column(arr, pattern: str = r"\s+") -> pa.Array:
     """Whitespace token count per string (empty/blank strings -> 0).
 

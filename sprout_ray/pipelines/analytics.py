@@ -18,8 +18,7 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import add_sha256
 from ..kernel.sketch import SketchSpec
-from ..stages.agg import SketchAgg
-from ..stages.builder import build_grouped, build_sketch
+from ..stages.builder import build_grouped, build_sketch, multi_sketch_build
 from ..stages.probe import probe_filter
 
 
@@ -1052,8 +1051,6 @@ def hll_cardinalities(sf_dir: str):
     SELF-EVIDENCE columns: the exact distinct count per column (a
     distributed groupby whose group COUNT is read, never its values),
     relative error, and the 3-sigma 3*1.04/sqrt(2^p) bound check."""
-    from .flagship import multi_sketch_build
-
     ds = _read(sf_dir, "documents", ["source", "lang", "text"])
     built = multi_sketch_build(
         ds, {c: (SketchSpec.of("hll", 14), c) for c in ("source", "lang", "text")}
@@ -1347,8 +1344,6 @@ def kmv_distinct_langs_exact(sf_dir: str):
 def quantile_sketches(sf_dir: str):
     """t-digest + KLL quantiles of documents.n_chars — both built in ONE
     scan via multi_sketch_build (per-block partials updating every sketch)."""
-    from .flagship import multi_sketch_build
-
     ds = _read(sf_dir, "documents", ["n_chars"])
     built = multi_sketch_build(
         ds,
@@ -1424,8 +1419,6 @@ def kll_quantiles_exact(sf_dir: str):
     explicitly (row_number over ORDER BY n_chars), making the whole
     partial/merge/query path oracle-checked end to end — the same
     degenerate-regime trick as kmv_*_exact / mg_event_type_exact."""
-    from .flagship import multi_sketch_build
-
     ds = _read(sf_dir, "documents", ["n_chars"])
     n = ds.count()  # parquet metadata, no scan
     if n >= 4_000_000:
@@ -3304,8 +3297,6 @@ def ams_f2_skew(sf_dir: str):
     5-row result (identical statistic over identical keys), so the two
     queries pay the fact-table count scans once between them."""
     import math as _math
-
-    from .flagship import multi_sketch_build
 
     w, d = 8192, 5
     bound = 2.0 * _math.sqrt(8.0 / w)
@@ -10337,30 +10328,30 @@ def cbf_open_orders_lineitems(sf_dir: str, broadcast_max: int = 4_000_000):
     discipline), so the result is exactly the SQL anti-status semi-join."""
     import ray
 
-    from ..kernel.counting_bloom import CountingBloomFilter
-    from ..stages.builder import merge_partials, pack_partial
+    from ..stages.builder import pack_partial, tree_reduce
     from ..stages.probe import probe_filter
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"])
     n_orders = orders.count()
+    spec = SketchSpec.of("cbf", 0.01, max(n_orders, 11))
 
     def cbf_partial(t: pa.Table) -> pa.Table:
-        sk = CountingBloomFilter(0.01, max(n_orders, 11))
+        sk = spec.make()
         keys = pc.cast(t["o_orderkey"], pa.string())
         sk.add_batch(keys)
         fin = pc.equal(t["o_orderstatus"], "F")
         sk.remove_batch(pc.cast(t.filter(fin)["o_orderkey"], pa.string()))
         return pa.table(
-            {"partial": pa.array([pack_partial(sk.to_bytes())], pa.large_binary())}
+            {
+                "cbf": pa.array([pack_partial(sk.to_bytes())], pa.large_binary()),
+                "rows": pa.array([t.num_rows], pa.int64()),
+            }
         )
 
     parts = orders.map_batches(
         cbf_partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    from ..kernel.sketch import SketchSpec
-
-    spec = SketchSpec.of("cbf", 0.01, max(n_orders, 11))
-    cbf = merge_partials([r["partial"] for r in parts.take_all()], spec)
+    cbf = tree_reduce(parts, {"cbf": spec})["cbf"]
     cbf.validate()
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_linestatus", "l_quantity"])

@@ -7,20 +7,20 @@ equivalent job is: read the source-code Parquet corpus -> append the
 streaming pass -> probe membership -> emit stats.
 
 Everything streams: the only driver-materialized data are serialized partial
-sketches (one per block) and the final stats rows.
+sketches (one per block) and the final stats rows. The one-pass battery
+build is ``stages.builder.multi_sketch_build``; it is imported here, so
+``from sprout_ray.pipelines.flagship import multi_sketch_build`` keeps
+working.
 """
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray as _ray
 
 from ..functions.hashing import add_sha256
 from ..kernel.sketch import SketchSpec
-from ..stages.builder import build_partials, build_sketch, merge_partials
+from ..stages.builder import multi_sketch_build
 
 
 def with_invariant(ds, content_col: str = "content"):
@@ -30,196 +30,6 @@ def with_invariant(ds, content_col: str = "content"):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-
-
-@_ray.remote(num_cpus=1)
-def _merge_partial_tables(spec_items: list, *tables: pa.Table) -> pa.Table:
-    """Merge fan_in one-row partial tables into one (a tree-reduce node).
-
-    Output partials ship raw ("R0"): they cross the object store exactly
-    once, and zlib on increasingly dense upper-level bitmaps costs more CPU
-    than the memcpy it saves."""
-    batch = pa.concat_tables(tables)
-    cols = {}
-    for name, spec in spec_items:
-        sk = merge_partials(batch[name].to_pylist(), spec)
-        cols[name] = pa.array([b"R0" + sk.to_bytes()], pa.large_binary())
-    cols["rows"] = pa.array([sum(batch["rows"].to_pylist())], pa.int64())
-    return pa.table(cols)
-
-
-def multi_sketch_build(ds, specs: dict, fan_in: int = 8, driver_max: int = 8) -> dict:
-    """Build several sketches in ONE pass over the data.
-
-    ``specs``: name -> (SketchSpec, column). A single map_batches stage
-    updates every sketch per block and emits one row of serialized partials
-    per block. One scan, N sketches — at 100 TB this halves-or-better the IO
-    vs building each sketch separately.
-
-    The reduce is a streaming tree of plain Ray tasks over the leaf stage's
-    block refs (``iter_internal_ref_bundles`` — refs only, no partial bytes
-    touch the driver): every ``fan_in`` leaf partials launch a merge task
-    the moment they exist, cascading level by level, so the reduce OVERLAPS
-    the scan and at most ``driver_max`` merged partials are ever fetched.
-    Levels above the leaves fire at 2x the fan-in (``SPROUT_TREE_TOP_MULT``)
-    so a geometry that would funnel everything through ONE top-level task
-    (64 leaves -> 8 -> 1: every kind ORed serially, post-scan, cluster-size
-    independent) instead leaves <= driver_max partials for the driver's
-    threaded per-kind merge (numpy ORs release the GIL, one thread per
-    kind, fetched zero-copy from the object store).
-
-    Why raw tasks instead of map_batches(merge, batch_size=fan_in) stages:
-    (a) chained merge stages FUSE into the leaf operator (observed via
-    ds.stats(): all MapBatches in one fused operator, 64 tasks -> 64
-    one-row blocks — each "merge" repacks a single partial and reduces
-    nothing); (b) with fusion blocked via distinct remote args, the
-    streaming executor's per-operator resource reservation starves the scan
-    at small CPU counts (measured 45% scan utilization at 4 CPUs — a
-    cluster-size-dependent penalty that corrupts scaling). An associative
-    sketch reduce is exactly the "Dataset API can't express it efficiently"
-    case; the partitioning assumption is only that partials are
-    sketch-sized (row-count-independent).
-    """
-    from ..stages.builder import pack_partial, update_chunked
-
-    items = list(specs.items())
-
-    def per_block(batch: pa.Table) -> pa.Table:
-        out = {}
-        for name, (spec, col_name) in items:
-            col = batch.column(col_name)
-            if col.null_count:
-                col = col.drop_null()
-            sk = spec.make()
-            if len(col):
-                update_chunked(sk, spec.kind, col)
-            out[name] = [pack_partial(sk.to_bytes())]
-        out["rows"] = [batch.num_rows]
-        return pa.table(
-            {
-                **{k: pa.array(v, pa.large_binary()) for k, v in out.items() if k != "rows"},
-                "rows": pa.array(out["rows"], pa.int64()),
-            }
-        )
-
-    leaf_ds = ds.map_batches(
-        per_block, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-    )
-
-    spec_items = [(name, spec) for name, (spec, _col) in items]
-    payload = _ray.put(spec_items)  # shipped once, not per merge task
-
-    # cascade: levels[i] accumulates refs awaiting the i-th merge level
-    levels: list[list] = []
-
-    # Levels >= 1 fire at 2*fan_in, not fan_in: a level that would produce
-    # exactly ONE top table (e.g. 64 leaves -> 8 L1 -> 1 L2) serializes all
-    # kinds through a single post-scan task — pure cluster-size-independent
-    # tail wall. Holding up to 2*fan_in merged partials instead lets the
-    # DRIVER's threaded per-kind merge (GIL-releasing numpy ORs, one thread
-    # per kind) absorb the top level in parallel; deeper cascades still
-    # fire (and overlap the scan) for large block counts.
-    top_mult = int(os.environ.get("SPROUT_TREE_TOP_MULT", "2"))
-    driver_max = int(os.environ.get("SPROUT_TREE_DRIVER_MAX", str(driver_max)))
-
-    def push(ref, lvl: int) -> None:
-        while len(levels) <= lvl:
-            levels.append([])
-        levels[lvl].append(ref)
-        if len(levels[lvl]) == (fan_in if lvl == 0 else top_mult * fan_in):
-            refs, levels[lvl] = levels[lvl], []
-            push(_merge_partial_tables.remote(payload, *refs), lvl + 1)
-
-    for bundle in leaf_ds.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            push(block_ref, 0)
-    # flush the ragged tail bottom-up, then cascade until <= driver_max
-    tail = [r for lvl_refs in levels for r in lvl_refs]
-    while len(tail) > driver_max:
-        nxt = []
-        for i in range(0, len(tail), fan_in):
-            chunk = tail[i : i + fan_in]
-            nxt.append(
-                _merge_partial_tables.remote(payload, *chunk)
-                if len(chunk) > 1
-                else chunk[0]
-            )
-        tail = nxt
-    partial_rows = []
-    for tbl in _ray.get(tail):
-        partial_rows.extend(tbl.to_pylist())
-    if not partial_rows:  # empty input: every sketch is a fresh build
-        built = {name: spec.make() for name, (spec, _col) in items}
-        built["_rows"] = 0
-        return built
-
-    # merge the kinds concurrently: zlib decompress + numpy merges release
-    # the GIL, so threads parallelize the (small) driver-side reduce
-    from concurrent.futures import ThreadPoolExecutor
-
-    built = {}
-    with ThreadPoolExecutor(max_workers=min(len(items), 8)) as pool:
-        futures = {
-            name: pool.submit(
-                merge_partials, [r[name] for r in partial_rows], spec
-            )
-            for name, (spec, _col) in items
-        }
-        for name, fut in futures.items():
-            built[name] = fut.result()
-    built["_rows"] = sum(r["rows"] for r in partial_rows)
-    return built
-
-
-def flagship(sf_or_dir, err_rate: float = 0.001, capacity: int | None = None):
-    """Full flagship job over a corpus directory (or explicit file list).
-
-    Returns a stats Dataset-convertible pyarrow Table: one row per sketch
-    with its parameters and result summary.
-    """
-    from ..sources.synth import read_corpus
-
-    ds = read_corpus(sf_or_dir, columns=["repo", "path", "lang", "content"])
-    n = ds.count()
-    cap = capacity or max(int(n * 1.2), 11)
-    ds = with_invariant(ds)
-    # content length for the quantile sketches, computed vectorized
-    import pyarrow.compute as pc
-
-    ds = ds.map_batches(
-        lambda t: t.append_column("content_len", pc.utf8_length(t["content"])),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-    built = multi_sketch_build(
-        ds,
-        {
-            "bloom_sha": (SketchSpec.of("bloom", err_rate, cap), "sha256"),
-            "sbf_sha": (SketchSpec.of("sbf", err_rate, max(cap // 10, 11)), "sha256"),
-            "hll_repo": (SketchSpec.of("hll", 14), "repo"),
-            "hll_sha": (SketchSpec.of("hll", 14), "sha256"),
-            "cms_path": (SketchSpec.of("cms", 0.0001, 0.01), "path"),
-            "cms_lang": (SketchSpec.of("cms", 0.0001, 0.01), "lang"),
-            "tdigest_len": (SketchSpec.of("tdigest", 200.0), "content_len"),
-            "kll_len": (SketchSpec.of("kll", 200), "content_len"),
-        },
-    )
-
-    rows = []
-    for name, sk in built.items():
-        if name == "_rows":
-            continue
-        r = sk.result()
-        rows.append(
-            {
-                "sketch": name,
-                "kind": type(sk).__name__,
-                "summary": str(r)[:200],
-                "rows_seen": built["_rows"],
-            }
-        )
-    return pa.Table.from_pylist(rows)
 
 
 def flagship_over_documents(sf_dir: str) -> pa.Table:
@@ -284,23 +94,3 @@ def flagship_over_documents(sf_dir: str) -> pa.Table:
             }
         )
     return pa.Table.from_pylist(rows)
-
-
-def build_corpus_bloom(
-    dir_or_files,
-    key: str = "sha256",
-    err_rate: float = 0.001,
-    capacity: int | None = None,
-    mode: str = "partials",
-):
-    """Read -> invariant -> bloom build; returns (filter, row_count)."""
-    from ..sources.synth import read_corpus
-
-    cols = ["content"] if key == "sha256" else [key]
-    ds = read_corpus(dir_or_files, columns=cols)
-    n = ds.count()
-    cap = capacity or max(int(n * 1.2), 11)
-    if key == "sha256":
-        ds = with_invariant(ds)
-    bf = build_sketch(ds, SketchSpec.of("bloom", err_rate, cap), on=key, mode=mode)
-    return bf, n

@@ -5,6 +5,14 @@ implicit filter duck-type made explicit — SURVEY.md §2.5): Ray's aggregate
 machinery executes the partial-per-block build and the hierarchical
 ``combine`` inside the shuffle, which is exactly the reference's
 ``BloomFilter.Merge`` (bloom.go:241-260) generalized to all sketches.
+Its per-block update is the build leaf's ``update_chunked``
+(stages/builder.py), so a block's padded key matrices stay under the
+murmur3 byte budget here too.
+
+Global builds go through ``stages.builder.build_sketch`` (the streaming
+tree reduce); ``SketchAgg`` is the grouped-build path, where the groupby
+exchange does the reduce. A global ``ds.aggregate(SketchAgg(...))`` gives
+the same sketch.
 
 Geometry preconditions (bloom.go:242-247) are enforced structurally: every
 partial is constructed from the same plan-time-frozen :class:`SketchSpec`, so
@@ -13,8 +21,6 @@ partial is constructed from the same plan-time-frozen :class:`SketchSpec`, so
 Usage::
 
     from sprout_ray.kernel import SketchSpec
-    spec = SketchSpec.of("bloom", 0.001, 2_000_000)
-    out = ds.aggregate(SketchAgg(spec, on="sha256"))          # global
     per_lang = ds.groupby("lang").aggregate(
         SketchAgg(SketchSpec.of("hll", 14), on="repo",
                   finalizer=lambda s: s.estimate(),
@@ -25,38 +31,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-import pyarrow as pa
 from ray.data.aggregate import AggregateFnV2
 from ray.data.block import Block, BlockAccessor
 
 from ..kernel.sketch import SketchSpec
-
-_NUMERIC_KINDS = {"tdigest", "kll"}
-# sketches whose update_batch consumes the Arrow column as-is (vector /
-# integer-native inputs) — no string canonicalization
-_RAW_KINDS = {"fd", "moments"}
-
-
-def _update_input(kind: str, col: pa.ChunkedArray):
-    """Column -> sketch update input.
-
-    Key sketches hash bytes; numeric columns are canonicalized via their
-    decimal string form, matching the reference demo's Sprintf("%d", i) keys
-    (/root/reference/cmd/main.go:40). Quantile sketches take float64.
-    """
-    if kind in _NUMERIC_KINDS:
-        return col.cast(pa.float64()).to_numpy(zero_copy_only=False)
-    if kind in _RAW_KINDS:
-        return col
-    t = col.type
-    if not (
-        pa.types.is_string(t)
-        or pa.types.is_large_string(t)
-        or pa.types.is_binary(t)
-        or pa.types.is_large_binary(t)
-    ):
-        col = col.cast(pa.string())
-    return col
+from .builder import update_chunked
 
 
 class SketchAgg(AggregateFnV2):
@@ -80,12 +59,8 @@ class SketchAgg(AggregateFnV2):
 
     def aggregate_block(self, block: Block):
         t = BlockAccessor.for_block(block).to_arrow()
-        col = t.column(self._target_col_name)
-        if col.null_count:
-            col = col.drop_null()
         sk = self._spec.make()
-        if len(col):
-            sk.update_batch(_update_input(self._spec.kind, col))
+        update_chunked(sk, self._spec.kind, t.column(self._target_col_name))
         return sk
 
     def combine(self, current_accumulator, new):

@@ -1,31 +1,64 @@
-"""Sketch build strategies over a Ray Dataset.
+"""Sketch builds over a Ray Dataset: one leaf, one streaming tree reduce.
 
-Two physical plans for the same logical build (SURVEY.md §3.5):
+Every sketch merge is commutative and associative (SURVEY.md §4.3.5), so
+every build is "one partial per block, then merge", and there is exactly
+one physical plan for it:
 
-- ``mode="agg"`` — ``ds.aggregate(SketchAgg(...))``: Ray executes
-  partial-per-block + hierarchical combine inside its aggregation machinery.
-- ``mode="partials"`` — a streaming ``map_batches`` stage emits ONE serialized
-  partial sketch row per input block (so partial count == block count, not
-  row count), and the driver tree-merges the tiny partials dataset. This
-  plan avoids the aggregate shuffle entirely (legal because sketch merge is
-  commutative/associative — ordering is irrelevant, SURVEY.md §4.3.5) and is
-  the scale path: at 256 nodes it moves `num_blocks × sketch_size` bytes,
-  never row data.
+- the **leaf** (:func:`update_block`): per block and per spec, drop the
+  column's nulls and feed it to the sketch through :func:`update_chunked`,
+  whose length-bucketed chunks keep every padded key matrix under the
+  murmur3 byte budget; :func:`multi_sketch_build` packs each block's
+  sketches into ONE row of serialized partials (:func:`pack_partial`), so
+  partial count == block count, not row count;
+- the **reduce** (:func:`tree_reduce`): a streaming fan-in tree of Ray tasks
+  over the leaf stage's block refs, each node an in-node
+  :func:`merge_partials`. At 256 nodes it moves ``num_blocks x sketch_size``
+  bytes, never row data.
 
-Both return the finalized sketch object. Equality of the two plans' results
-is asserted in tests (order-insensitivity evidence).
+:func:`build_sketch` is :func:`multi_sketch_build` with one spec. The
+checkpointed builds (``state.checkpoint``) run the same leaf per partition
+and the same in-node merge. ``SketchAgg`` (``stages.agg``) remains only for
+grouped builds, where Ray's groupby exchange does the reduce; its
+per-block update is the same :func:`update_chunked`.
 """
 
 from __future__ import annotations
 
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
-from typing import Optional
 
 import pyarrow as pa
+import ray
 
 from ..kernel.sketch import SketchSpec, sketch_from_bytes
-from .agg import SketchAgg, _update_input
+
+_NUMERIC_KINDS = {"tdigest", "kll"}
+# sketches whose update_batch consumes the Arrow column as-is (vector /
+# integer-native inputs) — no string canonicalization
+_RAW_KINDS = {"fd", "moments"}
+
+
+def _update_input(kind: str, col: pa.ChunkedArray):
+    """Column -> sketch update input.
+
+    Key sketches hash bytes; numeric columns are canonicalized via their
+    decimal string form, matching the reference demo's Sprintf("%d", i) keys
+    (reference cmd/main.go:40). Quantile sketches take float64.
+    """
+    if kind in _NUMERIC_KINDS:
+        return col.cast(pa.float64()).to_numpy(zero_copy_only=False)
+    if kind in _RAW_KINDS:
+        return col
+    t = col.type
+    if not (
+        pa.types.is_string(t)
+        or pa.types.is_large_string(t)
+        or pa.types.is_binary(t)
+        or pa.types.is_large_binary(t)
+    ):
+        col = col.cast(pa.string())
+    return col
 
 
 def pack_partial(buf: bytes) -> bytes:
@@ -59,15 +92,17 @@ UPDATE_CHUNK = 32_768
 
 
 def update_chunked(sk, kind: str, col) -> None:
-    """Feed an Arrow column to a sketch in allocator-friendly chunks.
+    """Feed an Arrow column's non-null values to a sketch in
+    allocator-friendly chunks.
 
     Key (string/binary) columns additionally split on the padded-matrix
     byte budget: one multi-MB outlier key in a 32k-row chunk would densify
     the whole chunk to its width (tens of GB); length-bucketed spans keep
     every matrix under MAX_MATRIX_BYTES while preserving row order."""
     from ..kernel.murmur3 import byte_lengths, length_bucketed_spans
-    from .agg import _NUMERIC_KINDS, _RAW_KINDS
 
+    if col.null_count:
+        col = col.drop_null()
     if kind in _NUMERIC_KINDS or kind in _RAW_KINDS:
         # float64 (tdigest/kll) and column-native (fd/moments) inputs:
         # no key canonicalization, no padded-matrix budget
@@ -80,73 +115,32 @@ def update_chunked(sk, kind: str, col) -> None:
         sk.update_batch(prepped.slice(start, end - start))
 
 
-def build_partials(ds, spec: SketchSpec, on: str, batch_size: Optional[int] = None):
-    """Dataset of ``{partial: binary, rows: int64}`` — one row per input block
-    (``batch_size=None`` maps whole blocks zero-copy)."""
+def update_block(sketches: dict, specs: dict, block: pa.Table) -> dict:
+    """The leaf: feed one block to every sketch.
 
-    def per_block(batch: pa.Table) -> pa.Table:
-        col = batch.column(on)
-        if col.null_count:
-            col = col.drop_null()
-        sk = spec.make()
-        if len(col):
-            update_chunked(sk, spec.kind, col)
-        return pa.table(
-            {
-                "partial": pa.array([pack_partial(sk.to_bytes())], type=pa.large_binary()),
-                "rows": pa.array([len(col)], type=pa.int64()),
-            }
-        )
-
-    return ds.map_batches(
-        per_block, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
-    )
+    ``specs``: name -> (SketchSpec, column); ``sketches``: name -> sketch
+    built from that spec (fresh per block in :func:`multi_sketch_build`,
+    accumulated across a partition's row groups in the checkpointed
+    build). Returns ``sketches``."""
+    for name, (spec, on) in specs.items():
+        update_chunked(sketches[name], spec.kind, block.column(on))
+    return sketches
 
 
 def merge_partials(partial_blobs, spec: SketchSpec):
-    """Tree merge of serialized partials (associative).
-
-    Small partial sets merge on the driver; larger sets merge as a binary
-    tree of Ray tasks so the reduce is O(log n) levels of parallel work
-    instead of a serial driver loop (the shape that matters at 256 nodes)."""
-    blobs = list(partial_blobs)
-    if not blobs:
+    """Merge serialized partials into one sketch on this node (associative;
+    the node of :func:`tree_reduce`). Empty input -> a fresh sketch."""
+    blobs = iter(partial_blobs)
+    first = next(blobs, None)
+    if first is None:
         return spec.make()
-    if len(blobs) > 64:
-        return sketch_from_bytes(unpack_partial(_tree_merge_remote(blobs)))
-    acc = sketch_from_bytes(unpack_partial(blobs[0]))
+    acc = sketch_from_bytes(unpack_partial(first))
     if hasattr(acc, "merge_bytes"):
         # stream-OR the raw buffers: no per-partial materialization
-        for b in blobs[1:]:
+        for b in blobs:
             acc.merge_bytes(unpack_partial(b))
         return acc
-    return reduce(
-        _merged, (sketch_from_bytes(unpack_partial(b)) for b in blobs[1:]), acc
-    )
-
-
-def _merge_pair_blobs(a: bytes, b: bytes) -> bytes:
-    sa = sketch_from_bytes(unpack_partial(a))
-    sb = sketch_from_bytes(unpack_partial(b))
-    sa.merge(sb)
-    # intermediates stay raw: they never leave the object store, and zlib on
-    # the increasingly dense upper-level bitmaps would dominate the merge
-    return sa.to_bytes()
-
-
-def _tree_merge_remote(blobs: list) -> bytes:
-    import ray
-
-    merge_task = ray.remote(num_cpus=1)(_merge_pair_blobs)
-    refs = [ray.put(b) for b in blobs]
-    while len(refs) > 1:
-        nxt = []
-        for i in range(0, len(refs) - 1, 2):
-            nxt.append(merge_task.remote(refs[i], refs[i + 1]))
-        if len(refs) % 2:
-            nxt.append(refs[-1])
-        refs = nxt
-    return ray.get(refs[0])
+    return reduce(_merged, (sketch_from_bytes(unpack_partial(b)) for b in blobs), acc)
 
 
 def _merged(a, b):
@@ -154,17 +148,137 @@ def _merged(a, b):
     return a
 
 
-def build_sketch(ds, spec: SketchSpec, on: str, mode: str = "partials"):
+# Tree geometry: every FAN_IN leaf partials launch a merge task; levels
+# above the leaves fire at TOP_MULT * FAN_IN (see tree_reduce), and at most
+# DRIVER_MAX merged partials are fetched by the driver.
+FAN_IN = 8
+TOP_MULT = 2
+DRIVER_MAX = 8
+
+
+@ray.remote(num_cpus=1)
+def _merge_partial_tables(spec_items: list, *tables: pa.Table) -> pa.Table:
+    """Merge FAN_IN one-row partial tables into one (a tree-reduce node).
+
+    Output partials ship raw ("R0"): they cross the object store exactly
+    once, and zlib on increasingly dense upper-level bitmaps costs more CPU
+    than the memcpy it saves."""
+    batch = pa.concat_tables(tables)
+    cols = {}
+    for name, spec in spec_items:
+        sk = merge_partials(batch[name].to_pylist(), spec)
+        cols[name] = pa.array([b"R0" + sk.to_bytes()], pa.large_binary())
+    cols["rows"] = pa.array([sum(batch["rows"].to_pylist())], pa.int64())
+    return pa.table(cols)
+
+
+def tree_reduce(leaf_ds, specs: dict) -> dict:
+    """Streaming tree reduce of a leaf Dataset whose blocks are one-row
+    tables of packed partials (one large_binary column per name in
+    ``specs``: name -> SketchSpec) plus an int64 ``rows`` column.
+    Returns name -> merged sketch, plus ``"_rows"``.
+
+    The reduce runs as plain Ray tasks over the leaf stage's block refs
+    (``iter_internal_ref_bundles`` — refs only, no partial bytes touch the
+    driver): every FAN_IN leaf partials launch a merge task the moment they
+    exist, cascading level by level, so the reduce OVERLAPS the scan and at
+    most DRIVER_MAX merged partials are ever fetched. Levels above the
+    leaves fire at TOP_MULT x the fan-in so a geometry that would funnel
+    everything through ONE top-level task (64 leaves -> 8 -> 1: every kind
+    ORed serially, post-scan, cluster-size independent) instead leaves
+    <= DRIVER_MAX partials for the driver's threaded per-kind merge (numpy
+    ORs release the GIL, one thread per kind, fetched zero-copy from the
+    object store).
+
+    Why raw tasks instead of map_batches(merge, batch_size=FAN_IN) stages:
+    (a) chained merge stages FUSE into the leaf operator (observed via
+    ds.stats(): all MapBatches in one fused operator, 64 tasks -> 64
+    one-row blocks — each "merge" repacks a single partial and reduces
+    nothing); (b) with fusion blocked via distinct remote args, the
+    streaming executor's per-operator resource reservation starves the scan
+    at small CPU counts (measured 45% scan utilization at 4 CPUs — a
+    cluster-size-dependent penalty that corrupts scaling). An associative
+    sketch reduce is exactly the "Dataset API can't express it efficiently"
+    case; the partitioning assumption is only that partials are
+    sketch-sized (row-count-independent).
+    """
+    spec_items = list(specs.items())
+    payload = ray.put(spec_items)  # shipped once, not per merge task
+
+    # cascade: levels[i] accumulates refs awaiting the i-th merge level
+    levels: list[list] = []
+
+    def push(ref, lvl: int) -> None:
+        while len(levels) <= lvl:
+            levels.append([])
+        levels[lvl].append(ref)
+        if len(levels[lvl]) == (FAN_IN if lvl == 0 else TOP_MULT * FAN_IN):
+            refs, levels[lvl] = levels[lvl], []
+            push(_merge_partial_tables.remote(payload, *refs), lvl + 1)
+
+    for bundle in leaf_ds.iter_internal_ref_bundles():
+        for block_ref in bundle.block_refs:
+            push(block_ref, 0)
+    # flush the ragged tail bottom-up, then cascade until <= DRIVER_MAX
+    tail = [r for lvl_refs in levels for r in lvl_refs]
+    while len(tail) > DRIVER_MAX:
+        nxt = []
+        for i in range(0, len(tail), FAN_IN):
+            chunk = tail[i : i + FAN_IN]
+            nxt.append(
+                _merge_partial_tables.remote(payload, *chunk)
+                if len(chunk) > 1
+                else chunk[0]
+            )
+        tail = nxt
+    partial_rows = []
+    for tbl in ray.get(tail):
+        partial_rows.extend(tbl.to_pylist())
+    # merge the kinds concurrently: zlib decompress + numpy merges release
+    # the GIL, so threads parallelize the (small) driver-side reduce (empty
+    # input: merge_partials returns a fresh sketch per kind)
+    built = {}
+    with ThreadPoolExecutor(max_workers=min(len(spec_items), 8)) as pool:
+        futures = {
+            name: pool.submit(merge_partials, [r[name] for r in partial_rows], spec)
+            for name, spec in spec_items
+        }
+        for name, fut in futures.items():
+            built[name] = fut.result()
+    built["_rows"] = sum(r["rows"] for r in partial_rows)
+    return built
+
+
+def multi_sketch_build(ds, specs: dict) -> dict:
+    """Build several sketches in ONE pass over the data.
+
+    ``specs``: name -> (SketchSpec, column). A single map_batches stage runs
+    the leaf (:func:`update_block`) per block and emits one row of packed
+    partials per block; :func:`tree_reduce` merges them. One scan, N
+    sketches — at 100 TB this halves-or-better the IO vs building each
+    sketch separately. Returns name -> sketch, plus ``"_rows"`` (input
+    rows, nulls included)."""
+
+    def leaf(block: pa.Table) -> pa.Table:
+        sks = update_block(
+            {name: spec.make() for name, (spec, _on) in specs.items()}, specs, block
+        )
+        cols = {
+            name: pa.array([pack_partial(sk.to_bytes())], pa.large_binary())
+            for name, sk in sks.items()
+        }
+        cols["rows"] = pa.array([block.num_rows], pa.int64())
+        return pa.table(cols)
+
+    leaf_ds = ds.map_batches(
+        leaf, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
+    )
+    return tree_reduce(leaf_ds, {name: spec for name, (spec, _on) in specs.items()})
+
+
+def build_sketch(ds, spec: SketchSpec, on: str):
     """Build one global sketch over ``ds[on]``; returns the sketch object."""
-    if mode == "agg":
-        name = f"{spec.kind}({on})"
-        res = ds.aggregate(SketchAgg(spec, on=on, alias_name=name))
-        return sketch_from_bytes(res[name])
-    if mode == "partials":
-        parts = build_partials(ds, spec, on)
-        blobs = [r["partial"] for r in parts.take_all()]
-        return merge_partials(blobs, spec)
-    raise ValueError(f"unknown build mode {mode!r}")
+    return multi_sketch_build(ds, {"sketch": (spec, on)})["sketch"]
 
 
 def build_grouped_salted(
@@ -187,6 +301,7 @@ def build_grouped_salted(
     import numpy as np
 
     from ..kernel.murmur3 import murmur_hash_column
+    from .agg import SketchAgg
 
     def add_salt(batch: pa.Table) -> pa.Table:
         h = murmur_hash_column(batch.column(on), seed=7)
@@ -222,6 +337,8 @@ def build_grouped(ds, spec: SketchSpec, on: str, key: str, finalizer=None, alias
     absorbed by the partial-per-block pre-aggregation that AggregateFnV2
     already performs — only one partial per (block, group) crosses the
     exchange, so hot keys ship O(num_blocks) sketches, not O(rows)."""
+    from .agg import SketchAgg
+
     return ds.groupby(key).aggregate(
         SketchAgg(spec, on=on, alias_name=alias, finalizer=finalizer)
     )

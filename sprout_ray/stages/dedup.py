@@ -297,26 +297,6 @@ def unpack_rows(col, n_rows: int, dtype=np.uint64) -> np.ndarray:
     return np.ascontiguousarray(data[idx]).view(dtype)
 
 
-_unpack_signatures = unpack_rows  # back-compat alias
-
-
-def hot_buckets(band_ds) -> np.ndarray:
-    """bucket_key values holding >= 2 docs (sorted int64).
-
-    A native count-aggregate (vectorized partial-per-block + combine) — the
-    singleton sea never touches Python. NOTE: this materializes the hot-key
-    list on the driver; query paths go through :func:`hot_bucket_rows`,
-    whose broadcast is size-guarded."""
-    counts = band_ds.groupby("bucket_key").count()
-    hot = counts.map_batches(
-        lambda t: t.filter(pc.greater(t["count()"], 1)).select(["bucket_key"]),
-        batch_format="pyarrow",
-    ).take_all()
-    if not hot:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.array([r["bucket_key"] for r in hot], dtype=np.int64))
-
-
 # Hot-key broadcast budget: the non-singleton bucket count grows with the
 # duplicate count, which is unbounded at corpus scale — above this many hot
 # keys the band rows semi-join the hot-key Dataset instead of broadcasting.

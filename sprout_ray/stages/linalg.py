@@ -186,16 +186,14 @@ def top_principal_component(
 def fd_build(ds, l: int = 64, emb_col: str = "embedding"):
     """Distributed Frequent Directions build over an embedding column.
 
-    One streaming aggregate: AggregateFnV2 partials are whole FD sketches
+    One ``build_sketch``: the per-block partials are whole FD sketches
     (l x d floats, sketch-sized by construction), tree-merged by the same
-    associativity-checked path as every scalar sketch. The 10^12-row
-    shape: each block ships one <= l x d matrix; nothing else moves."""
-    from ..kernel.sketch import SketchSpec, sketch_from_bytes
-    from ..stages.agg import SketchAgg
+    path as every scalar sketch. The 10^12-row shape: each block ships one
+    <= l x d matrix; nothing else moves."""
+    from ..kernel.sketch import SketchSpec
+    from .builder import build_sketch
 
-    spec = SketchSpec.of("fd", l)
-    res = ds.aggregate(SketchAgg(spec, on=emb_col, alias_name="fd"))
-    return sketch_from_bytes(res["fd"])
+    return build_sketch(ds, SketchSpec.of("fd", l), on=emb_col)
 
 
 def exact_gram(ds, emb_col: str = "embedding") -> tuple[np.ndarray, int]:

@@ -102,26 +102,3 @@ def probe_filter(
         batch_size=batch_size,
         concurrency=concurrency or actor_pool_size(),
     )
-
-
-def bloom_semi_join(
-    probe_ds,
-    build_ds,
-    on: str,
-    err_rate: float = 0.001,
-    capacity: Optional[int] = None,
-    concurrency: Optional[int] = None,
-):
-    """Keep probe rows whose key MAYBE appears in build_ds[on].
-
-    The build side is sketched (one small bitset crosses the cluster instead
-    of a shuffled hash table); the result is a superset of the exact
-    semi-join — follow with an exact join on the pruned survivor set when
-    exactness is required. ``capacity`` defaults to build-side count."""
-    from ..kernel.sketch import SketchSpec
-    from .builder import build_sketch
-
-    if capacity is None:
-        capacity = max(build_ds.count(), 11)
-    bf = build_sketch(build_ds, SketchSpec.of("bloom", err_rate, capacity), on=on)
-    return probe_filter(probe_ds, bf, on=on, mode="maybe", concurrency=concurrency)

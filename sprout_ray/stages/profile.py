@@ -32,7 +32,7 @@ def profile_columns(ds, columns: list[str], distinct_k: int = 65536):
     output only (comparisons run on the native type, nulls skipped;
     all-null columns yield null min/max)."""
     from ..kernel.sketch import SketchSpec
-    from ..pipelines.flagship import multi_sketch_build
+    from .builder import multi_sketch_build
 
     def per_block(t: pa.Table) -> pa.Table:
         row = {"n": pa.array([t.num_rows], pa.int64())}

@@ -181,19 +181,6 @@ class HyperplaneLSH:
         return bits @ weights
 
 
-def add_lsh_bucket(ds, dim: int, n_planes: int = 16, seed: int = 7, emb_col: str = "embedding"):
-    """Append an LSH ``bucket`` column; downstream groupby("bucket") blocks
-    candidate comparisons to colliding vectors only."""
-    lsh_ref = ray.put(HyperplaneLSH(dim, n_planes, seed))
-
-    def stage(batch: pa.Table) -> pa.Table:
-        lsh = ray.get(lsh_ref)
-        emb = _normalize(_emb_matrix(batch[emb_col]))
-        return batch.append_column("bucket", pa.array(lsh.bucket(emb), type=pa.int64()))
-
-    return ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
-
-
 class IVFIndex:
     """Inverted-file coarse quantizer for ANN (the scale path beside LSH).
 

@@ -1,40 +1,52 @@
 """Per-partition sketch checkpoints with lineage + metrics (SURVEY.md §4.3.4).
 
 Replaces the reference's persistence layer (mmap filter file + bolt/badger
-stores, /root/reference/bloom.go:410-443, storage.go) with Parquet checkpoint
-rows keyed by ``(job_id, stage, partition_id)``:
+stores, reference bloom.go:410-443, storage.go) with one Parquet file
+per partition, ``part-{partition_id:05d}.parquet``, holding one row per
+sketch name:
 
-    partition_id:int64, sketch_kind:string, spec:string(json),
+    partition_id:int64, name:string, sketch_kind:string, spec:string(json),
     state:large_binary, rows:int64, lineage:string(json)
 
-Deliberately better than the reference, which never persists ``count``
-(reopening a filter file keeps bits but resets count — bloom.go:130-160 has
-no deserialization path): our ``state`` blob round-trips full metadata, so a
-resumed build has correct capacity accounting.
+``lineage`` records the partition's input files, its row count and every
+name's spec and sketched column. Deliberately better than the reference,
+which never persists ``count`` (reopening a filter file keeps bits but
+resets count — bloom.go:130-160 has no deserialization path): our
+``state`` blob round-trips full metadata, so a resumed build has correct
+capacity accounting.
 
-Resume contract: each input shard (file) is one partition. A rerun loads the
-manifest of completed partitions, skips their input files entirely, builds
-partials only for the missing ones, and merges old + new — giving
-mid-scan resumability for any Sketch.
+Resume contract (:func:`build_multi_with_checkpoints`, the one resumable
+build; :func:`build_with_checkpoints` is it with one spec): every
+``files_per_partition`` input files are one partition. A rerun scans the
+directory (:func:`completed_partitions`) and reuses a partition's
+checkpoint only when it covers every requested sketch name with the
+requested spec and column AND its lineage lists exactly the partition's
+current input files. Every other partition is rebuilt by one streaming
+scan of its files and checkpointed the moment it finishes; a checkpoint
+that was present but stale (by spec, column, lineage, or an older file
+format) is counted in ``metrics['invalidated']``. A crash mid-run loses at most the in-flight
+partitions.
+
+Reading a directory back as ONE sketch (the CLI's probe/stats/merge) goes
+through :func:`read_checkpoint_dir`, which refuses a directory that mixes
+specs, sketch names, or partitionings (:class:`CheckpointDirError`).
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
-from dataclasses import asdict, dataclass
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..kernel.sketch import SketchSpec, sketch_from_bytes
+from ..stages.builder import merge_partials, update_block
 
 
-@dataclass
-class PartitionLineage:
-    input_files: list
-    spec: str
-    rows: int
+class CheckpointDirError(ValueError):
+    """A checkpoint directory that cannot be read back as one sketch."""
 
 
 def _spec_json(spec: SketchSpec) -> str:
@@ -43,42 +55,34 @@ def _spec_json(spec: SketchSpec) -> str:
     )
 
 
-def checkpoint_dir_schema() -> pa.Schema:
-    return pa.schema(
-        [
-            ("partition_id", pa.int64()),
-            ("sketch_kind", pa.string()),
-            ("spec", pa.string()),
-            ("state", pa.large_binary()),
-            ("rows", pa.int64()),
-            ("lineage", pa.string()),
-        ]
-    )
-
-
 def write_partition_checkpoint(
     ckpt_dir: str,
     partition_id: int,
-    spec: SketchSpec,
-    sketch,
+    specs: dict,
+    states: dict,
     rows: int,
     input_files: list,
 ) -> str:
-    """Write one partition's sketch checkpoint atomically (tmp + rename)."""
+    """Write one partition's checkpoint atomically (tmp + rename): one row
+    per name in ``specs`` (name -> (SketchSpec, column)), ``states`` holding
+    each name's serialized sketch. Returns the written path."""
     os.makedirs(ckpt_dir, exist_ok=True)
-    lineage = PartitionLineage(
-        input_files=list(input_files), spec=_spec_json(spec), rows=rows
+    names = sorted(specs)
+    spec_json = {n: _spec_json(specs[n][0]) for n in names}
+    lineage = json.dumps(
+        {"input_files": list(input_files), "rows": rows, "specs": spec_json,
+         "columns": {n: specs[n][1] for n in names}}
     )
     tbl = pa.table(
         {
-            "partition_id": pa.array([partition_id], pa.int64()),
-            "sketch_kind": pa.array([spec.kind], pa.string()),
-            "spec": pa.array([_spec_json(spec)], pa.string()),
-            "state": pa.array([sketch.to_bytes()], pa.large_binary()),
-            "rows": pa.array([rows], pa.int64()),
-            "lineage": pa.array([json.dumps(asdict(lineage))], pa.string()),
-        },
-        schema=checkpoint_dir_schema(),
+            "partition_id": pa.array([partition_id] * len(names), pa.int64()),
+            "name": pa.array(names, pa.string()),
+            "sketch_kind": pa.array([specs[n][0].kind for n in names], pa.string()),
+            "spec": pa.array([spec_json[n] for n in names], pa.string()),
+            "state": pa.array([states[n] for n in names], pa.large_binary()),
+            "rows": pa.array([rows] * len(names), pa.int64()),
+            "lineage": pa.array([lineage] * len(names), pa.string()),
+        }
     )
     final = os.path.join(ckpt_dir, f"part-{partition_id:05d}.parquet")
     tmp = final + ".tmp"
@@ -87,203 +91,50 @@ def write_partition_checkpoint(
     return final
 
 
-def completed_partitions(ckpt_dir: str, spec: SketchSpec) -> dict:
-    """partition_id -> checkpoint row dict, for checkpoints matching spec."""
-    if not os.path.isdir(ckpt_dir):
-        return {}
+def completed_partitions(ckpt_dir: str, specs: dict) -> dict:
+    """partition_id -> {name: checkpoint row} for every ``part-`` file in
+    ``ckpt_dir`` that covers each name in ``specs`` (name -> (SketchSpec,
+    column)) with that spec and column. A file present but not covering them
+    (another geometry or column, a missing name, or a file from before
+    checkpoints carried a ``name`` column) maps to None: stale. Input-file
+    lineage is the caller's check."""
     done = {}
-    want = _spec_json(spec)
-    for p in sorted(os.listdir(ckpt_dir)):
-        if not p.endswith(".parquet"):
-            continue
-        t = pq.read_table(os.path.join(ckpt_dir, p))
-        for row in t.to_pylist():
-            if row["spec"] == want:
-                done[row["partition_id"]] = row
+    want = {name: (_spec_json(spec), on) for name, (spec, on) in specs.items()}
+    for path in sorted(glob.glob(os.path.join(ckpt_dir, "part-*.parquet"))):
+        t = pq.read_table(path)
+        by_name = (
+            {r["name"]: r for r in t.to_pylist()} if "name" in t.column_names else {}
+        )
+        pid = int(os.path.basename(path)[5:-8])
+        ok = all(
+            name in by_name
+            and by_name[name]["spec"] == s
+            and json.loads(by_name[name]["lineage"]).get("columns", {}).get(name) == on
+            for name, (s, on) in want.items()
+        )
+        done[pid] = {name: by_name[name] for name in want} if ok else None
     return done
 
 
-def _build_partition_task(files: list, spec: SketchSpec, on: str) -> tuple:
-    """Build one partition's sketch by streaming parquet row groups —
-    runs inside a Ray task; memory footprint is one row group + one sketch."""
-    from ..stages.builder import update_chunked
+def _build_partition(files: list, specs: dict, derive=None) -> tuple:
+    """One streaming scan of a partition's files feeds every sketch (the
+    build leaf, once per row-group batch); runs inside a Ray task, so its
+    memory is one batch + the sketches.
 
-    sk = spec.make()
-    rows = 0
-    for path in files:
-        pf = pq.ParquetFile(path)
-        for batch in pf.iter_batches(columns=[on]):
-            col = batch.column(0)
-            if col.null_count:
-                col = col.drop_null()
-            if len(col):
-                update_chunked(sk, spec.kind, pa.chunked_array([col]))
-            rows += batch.num_rows
-    return sk.to_bytes(), rows
-
-
-def build_with_checkpoints(
-    input_files: list,
-    spec: SketchSpec,
-    on: str,
-    ckpt_dir: str,
-    files_per_partition: int = 1,
-    max_concurrency: int = 16,
-):
-    """Resumable sketch build: one partition per ``files_per_partition`` input
-    files; completed partitions are skipped on rerun; returns (sketch, metrics).
-
-    Pending partitions build CONCURRENTLY as Ray tasks (each streams its
-    shard's row groups, so per-task memory is one row group + one sketch);
-    checkpoints are written the moment each task finishes, so a crash
-    mid-run loses at most the in-flight partitions.
-
-    Resume safety: a completed partition is only reused when its recorded
-    lineage ``input_files`` equals the partition's CURRENT file list — if
-    the input grew or reordered between runs, the stale checkpoint is
-    rebuilt instead of silently merging a sketch over the wrong data
-    (counted in ``metrics['invalidated']``).
-    """
-    import ray
-
-    parts = [
-        (i, input_files[i * files_per_partition : (i + 1) * files_per_partition])
-        for i in range((len(input_files) + files_per_partition - 1) // files_per_partition)
-    ]
-    done = completed_partitions(ckpt_dir, spec)
-    metrics = {
-        "partitions": len(parts),
-        "resumed": 0,
-        "built": 0,
-        "invalidated": 0,
-        "rows": 0,
-    }
-    task = ray.remote(_build_partition_task)
-
-    sketches = []
-    pending = {}  # ObjectRef -> (pid, files)
-    for pid, files in parts:
-        if pid in done:
-            lin = json.loads(done[pid]["lineage"])
-            if lin.get("input_files") == list(files):
-                sketches.append(sketch_from_bytes(done[pid]["state"]))
-                metrics["resumed"] += 1
-                metrics["rows"] += done[pid]["rows"]
-                continue
-            metrics["invalidated"] += 1  # input shard changed -> rebuild
-        ref = task.options(num_cpus=1).remote(files, spec, on)
-        pending[ref] = (pid, files)
-        # bound in-flight tasks so a long file list doesn't flood the cluster
-        while len(pending) >= max_concurrency:
-            sketches, metrics = _drain_one(pending, sketches, metrics, ckpt_dir, spec)
-    while pending:
-        sketches, metrics = _drain_one(pending, sketches, metrics, ckpt_dir, spec)
-
-    acc = sketches[0] if sketches else spec.make()
-    for s in sketches[1:]:
-        acc.merge(s)
-    return acc, metrics
-
-
-def _drain_one(pending: dict, sketches: list, metrics: dict, ckpt_dir: str, spec):
-    """Wait for one partition task; checkpoint + account its result."""
-    import ray
-
-    ready, _ = ray.wait(list(pending), num_returns=1)
-    ref = ready[0]
-    pid, files = pending.pop(ref)
-    blob, nrows = ray.get(ref)
-    sk = sketch_from_bytes(blob)
-    write_partition_checkpoint(ckpt_dir, pid, spec, sk, nrows, files)
-    sketches.append(sk)
-    metrics["built"] += 1
-    metrics["rows"] += nrows
-    return sketches, metrics
-
-
-# ---------------------------------------------------------------------------
-# Multi-sketch resumable build: one scan per partition updates EVERY sketch
-# (the flagship battery's resume story — the reference can only persist one
-# filter per file, bloom.go:410-425; here a 10-sketch battery checkpoints and
-# resumes as a unit without re-reading finished shards).
-# ---------------------------------------------------------------------------
-
-
-def _multi_manifest_path(ckpt_dir: str, pid: int) -> str:
-    return os.path.join(ckpt_dir, f"multi-{pid:05d}.parquet")
-
-
-def write_multi_checkpoint(
-    ckpt_dir: str, pid: int, specs: dict, blobs: dict, rows: int, input_files: list
-) -> str:
-    """One parquet file per partition, one row per sketch name (atomic)."""
-    os.makedirs(ckpt_dir, exist_ok=True)
-    names = sorted(specs)
-    lineage = json.dumps(
-        {"input_files": list(input_files), "rows": rows,
-         "specs": {n: _spec_json(specs[n][0]) for n in names}}
-    )
-    tbl = pa.table(
-        {
-            "partition_id": pa.array([pid] * len(names), pa.int64()),
-            "name": pa.array(names, pa.string()),
-            "sketch_kind": pa.array([specs[n][0].kind for n in names], pa.string()),
-            "spec": pa.array([_spec_json(specs[n][0]) for n in names], pa.string()),
-            "state": pa.array([blobs[n] for n in names], pa.large_binary()),
-            "rows": pa.array([rows] * len(names), pa.int64()),
-            "lineage": pa.array([lineage] * len(names), pa.string()),
-        }
-    )
-    final = _multi_manifest_path(ckpt_dir, pid)
-    tmp = final + ".tmp"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, final)
-    return final
-
-
-def _load_multi_checkpoint(ckpt_dir: str, pid: int, specs: dict, files: list):
-    """Partition's blobs dict if the checkpoint covers every requested sketch
-    with matching spec AND lineage; None -> rebuild."""
-    path = _multi_manifest_path(ckpt_dir, pid)
-    if not os.path.exists(path):
-        return None
-    rows = pq.read_table(path).to_pylist()
-    by_name = {r["name"]: r for r in rows}
-    for name, (spec, _on) in specs.items():
-        r = by_name.get(name)
-        if r is None or r["spec"] != _spec_json(spec):
-            return None
-        if json.loads(r["lineage"]).get("input_files") != list(files):
-            return None
-    return {n: by_name[n] for n in specs}
-
-
-def _build_partition_multi_task(files: list, specs_items: list, derive=None) -> tuple:
-    """One streaming scan of the shard updates every sketch.
-
-    ``specs_items``: [(name, spec, on)]. ``derive`` (optional) maps each
-    Arrow batch-table before column extraction, so sketches can target
-    derived columns (sha256 invariant, content_len) without materializing
-    them anywhere."""
-    from ..stages.builder import update_chunked
-
-    sks = {name: spec.make() for name, spec, _on in specs_items}
+    ``derive`` (optional) maps each Arrow batch-table before column
+    extraction, so sketches can target derived columns (sha256 invariant,
+    content_len) without materializing them anywhere."""
+    sks = {name: spec.make() for name, (spec, _on) in specs.items()}
     # derive may reference any input column -> read all; otherwise prune the
     # scan to exactly the sketched columns
-    raw_cols = None if derive else sorted({on for _, _, on in specs_items})
+    raw_cols = None if derive else sorted({on for _spec, on in specs.values()})
     rows = 0
     for path in files:
-        pf = pq.ParquetFile(path)
-        for batch in pf.iter_batches(columns=raw_cols):
+        for batch in pq.ParquetFile(path).iter_batches(columns=raw_cols):
             t = pa.Table.from_batches([batch])
             if derive is not None:
                 t = derive(t)
-            for name, spec, on in specs_items:
-                col = t.column(on)
-                if col.null_count:
-                    col = col.drop_null()
-                if len(col):
-                    update_chunked(sks[name], spec.kind, col)
+            update_block(sks, specs, t)
             rows += batch.num_rows
     return {name: sk.to_bytes() for name, sk in sks.items()}, rows
 
@@ -296,16 +147,18 @@ def build_multi_with_checkpoints(
     max_concurrency: int = 16,
     derive=None,
 ):
-    """Resumable MULTI-sketch build: ``specs`` = name -> (SketchSpec, on).
+    """Resumable multi-sketch build: ``specs`` = name -> (SketchSpec, on).
 
     One partition per ``files_per_partition`` input files; each pending
-    partition is one Ray task that streams its shard's row groups ONCE and
+    partition is one Ray task that streams its files' row groups ONCE and
     updates every sketch (same single-scan economics as
-    pipelines.flagship.multi_sketch_build, plus checkpoints). A partition
+    ``stages.builder.multi_sketch_build``, plus checkpoints). A partition
     resumes only when its checkpoint covers every requested sketch with
-    matching spec and lineage; partial/stale checkpoints rebuild the whole
-    partition (the scan is shared, so per-sketch resume would re-read the
-    shard anyway). Returns ({name: sketch}, metrics)."""
+    matching spec, column and lineage; otherwise the whole partition rebuilds (the
+    scan is shared, so per-sketch resume would re-read the files anyway).
+    Pending partitions build concurrently, at most ``max_concurrency`` in
+    flight. Returns ({name: sketch}, metrics), metrics holding
+    ``partitions``, ``built``, ``resumed``, ``invalidated`` and ``rows``."""
     import ray
 
     parts = [
@@ -314,45 +167,107 @@ def build_multi_with_checkpoints(
             (len(input_files) + files_per_partition - 1) // files_per_partition
         )
     ]
-    metrics = {"partitions": len(parts), "resumed": 0, "built": 0, "rows": 0}
-    specs_items = [(n, s, on) for n, (s, on) in sorted(specs.items())]
-    task = ray.remote(_build_partition_multi_task)
+    done = completed_partitions(ckpt_dir, specs)
+    metrics = {"partitions": len(parts), "built": 0, "resumed": 0,
+               "invalidated": 0, "rows": 0}
+    task = ray.remote(_build_partition)
 
-    accs: dict = {}
-    pending: dict = {}
-
-    def account(blobs: dict, nrows: int):
-        for name, (spec, _on) in specs.items():
-            b = blobs[name]
-            sk = sketch_from_bytes(b if isinstance(b, bytes) else b["state"])
-            if name in accs:
-                accs[name].merge(sk)
-            else:
-                accs[name] = sk
-        metrics["rows"] += nrows
+    states: dict = {}  # pid -> {name: serialized sketch}
+    pending: dict = {}  # ObjectRef -> (pid, files)
 
     def drain_one():
         ready, _ = ray.wait(list(pending), num_returns=1)
-        ref = ready[0]
-        pid, files = pending.pop(ref)
-        blobs, nrows = ray.get(ref)
-        write_multi_checkpoint(ckpt_dir, pid, specs, blobs, nrows, files)
-        account(blobs, nrows)
+        pid, files = pending.pop(ready[0])
+        blobs, nrows = ray.get(ready[0])
+        write_partition_checkpoint(ckpt_dir, pid, specs, blobs, nrows, files)
+        states[pid] = blobs
         metrics["built"] += 1
+        metrics["rows"] += nrows
 
     for pid, files in parts:
-        done = _load_multi_checkpoint(ckpt_dir, pid, specs, files)
-        if done is not None:
-            account(done, done[specs_items[0][0]]["rows"])
-            metrics["resumed"] += 1
-            continue
-        ref = task.options(num_cpus=1).remote(files, specs_items, derive)
-        pending[ref] = (pid, files)
+        rows_by_name = done.get(pid)
+        if rows_by_name is not None:
+            first = next(iter(rows_by_name.values()))
+            if json.loads(first["lineage"]).get("input_files") == list(files):
+                states[pid] = {name: r["state"] for name, r in rows_by_name.items()}
+                metrics["resumed"] += 1
+                metrics["rows"] += first["rows"]
+                continue
+        if pid in done:
+            metrics["invalidated"] += 1  # stale spec/column/lineage/format -> rebuild
+        pending[task.options(num_cpus=1).remote(files, specs, derive)] = (pid, files)
+        # bound in-flight tasks so a long file list doesn't flood the cluster
         while len(pending) >= max_concurrency:
             drain_one()
     while pending:
         drain_one()
 
-    for name, (spec, _on) in specs.items():
-        accs.setdefault(name, spec.make())
-    return accs, metrics
+    # states are raw to_bytes() blobs: "R0" marks them for merge_partials;
+    # merging in partition order keeps the result independent of which
+    # partitions resumed and which task finished first
+    order = sorted(states)
+    built = {
+        name: merge_partials((b"R0" + states[pid][name] for pid in order), spec)
+        for name, (spec, _on) in specs.items()
+    }
+    return built, metrics
+
+
+def build_with_checkpoints(
+    input_files: list,
+    spec: SketchSpec,
+    on: str,
+    ckpt_dir: str,
+    files_per_partition: int = 1,
+):
+    """Resumable single-sketch build: :func:`build_multi_with_checkpoints`
+    with one spec, named ``"{kind}({on})"``. Returns (sketch, metrics)."""
+    name = f"{spec.kind}({on})"
+    built, metrics = build_multi_with_checkpoints(
+        input_files, {name: (spec, on)}, ckpt_dir, files_per_partition
+    )
+    return built[name], metrics
+
+
+def read_checkpoint_dir(ckpt_dir: str):
+    """Merge every partition checkpoint in ``ckpt_dir`` into one sketch.
+
+    Raises :class:`CheckpointDirError` when the directory is empty, holds a
+    file without a ``name`` column (an older checkpoint format), holds more
+    than one sketch name, its rows disagree on spec, or one input file
+    appears in the lineage of two partitions (stale checkpoints left by a
+    rebuild with another ``files_per_partition``) — merging any of those
+    would count rows twice or mix geometries."""
+    rows = []
+    for path in sorted(glob.glob(os.path.join(ckpt_dir, "part-*.parquet"))):
+        t = pq.read_table(path)
+        if "name" not in t.column_names:
+            raise CheckpointDirError(
+                f"{path}: older checkpoint format (no 'name' column); "
+                "rebuild the directory"
+            )
+        rows.extend(t.to_pylist())
+    if not rows:
+        raise CheckpointDirError(f"no checkpoints under {ckpt_dir}")
+    names = sorted({r["name"] for r in rows})
+    if len(names) > 1:
+        raise CheckpointDirError(
+            f"{ckpt_dir} holds {len(names)} sketches {names}; expected one"
+        )
+    specs = sorted({r["spec"] for r in rows})
+    if len(specs) > 1:
+        raise CheckpointDirError(f"{ckpt_dir}: checkpoints disagree on spec: {specs}")
+    owner: dict = {}
+    for r in rows:
+        for f in json.loads(r["lineage"]).get("input_files", []):
+            prev = owner.setdefault(f, r["partition_id"])
+            if prev != r["partition_id"]:
+                raise CheckpointDirError(
+                    f"{ckpt_dir}: input file {f} is in the lineage of partitions "
+                    f"{prev} and {r['partition_id']} (stale checkpoints from "
+                    "another partitioning); rebuild the directory"
+                )
+    acc = sketch_from_bytes(rows[0]["state"])
+    for r in rows[1:]:
+        acc.merge(sketch_from_bytes(r["state"]))
+    return acc

@@ -159,3 +159,42 @@ def test_length_bucketed_hashing_matches_direct():
     finally:
         m3.MAX_MATRIX_BYTES = old
     assert np.array_equal(direct, spanned)
+
+
+@pytest.mark.parametrize("kind", ["hll", "bloom", "cms"])
+def test_sketchagg_block_respects_matrix_budget(monkeypatch, kind):
+    """SketchAgg's per-block update is the build leaf's update_chunked: one
+    ~100 kB key among 2k short ones must not widen the whole block's padded
+    key matrix (2k x 100 kB = 190 MB) past the byte budget. In-process, no
+    Ray workers."""
+    import sprout_ray.kernel.bloom as bloom_mod
+    import sprout_ray.kernel.murmur3 as m3
+    from sprout_ray.kernel import SketchSpec
+    from sprout_ray.stages.agg import SketchAgg
+    from sprout_ray.stages.builder import update_chunked
+
+    budget = 1 << 20
+    spec = {
+        "hll": SketchSpec.of("hll", 12),
+        "bloom": SketchSpec.of("bloom", 0.01, 4_000),
+        "cms": SketchSpec.of("cms", 0.001, 0.01),
+    }[kind]
+    keys = [f"key-{i}" for i in range(2_000)]
+    keys[1_000] = "x" * 100_000
+    table = pa.table({"k": keys})
+
+    widths = []
+    orig = bloom_mod.arrow_to_key_matrix
+
+    def recording(arr):
+        mat, lengths = orig(arr)
+        widths.append(mat.nbytes)
+        return mat, lengths
+
+    monkeypatch.setattr(bloom_mod, "arrow_to_key_matrix", recording)
+    monkeypatch.setattr(m3, "MAX_MATRIX_BYTES", budget)
+    got = SketchAgg(spec, on="k").aggregate_block(table)
+    assert widths and max(widths) <= budget
+    want = spec.make()
+    update_chunked(want, spec.kind, table["k"])
+    assert got.to_bytes() == want.to_bytes()

@@ -39,18 +39,40 @@ def test_corpus_determinism(corpus):
     assert a.equals(b)
 
 
-def test_build_modes_agree(corpus_ds):
-    """partials-mode and agg-mode produce bitwise-identical filters
-    (order-insensitivity of the merge)."""
-    from sprout_ray.pipelines.flagship import with_invariant
-    from sprout_ray.stages.builder import build_sketch
+def _corpus_files(corpus):
+    return sorted(
+        os.path.join(corpus, p) for p in os.listdir(corpus) if p.endswith(".parquet")
+    )
 
-    ds = with_invariant(corpus_ds)
-    spec = SketchSpec.of("bloom", 0.001, N_ROWS * 2)
-    a = build_sketch(ds, spec, on="sha256", mode="partials")
-    b = build_sketch(ds, spec, on="sha256", mode="agg")
-    assert a.count == b.count == N_ROWS
-    assert (a.bits == b.bits).all()
+
+@pytest.mark.parametrize("kind", ["bloom", "hll", "cms"])
+def test_build_plans_agree(corpus, corpus_ds, tmp_path, kind):
+    """Every build entry point gives the same bytes as the grouped path's
+    SketchAgg (order-insensitivity of the merge): build_sketch,
+    multi_sketch_build and the checkpointed build all run the one leaf and
+    the one merge."""
+    from sprout_ray.pipelines.flagship import multi_sketch_build
+    from sprout_ray.stages.agg import SketchAgg
+    from sprout_ray.stages.builder import build_sketch
+    from sprout_ray.state.checkpoint import build_with_checkpoints
+
+    spec, col = {
+        "bloom": (SketchSpec.of("bloom", 0.001, N_ROWS * 2), "content"),
+        "hll": (SketchSpec.of("hll", 12), "repo"),
+        "cms": (SketchSpec.of("cms", 0.001, 0.01), "path"),
+    }[kind]
+    files = _corpus_files(corpus)
+    assert len(files) == 4
+    ref = corpus_ds.aggregate(SketchAgg(spec, on=col, alias_name="s"))["s"]
+    plans = {
+        "build_sketch": build_sketch(corpus_ds, spec, on=col),
+        "multi_sketch_build": multi_sketch_build(corpus_ds, {kind: (spec, col)})[kind],
+        "build_with_checkpoints": build_with_checkpoints(
+            files, spec, on=col, ckpt_dir=str(tmp_path / "ck")
+        )[0],
+    }
+    for plan, sk in plans.items():
+        assert sk.to_bytes() == ref, plan
 
 
 def test_two_parallelism_levels_equal_sketch(corpus):
@@ -65,7 +87,7 @@ def test_two_parallelism_levels_equal_sketch(corpus):
     for parallelism in (2, 8):
         ds = read_corpus(corpus).repartition(parallelism)
         ds = with_invariant(ds)
-        outs.append(build_sketch(ds, spec, on="sha256", mode="partials"))
+        outs.append(build_sketch(ds, spec, on="sha256"))
     assert (outs[0].registers == outs[1].registers).all()
 
 
@@ -171,7 +193,9 @@ def test_checkpoint_resume(corpus, tmp_path):
     assert m2["built"] == 0 and m2["resumed"] == len(files)
     assert (full.registers == again.registers).all()
     # partial resume: drop one checkpoint, only that partition rebuilds
-    done = completed_partitions(ck, spec)
+    done = completed_partitions(ck, {"hll(repo)": (spec, "repo")})
+    assert sorted(done) == list(range(len(files)))
+    assert all(v is not None for v in done.values())
     victim = sorted(done)[0]
     os.remove(os.path.join(ck, f"part-{victim:05d}.parquet"))
     third, m3 = build_with_checkpoints(files, spec, on="repo", ckpt_dir=ck)
@@ -271,7 +295,7 @@ def test_multi_checkpoint_resume(corpus, tmp_path):
     assert again["mg_lang"].counts == built["mg_lang"].counts
 
     # partial resume: drop one partition's manifest -> only it rebuilds
-    os.remove(os.path.join(ck, "multi-00000.parquet"))
+    os.remove(os.path.join(ck, "part-00000.parquet"))
     third, m3 = build_multi_with_checkpoints(files, specs, ckpt_dir=ck)
     assert m3["built"] == 1 and m3["resumed"] == len(files) - 1
     assert (third["hll_repo"].registers == built["hll_repo"].registers).all()
@@ -281,6 +305,17 @@ def test_multi_checkpoint_resume(corpus, tmp_path):
     specs2["hll_repo"] = (SketchSpec.of("hll", 10), "repo")
     _, m4 = build_multi_with_checkpoints(files, specs2, ckpt_dir=ck)
     assert m4["built"] == len(files) and m4["resumed"] == 0
+
+    # same name and spec over another column is stale too: resuming it
+    # would return the old column's sketch
+    specs3 = dict(specs2)
+    specs3["hll_repo"] = (SketchSpec.of("hll", 10), "path")
+    moved, m5 = build_multi_with_checkpoints(files, specs3, ckpt_dir=ck)
+    assert m5["built"] == len(files) and m5["invalidated"] == len(files)
+    clean, _ = build_multi_with_checkpoints(
+        files, specs3, ckpt_dir=str(tmp_path / "mck_clean")
+    )
+    assert moved["hll_repo"].to_bytes() == clean["hll_repo"].to_bytes()
 
 
 def test_multi_checkpoint_derive_column(corpus, tmp_path):
@@ -327,3 +362,100 @@ def test_checkpoint_resume_new_sketch_kinds(corpus, tmp_path):
     assert full.count == N_ROWS and again.count == N_ROWS
     assert (full.counts == again.counts).all()
     full.validate()
+
+
+def test_cli_refuses_stale_partitioning(corpus, tmp_path):
+    """A rebuild with another --files-per-partition leaves the old
+    partitions' files beside the new ones; merging them all counted every
+    row of files 2-3 twice. The reader refuses the directory instead."""
+    from sprout_ray import cli
+    from sprout_ray.state.checkpoint import (
+        CheckpointDirError,
+        build_with_checkpoints,
+        read_checkpoint_dir,
+    )
+
+    files = _corpus_files(corpus)
+    spec = SketchSpec.of("cms", 0.001, 0.01)
+    ck = str(tmp_path / "ck_cms")
+    build_with_checkpoints(files, spec, on="lang", ckpt_dir=ck)
+    assert read_checkpoint_dir(ck).total == N_ROWS
+    _, m = build_with_checkpoints(
+        files, spec, on="lang", ckpt_dir=ck, files_per_partition=2
+    )
+    assert m["partitions"] == 2 and m["invalidated"] == 2 and m["rows"] == N_ROWS
+    with pytest.raises(CheckpointDirError, match="lineage of partitions"):
+        read_checkpoint_dir(ck)
+    with pytest.raises(CheckpointDirError, match="lineage of partitions"):
+        cli.main(["stats", "--ckpt", ck])
+
+
+def test_read_checkpoint_dir_refuses_mixed_dirs(tmp_path):
+    from sprout_ray.state.checkpoint import (
+        CheckpointDirError,
+        read_checkpoint_dir,
+        write_partition_checkpoint,
+    )
+
+    def write(ck, pid, name, spec):
+        write_partition_checkpoint(
+            ck, pid, {name: (spec, "k")}, {name: spec.make().to_bytes()}, 0,
+            [f"f{pid}"],
+        )
+
+    ck = str(tmp_path / "specs")
+    write(ck, 0, "h", SketchSpec.of("hll", 12))
+    write(ck, 1, "h", SketchSpec.of("hll", 10))
+    with pytest.raises(CheckpointDirError, match="disagree on spec"):
+        read_checkpoint_dir(ck)
+    ck = str(tmp_path / "names")
+    write(ck, 0, "a", SketchSpec.of("hll", 12))
+    write(ck, 1, "b", SketchSpec.of("hll", 12))
+    with pytest.raises(CheckpointDirError, match="expected one"):
+        read_checkpoint_dir(ck)
+    with pytest.raises(CheckpointDirError, match="no checkpoints"):
+        read_checkpoint_dir(str(tmp_path / "empty"))
+
+
+def test_checkpoint_older_format_rebuilds(corpus, tmp_path):
+    """A part- file in the earlier single-row format (no ``name`` column)
+    is stale: the build rebuilds and counts it, the reader refuses it."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from sprout_ray.state.checkpoint import (
+        CheckpointDirError,
+        build_with_checkpoints,
+        read_checkpoint_dir,
+    )
+
+    files = _corpus_files(corpus)
+    spec = SketchSpec.of("hll", 12)
+    ck = str(tmp_path / "ck_old")
+    clean, _ = build_with_checkpoints(files, spec, on="repo", ckpt_dir=ck)
+    # the earlier format: same spec, state and lineage, no name column
+    path = os.path.join(ck, "part-00001.parquet")
+    row = pq.read_table(path).to_pylist()[0]
+    old = pa.table(
+        {
+            "partition_id": pa.array([1], pa.int64()),
+            "sketch_kind": pa.array(["hll"], pa.string()),
+            "spec": pa.array([row["spec"]], pa.string()),
+            "state": pa.array([row["state"]], pa.large_binary()),
+            "rows": pa.array([row["rows"]], pa.int64()),
+            "lineage": pa.array(
+                [json.dumps({"input_files": [files[1]], "spec": row["spec"],
+                             "rows": row["rows"]})],
+                pa.string(),
+            ),
+        }
+    )
+    pq.write_table(old, path)
+    with pytest.raises(CheckpointDirError, match="part-00001.parquet"):
+        read_checkpoint_dir(ck)
+    again, m = build_with_checkpoints(files, spec, on="repo", ckpt_dir=ck)
+    assert m == {"partitions": 4, "built": 1, "resumed": 3, "invalidated": 1,
+                 "rows": N_ROWS}
+    assert again.to_bytes() == clean.to_bytes()
+    assert read_checkpoint_dir(ck).to_bytes() == clean.to_bytes()
