@@ -41,8 +41,14 @@ def _spread(x: np.ndarray) -> np.ndarray:
 
 def morton_key(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Interleave two non-negative <=31-bit int64 arrays into one int64
-    Z-order key (x at even bit positions, y at odd)."""
+    Z-order key (x at even bit positions, y at odd). Non-integer dtypes
+    are refused: the unsigned cast would truncate them silently."""
     for name, a in (("x", x), ("y", y)):
+        if not np.issubdtype(a.dtype, np.integer):
+            raise ValueError(
+                f"morton_key: {name} has non-integer dtype {a.dtype} — cast "
+                "or bucket the coordinate to integers before layout"
+            )
         if a.size and (a.min() < 0 or a.max() > MAX_COORD):
             raise ValueError(
                 f"morton_key: {name} outside [0, 2^31-1] — rescale or "

@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import add_sha256
 from ..kernel.sketch import SketchSpec
+from ..stages.agg import grouped_reduce
 from ..stages.builder import build_grouped, build_sketch, multi_sketch_build
 from ..stages.probe import probe_filter
 
@@ -66,33 +67,18 @@ def exact_distinct_source(sf_dir: str):
 
 
 def exact_lang_counts(sf_dir: str):
-    """Exact per-lang doc counts — the exact twin of CMS(lang).
-
-    Per-block count partials -> groupby-sum: only |langs|-bounded rows
-    shuffle (the corpus never does)."""
-    ds = _read(sf_dir, "documents", ["lang"]).map_batches(
-        lambda t: t.group_by(["lang"])
-        .aggregate([("lang", "count")])
-        .rename_columns(["lang", "n"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return (
-        ds.groupby("lang")
-        .sum("n", ignore_nulls=True)
-        .map_batches(
-            lambda t: t.rename_columns(["lang", "n"]), batch_format="pyarrow"
-        )
+    """Exact per-lang doc counts — the exact twin of CMS(lang)."""
+    return grouped_reduce(
+        _read(sf_dir, "documents", ["lang"]), "lang", {"n": ("lang", "count")}
     )
 
 
 def exact_dedup_first(sf_dir: str):
     """First (min doc_id) row per distinct text — exact dedup readout."""
+    from ray.data.aggregate import Min
+
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    firsts = ds.groupby("text").min("doc_id")
-    return firsts.map_batches(
-        lambda t: t.rename_columns(["text", "doc_id"]), batch_format="pyarrow"
-    )
+    return ds.groupby("text").aggregate(Min("doc_id", alias_name="doc_id"))
 
 
 def token_counts(sf_dir: str):
@@ -119,34 +105,17 @@ def doc_quality(sf_dir: str):
 
 
 def nchars_stats_by_lang(sf_dir: str):
-    """Distributed min/max/sum/count of n_chars per lang (integer-exact).
-
-    Per-block partials (pyarrow min/max/sum/count per lang) -> one
-    groupby re-aggregating the partials (min of mins, max of maxes,
-    sums of sums/counts): only |langs|-bounded rows shuffle."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    parts = _read(sf_dir, "documents", ["lang", "n_chars"]).map_batches(
-        lambda t: t.group_by(["lang"])
-        .aggregate(
-            [
-                ("n_chars", "min"),
-                ("n_chars", "max"),
-                ("n_chars", "sum"),
-                ("n_chars", "count"),
-            ]
-        )
-        .rename_columns(["lang", "min_chars", "max_chars", "sum_chars", "n"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    """Distributed min/max/sum/count of n_chars per lang (integer-exact)."""
+    return grouped_reduce(
+        _read(sf_dir, "documents", ["lang", "n_chars"]),
+        "lang",
+        {
+            "min_chars": ("n_chars", "min"),
+            "max_chars": ("n_chars", "max"),
+            "sum_chars": ("n_chars", "sum"),
+            "n": ("n_chars", "count"),
+        },
     )
-    out = parts.groupby("lang").aggregate(
-        Min("min_chars", alias_name="min_chars"),
-        Max("max_chars", alias_name="max_chars"),
-        Sum("sum_chars", alias_name="sum_chars"),
-        Sum("n", alias_name="n"),
-    )
-    return out
 
 
 def _oround(arr, ndigits: int = 0):
@@ -154,6 +123,52 @@ def _oround(arr, ndigits: int = 0):
     default is half-to-even. Arrow's half_towards_infinity rounds halves away
     from zero for BOTH signs (0.5->1, -0.5->-1), matching DuckDB exactly."""
     return pc.round(arr, ndigits=ndigits, round_mode="half_towards_infinity")
+
+
+def _rev_cc(t: pa.Table):
+    """Discounted lineitem revenue in integer centi-cents: cents(price) *
+    (100 - discount percent), both rounded like the oracle. Integer-exact,
+    so sums agree with DuckDB in any aggregation order."""
+    base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
+    disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
+    return pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
+
+
+def _event_type_vocab(sf_dir: str) -> pa.Array:
+    """The sorted distinct event types: each block thins to its own
+    distinct set before Ray's ``unique`` pass, so only |types| x blocks
+    rows leave the scan."""
+    types = (
+        _read(sf_dir, "events", ["event_type"])
+        .map_batches(
+            lambda t: pa.table(
+                {"event_type": pa.array(np.unique(
+                    t["event_type"].to_numpy(zero_copy_only=False)
+                ).tolist(), pa.string())}
+            ),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+        .unique("event_type")
+    )
+    return pa.array(sorted(types), pa.string())
+
+
+def _supplier_nations(sf_dir: str):
+    """The supplier dimension keyed for a lineitem lookup join,
+    (l_suppkey, s_nat int64), and its row count from parquet metadata
+    (a sound right_count bound for the size-guarded join)."""
+    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
+        lambda t: pa.table(
+            {
+                "l_suppkey": t["s_suppkey"],
+                "s_nat": pc.cast(t["s_nationkey"], pa.int64()),
+            }
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    return supp, _read(sf_dir, "supplier", ["s_suppkey"]).count()
 
 
 def q1_pricing_summary(sf_dir: str):
@@ -167,85 +182,36 @@ def q1_pricing_summary(sf_dir: str):
     def prep(t: pa.Table) -> pa.Table:
         # integer-cent arithmetic end to end: no float summation, no rounding
         # ambiguity vs the oracle regardless of aggregation order
-        qty = pc.cast(_oround(t["l_quantity"]), pa.int64())
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        # discounted revenue in centi-cents: base_cents * (100 - disc_pct)
-        disc_cc = pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
-        # per-block pre-agg: only |flag x status|-bounded partials shuffle
-        # (a bare groupby would sort-shuffle the whole fact stream)
-        g = (
-            pa.table(
-                {
-                    "l_returnflag": t["l_returnflag"],
-                    "l_linestatus": t["l_linestatus"],
-                    "qty": qty,
-                    "base_cents": base_c,
-                    "disc_centicents": disc_cc,
-                }
-            )
-            .group_by(["l_returnflag", "l_linestatus"])
-            .aggregate(
-                [
-                    ("qty", "sum"),
-                    ("base_cents", "sum"),
-                    ("disc_centicents", "sum"),
-                    ("qty", "count"),
-                ]
-            )
-        )
-        return g.rename_columns(
-            [
-                "l_returnflag",
-                "l_linestatus",
-                "sum_qty",
-                "sum_base_cents",
-                "sum_disc_centicents",
-                "count_order",
-            ]
+        return pa.table(
+            {
+                "l_returnflag": t["l_returnflag"],
+                "l_linestatus": t["l_linestatus"],
+                "qty": pc.cast(_oround(t["l_quantity"]), pa.int64()),
+                "base_cents": pc.cast(
+                    _oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64()
+                ),
+                "disc_centicents": _rev_cc(t),
+            }
         )
 
-    out = (
-        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .sum(
-            ["sum_qty", "sum_base_cents", "sum_disc_centicents", "count_order"],
-            ignore_nulls=True,
-        )
-        .map_batches(
-            lambda t: t.rename_columns(
-                [
-                    "l_returnflag",
-                    "l_linestatus",
-                    "sum_qty",
-                    "sum_base_cents",
-                    "sum_disc_centicents",
-                    "count_order",
-                ]
-            ),
-            batch_format="pyarrow",
-        )
+    return grouped_reduce(
+        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        ["l_returnflag", "l_linestatus"],
+        {
+            "sum_qty": ("qty", "sum"),
+            "sum_base_cents": ("base_cents", "sum"),
+            "sum_disc_centicents": ("disc_centicents", "sum"),
+            "count_order": ("qty", "count"),
+        },
     )
-    return out
 
 
 def _event_type_count_ds(sf_dir: str):
-    """Per-block count partials -> groupby-sum (only |types|-bounded rows
-    shuffle, never the event stream)."""
-    parts = _read(sf_dir, "events", ["event_type"]).map_batches(
-        lambda t: t.group_by(["event_type"])
-        .aggregate([("event_type", "count")])
-        .rename_columns(["event_type", "n"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    return (
-        parts.groupby("event_type")
-        .sum("n", ignore_nulls=True)
-        .map_batches(
-            lambda t: t.rename_columns(["event_type", "n"]),
-            batch_format="pyarrow",
-        )
+    """Exact per-event-type counts."""
+    return grouped_reduce(
+        _read(sf_dir, "events", ["event_type"]),
+        "event_type",
+        {"n": ("event_type", "count")},
     )
 
 
@@ -543,8 +509,6 @@ def tdigest_hourly_value(sf_dir: str):
     error at delta=200, and centroid interpolation between adjacent data
     points can cross one extra point, so the discrete floor is 1.5 rank
     steps (observed: a 13-row window at 1.5/13)."""
-    from ray.data.aggregate import Sum
-
     from ..stages.builder import build_grouped
 
     ds = _read(sf_dir, "events", ["ts", "value"])
@@ -570,36 +534,27 @@ def tdigest_hourly_value(sf_dir: str):
     p50 = np.array([est[w][0] for w in wins], dtype=np.float64)
     p95 = np.array([est[w][1] for w in wins], dtype=np.float64)
 
-    def rank_partials(t: pa.Table) -> pa.Table:
+    def ranks(t: pa.Table) -> pa.Table:
         w = t["window"].to_numpy(zero_copy_only=False)
         v = t["value"].to_numpy(zero_copy_only=False)
         pos = np.searchsorted(wins, w)
-        le50 = (v <= p50[pos]).astype(np.int64)
-        le95 = (v <= p95[pos]).astype(np.int64)
-        g = (
-            pa.table(
-                {
-                    "window": t["window"],
-                    "n_le50": pa.array(le50, pa.int64()),
-                    "n_le95": pa.array(le95, pa.int64()),
-                    "n": pa.array(np.ones(len(w), np.int64), pa.int64()),
-                }
-            )
-            .group_by("window")
-            .aggregate([("n_le50", "sum"), ("n_le95", "sum"), ("n", "sum")])
+        return pa.table(
+            {
+                "window": t["window"],
+                "le50": pa.array((v <= p50[pos]).astype(np.int64), pa.int64()),
+                "le95": pa.array((v <= p95[pos]).astype(np.int64), pa.int64()),
+            }
         )
-        return g.rename_columns(["window", "n_le50", "n_le95", "n"])
 
-    agg = (
-        wds.map_batches(rank_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("window")
-        .aggregate(Sum("n_le50"), Sum("n_le95"), Sum("n"))
-        .take_all()
-    )  # bounded: one row per window
+    agg = grouped_reduce(
+        wds.map_batches(ranks, batch_format="pyarrow", zero_copy_batch=True),
+        "window",
+        {"n_le50": ("le50", "sum"), "n_le95": ("le95", "sum"), "n": (None, "count_all")},
+    ).take_all()  # bounded: one row per window
     by_w = {int(r["window"]): r for r in agg}
-    n = np.array([by_w[int(w)]["sum(n)"] for w in wins], dtype=np.int64)
-    r50 = np.array([by_w[int(w)]["sum(n_le50)"] for w in wins]) / n
-    r95 = np.array([by_w[int(w)]["sum(n_le95)"] for w in wins]) / n
+    n = np.array([by_w[int(w)]["n"] for w in wins], dtype=np.int64)
+    r50 = np.array([by_w[int(w)]["n_le50"] for w in wins]) / n
+    r95 = np.array([by_w[int(w)]["n_le95"] for w in wins]) / n
     tol = 0.03 + 1.5 / n
     ok = (np.abs(r50 - 0.5) <= tol) & (np.abs(r95 - 0.95) <= tol)
 
@@ -1010,21 +965,12 @@ def bloom_probe_prune(sf_dir: str):
     both = hashed.map_batches(flag(1), batch_format="pyarrow").union(
         foreign.map_batches(flag(0), batch_format="pyarrow")
     )
-    kept = (
-        probe_filter(both, bf, on="sha256", mode="maybe", concurrency=2)
-        .map_batches(
-            lambda t: t.select(["is_member"])
-            .group_by(["is_member"])
-            .aggregate([("is_member", "count")])
-            .rename_columns(["is_member", "n"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("is_member")
-        .sum("n", ignore_nulls=True)
-        .take_all()
-    )
-    by_flag = {r["is_member"]: r["sum(n)"] for r in kept}
+    kept = grouped_reduce(
+        probe_filter(both, bf, on="sha256", mode="maybe", concurrency=2),
+        "is_member",
+        {"n": ("is_member", "count")},
+    ).take_all()
+    by_flag = {r["is_member"]: r["n"] for r in kept}
     # in-band self-evidence: the two reference guarantees the driver's
     # rows-only record should carry — zero false negatives (bloom.go's
     # Contains contract) and measured FPR within the configured epsilon
@@ -1867,15 +1813,12 @@ def revenue_by_nation(sf_dir: str):
 
     ordersn = ordersn.map_batches(attach_nation, batch_format="pyarrow")
 
-    def prep_li(t: pa.Table) -> pa.Table:
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        rev_cc = pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
-        return pa.table({"l_orderkey": t["l_orderkey"], "rev_cc": rev_cc})
-
     li = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
-    ).map_batches(prep_li, batch_format="pyarrow")
+    ).map_batches(
+        lambda t: pa.table({"l_orderkey": t["l_orderkey"], "rev_cc": _rev_cc(t)}),
+        batch_format="pyarrow",
+    )
     # ordersn row count <= n_orders (customer is custkey-unique), so the
     # pre-join count is a sound guard bound without executing the pipeline
     n_li = _read(sf_dir, "lineitem", ["l_orderkey"]).count()  # metadata
@@ -1883,28 +1826,10 @@ def revenue_by_nation(sf_dir: str):
         li, ordersn, on="l_orderkey", right_count=n_orders, left_count=n_li
     )
 
-    def nation_partials(t: pa.Table) -> pa.Table:
-        # per-block pre-agg: only |nations|-bounded partials shuffle
-        # (a bare groupby here sort-shuffles the whole joined stream)
-        g = (
-            t.select(["nation", "rev_cc"])
-            .group_by(["nation"])
-            .aggregate([("rev_cc", "sum"), ("rev_cc", "count")])
-        )
-        return g.rename_columns(["nation", "revenue_centicents", "n_items"])
-
-    out = (
-        joined.map_batches(
-            nation_partials, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("nation")
-        .sum(["revenue_centicents", "n_items"], ignore_nulls=True)
-        .map_batches(
-            lambda t: t.rename_columns(
-                ["nation", "revenue_centicents", "n_items"]
-            ),
-            batch_format="pyarrow",
-        )
+    out = grouped_reduce(
+        joined,
+        "nation",
+        {"revenue_centicents": ("rev_cc", "sum"), "n_items": ("rev_cc", "count")},
     )
     return out.sort("nation")
 
@@ -2214,22 +2139,15 @@ def langid_predictions(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
     out = ds.map_batches(LangId, batch_format="pyarrow", concurrency=2)
-    # per-block pre-agg so the exchange carries (lang, pred, n) partials
-    part = out.map_batches(
-        lambda t: t.select(["lang", "lang_pred"])
-        .group_by(["lang", "lang_pred"])
-        .aggregate([("lang", "count")])
-        .rename_columns(["lang", "lang_pred", "n_part"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    rows = part.groupby(["lang", "lang_pred"]).sum("n_part").take_all()
+    rows = grouped_reduce(
+        out, ["lang", "lang_pred"], {"n": ("lang", "count")}
+    ).take_all()
     rows.sort(key=lambda r: (r["lang"], r["lang_pred"]))
     return pa.table(
         {
             "lang": pa.array([r["lang"] for r in rows], pa.string()),
             "lang_pred": pa.array([r["lang_pred"] for r in rows], pa.string()),
-            "n": pa.array([r["sum(n_part)"] for r in rows], pa.int64()),
+            "n": pa.array([r["n"] for r in rows], pa.int64()),
         }
     )
 
@@ -2312,15 +2230,9 @@ def _split_counts(ds, key_col: str, method: str, buckets: int):
     tagged = assign_split(
         ds, key_col, _SPLIT_FRACTIONS, method=method, buckets=buckets
     )
-    part = tagged.map_batches(
-        lambda t: t.select(["split", "lang"])
-        .group_by(["split", "lang"])
-        .aggregate([("lang", "count")])
-        .rename_columns(["split", "lang", "n_part"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    rows = part.groupby(["split", "lang"]).sum("n_part").take_all()
+    rows = grouped_reduce(
+        tagged, ["split", "lang"], {"n": ("lang", "count")}
+    ).take_all()
     rows.sort(key=lambda r: (r["split"], r["lang"]))
     return rows
 
@@ -2336,7 +2248,7 @@ def corpus_split_mod_exact(sf_dir: str):
         {
             "split": pa.array([r["split"] for r in rows], pa.string()),
             "lang": pa.array([r["lang"] for r in rows], pa.string()),
-            "n": pa.array([r["sum(n_part)"] for r in rows], pa.int64()),
+            "n": pa.array([r["n"] for r in rows], pa.int64()),
         }
     )
 
@@ -2350,11 +2262,11 @@ def corpus_split_hash(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
     rows = _split_counts(ds, "doc_id", method="hash", buckets=10_000)
     frac = dict(_SPLIT_FRACTIONS)
-    total = sum(r["sum(n_part)"] for r in rows)
+    total = sum(r["n"] for r in rows)
     # the proportion claim is a per-SPLIT property (summed over langs)
     by_split: dict[str, int] = {}
     for r in rows:
-        by_split[r["split"]] = by_split.get(r["split"], 0) + r["sum(n_part)"]
+        by_split[r["split"]] = by_split.get(r["split"], 0) + r["n"]
     out = []
     for r in rows:
         exp = frac[r["split"]]
@@ -2364,7 +2276,7 @@ def corpus_split_hash(sf_dir: str):
             {
                 "split": r["split"],
                 "lang": r["lang"],
-                "n": r["sum(n_part)"],
+                "n": r["n"],
                 "expected_frac": exp,
                 "observed_frac": float(np.floor(obs * 1e6 + 0.5) / 1e6),
                 "within_tol": bool(abs(obs - exp) <= tol),
@@ -2443,21 +2355,9 @@ def doc_top_term(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     ).materialize()
-    df_ds = (
-        pairs.map_batches(
-            lambda t: t.group_by(["token"])
-            .aggregate([("doc_id", "count")])
-            .rename_columns(["token", "df"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("token")
-        .sum("df")
-        .map_batches(
-            lambda t: t.rename_columns(["token", "df"]), batch_format="pyarrow"
-        )
-        .materialize()  # vocabulary-sized; consumed by count + join
-    )
+    df_ds = grouped_reduce(
+        pairs, "token", {"df": ("doc_id", "count")}
+    ).materialize()  # vocabulary-sized; consumed by count + join
     joined = broadcast_lookup_join(pairs, df_ds, on="token", right_count=df_ds.count())
 
     def pack_rank(t: pa.Table) -> pa.Table:
@@ -2469,17 +2369,16 @@ def doc_top_term(sf_dir: str):
             t["token"],
             "\x1f",
         )
-        part = pa.table({"doc_id": t["doc_id"], "rk": key})
-        return part.group_by(["doc_id"]).aggregate([("rk", "min")]).rename_columns(
-            ["doc_id", "rk"]
-        )
+        return pa.table({"doc_id": t["doc_id"], "rk": key})
 
-    mins = joined.map_batches(pack_rank, batch_format="pyarrow").groupby(
-        "doc_id"
-    ).min("rk")
+    mins = grouped_reduce(
+        joined.map_batches(pack_rank, batch_format="pyarrow"),
+        "doc_id",
+        {"rk": ("rk", "min")},
+    )
 
     def unpack(t: pa.Table) -> pa.Table:
-        rk = t["min(rk)"]
+        rk = t["rk"]
         return pa.table(
             {
                 "doc_id": t["doc_id"],
@@ -2841,22 +2740,14 @@ def sequence_packing(sf_dir: str):
         zero_copy_batch=True,
     )
     packed = pack_sequences(docs, capacity=512)
-    out = (
+    return (
         packed.groupby("bin")
-        .aggregate(Count(), Sum("token_count"))
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "bin": t["bin"],
-                    "n_docs": t["count()"],
-                    "sum_tokens": t["sum(token_count)"],
-                }
-            ),
-            batch_format="pyarrow",
+        .aggregate(
+            Count(alias_name="n_docs"),
+            Sum("token_count", alias_name="sum_tokens"),
         )
         .sort("bin")
     )
-    return out
 
 
 def repetition_stats(sf_dir: str):
@@ -3339,32 +3230,24 @@ def _type_cents_histogram(ev):
     result is dimension-bounded (|types| x |distinct cents|). Shared by
     value_rank_by_type / value_mad_by_type."""
 
-    def part(t: pa.Table) -> pa.Table:
-        cents = pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64())
-        packed = pc.binary_join_element_wise(
-            t["event_type"], pc.cast(cents, pa.string()), "\x1f"
-        )
-        g = (
-            pa.table({"kv": packed})
-            .group_by(["kv"])
-            .aggregate([("kv", "count")])
-        )
-        return g.rename_columns(["kv", "cnt"])
-
-    rows = (
-        ev.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("kv")
-        .sum("cnt", ignore_nulls=True)
-        .take_all()  # bounded: |types| x |distinct cents|
-    )
     import pandas as pd
 
-    df = pd.DataFrame(
-        {
-            "kv": [r["kv"] for r in rows],
-            "cnt": [int(r["sum(cnt)"]) for r in rows],
-        }
-    )
+    def packed_kv(t: pa.Table) -> pa.Table:
+        cents = pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64())
+        return pa.table(
+            {
+                "kv": pc.binary_join_element_wise(
+                    t["event_type"], pc.cast(cents, pa.string()), "\x1f"
+                )
+            }
+        )
+
+    rows = grouped_reduce(
+        ev.map_batches(packed_kv, batch_format="pyarrow", zero_copy_batch=True),
+        "kv",
+        {"cnt": ("kv", "count")},
+    ).take_all()  # bounded: |types| x |distinct cents|
+    df = pd.DataFrame(rows, columns=["kv", "cnt"])
     kv = df["kv"].str.split("\x1f", expand=True)
     return df.assign(k=kv[0], v=kv[1].astype(np.int64))
 
@@ -3528,29 +3411,20 @@ def top3_sources_per_lang(sf_dir: str):
     (corpus_split_mod_exact, kll_by_lang_exact)."""
     ds = _read(sf_dir, "documents", ["lang", "source"])
 
-    def part(t: pa.Table) -> pa.Table:
-        packed = pc.binary_join_element_wise(t["lang"], t["source"], "\x1f")
-        g = (
-            pa.table({"kv": packed})
-            .group_by(["kv"])
-            .aggregate([("kv", "count")])
-        )
-        return g.rename_columns(["kv", "c"])
-
-    rows = (
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("kv")
-        .sum("c", ignore_nulls=True)
-        .take_all()  # bounded: |langs| x |sources|
-    )
     import pandas as pd
 
-    df = pd.DataFrame(
-        {
-            "kv": [r["kv"] for r in rows],
-            "n": [int(r["sum(c)"]) for r in rows],
-        }
-    )
+    rows = grouped_reduce(
+        ds.map_batches(
+            lambda t: pa.table(
+                {"kv": pc.binary_join_element_wise(t["lang"], t["source"], "\x1f")}
+            ),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        ),
+        "kv",
+        {"n": ("kv", "count")},
+    ).take_all()  # bounded: |langs| x |sources|
+    df = pd.DataFrame(rows, columns=["kv", "n"])
     kv = df["kv"].str.split("\x1f", expand=True)
     df = df.assign(lang=kv[0], source=kv[1]).sort_values(
         ["lang", "n", "source"], ascending=[True, False, True]
@@ -3645,32 +3519,16 @@ def length_histogram(sf_dir: str):
     mn, mx = int(mm["min(n_chars)"]), int(mm["max(n_chars)"])
     width_denom = mx - mn + 1
 
-    def part(t: pa.Table) -> pa.Table:
+    def binned(t: pa.Table) -> pa.Table:
         x = t["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = (x - mn) * 10 // width_denom
-        g = (
-            pa.table({"lang": t["lang"], "bin": pa.array(b, pa.int64())})
-            .group_by(["lang", "bin"])
-            .aggregate([("bin", "count")])
-        )
-        return g.rename_columns(["lang", "bin", "n_part"])
+        return pa.table({"lang": t["lang"], "bin": pa.array(b, pa.int64())})
 
-    g = (
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["lang", "bin"])
-        .sum("n_part", ignore_nulls=True)
-    )
-
-    def fin(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "lang": t["lang"],
-                "bin": t["bin"],
-                "n": t["sum(n_part)"].cast(pa.int64()),
-            }
-        )
-
-    return g.map_batches(fin, batch_format="pyarrow").sort(["lang", "bin"])
+    return grouped_reduce(
+        ds.map_batches(binned, batch_format="pyarrow", zero_copy_batch=True),
+        ["lang", "bin"],
+        {"n": ("bin", "count")},
+    ).sort(["lang", "bin"])
 
 
 def pmi_top_bigrams(sf_dir: str):
@@ -3927,47 +3785,29 @@ def supplier_region_revenue(sf_dir: str):
     )
     n_supp = _read(sf_dir, "supplier", ["s_suppkey"]).count()  # metadata
 
-    def prep_li(t: pa.Table) -> pa.Table:
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        rev_cc = pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
-        return pa.table({"l_suppkey": t["l_suppkey"], "rev_cc": rev_cc})
-
     li = _read(
         sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"]
-    ).map_batches(prep_li, batch_format="pyarrow")
+    ).map_batches(
+        lambda t: pa.table({"l_suppkey": t["l_suppkey"], "rev_cc": _rev_cc(t)}),
+        batch_format="pyarrow",
+    )
     n_li = _read(sf_dir, "lineitem", ["l_suppkey"]).count()  # metadata
     joined = broadcast_lookup_join(
         li, supp, on="l_suppkey", right_count=n_supp, left_count=n_li
     )
 
-    def region_partials(t: pa.Table) -> pa.Table:
+    def with_region(t: pa.Table) -> pa.Table:
         keys, names = ray.get(lut_ref)
         nk = t["s_nationkey"].to_numpy(zero_copy_only=False)
         pos = np.minimum(np.searchsorted(keys, nk), len(keys) - 1)
         if not (keys[pos] == nk).all():
             raise ValueError("s_nationkey not present in nation table")
-        # per-block pre-agg: only |regions|-bounded partials shuffle
-        # (a bare groupby here sort-shuffles the whole joined stream)
-        g = (
-            pa.table({"region": pa.array(names[pos]), "rev_cc": t["rev_cc"]})
-            .group_by(["region"])
-            .aggregate([("rev_cc", "sum"), ("rev_cc", "count")])
-        )
-        return g.rename_columns(
-            ["region", "revenue_centicents", "n_items"]
-        )
+        return pa.table({"region": pa.array(names[pos]), "rev_cc": t["rev_cc"]})
 
-    out = (
-        joined.map_batches(region_partials, batch_format="pyarrow")
-        .groupby("region")
-        .sum(["revenue_centicents", "n_items"], ignore_nulls=True)
-        .map_batches(
-            lambda t: t.rename_columns(
-                ["region", "revenue_centicents", "n_items"]
-            ),
-            batch_format="pyarrow",
-        )
+    out = grouped_reduce(
+        joined.map_batches(with_region, batch_format="pyarrow"),
+        "region",
+        {"revenue_centicents": ("rev_cc", "sum"), "n_items": ("rev_cc", "count")},
     )
     return out.sort("region")
 
@@ -3996,54 +3836,38 @@ def promo_brand_revenue(sf_dir: str):
     )
     n_part = _read(sf_dir, "part", ["p_partkey"]).count()  # metadata
 
-    def prep_li(t: pa.Table) -> pa.Table:
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        rev_cc = pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
-        return pa.table({"l_partkey": t["l_partkey"], "rev_cc": rev_cc})
-
     li = _read(
         sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"]
-    ).map_batches(prep_li, batch_format="pyarrow")
+    ).map_batches(
+        lambda t: pa.table({"l_partkey": t["l_partkey"], "rev_cc": _rev_cc(t)}),
+        batch_format="pyarrow",
+    )
     n_li = _read(sf_dir, "lineitem", ["l_partkey"]).count()  # metadata
     joined = broadcast_lookup_join(
         li, part, on="l_partkey", right_count=n_part, left_count=n_li
     )
 
-    def pre_agg(t: pa.Table) -> pa.Table:
+    def flags(t: pa.Table) -> pa.Table:
         promo = t["is_promo"].to_numpy(zero_copy_only=False)
         cc = t["rev_cc"].to_numpy(zero_copy_only=False)
-        g = (
-            pa.table(
-                {
-                    "p_brand": t["p_brand"],
-                    "promo_cc": pa.array(np.where(promo, cc, 0)),
-                    "cc": t["rev_cc"],
-                    "promo_n": pa.array(promo.astype(np.int64)),
-                }
-            )
-            .group_by(["p_brand"])
-            .aggregate([("promo_cc", "sum"), ("cc", "sum"), ("promo_n", "sum"), ("cc", "count")])
-        )
-        # pyarrow group_by emits key column first, then aggregates in
-        # call order (CLAUDE.md) — rename relies on that contract
-        return g.rename_columns(
-            ["p_brand", "promo_centicents", "revenue_centicents", "n_promo_items", "n_items"]
+        return pa.table(
+            {
+                "p_brand": t["p_brand"],
+                "promo_cc": pa.array(np.where(promo, cc, 0)),
+                "cc": t["rev_cc"],
+                "promo_n": pa.array(promo.astype(np.int64)),
+            }
         )
 
-    out = (
-        joined.map_batches(pre_agg, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p_brand")
-        .sum(
-            ["promo_centicents", "revenue_centicents", "n_promo_items", "n_items"],
-            ignore_nulls=True,
-        )
-        .map_batches(
-            lambda t: t.rename_columns(
-                ["p_brand", "promo_centicents", "revenue_centicents", "n_promo_items", "n_items"]
-            ),
-            batch_format="pyarrow",
-        )
+    out = grouped_reduce(
+        joined.map_batches(flags, batch_format="pyarrow", zero_copy_batch=True),
+        "p_brand",
+        {
+            "promo_centicents": ("promo_cc", "sum"),
+            "revenue_centicents": ("cc", "sum"),
+            "n_promo_items": ("promo_n", "sum"),
+            "n_items": ("cc", "count"),
+        },
     )
     return out.sort("p_brand")
 
@@ -4147,33 +3971,20 @@ def _late_orders_broadcast_plan(sf_dir: str, grace_days: int, count_col: str):
 def _late_shipment_join_plan(sf_dir: str, n_orders: int):
     from ..stages.joins import broadcast_lookup_join
 
-    def li_premax(t: pa.Table) -> pa.Table:
-        # per-block pre-max (idempotent for max): lineitem is clustered by
-        # orderkey, so this thins the shuffle input ~|items-per-order|x —
-        # the groupby pays its sort on the thinned keyed stream
-        g = (
-            pa.table(
-                {
-                    "o_orderkey": t["l_orderkey"],
-                    "ship_us": pc.cast(t["l_shipdate"], pa.int64()),
-                }
-            )
-            .group_by("o_orderkey")
-            .aggregate([("ship_us", "max")])
-        )
-        return g.rename_columns(["o_orderkey", "ship_us"])
-
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]).map_batches(
-        li_premax, batch_format="pyarrow", zero_copy_batch=True
+        lambda t: pa.table(
+            {
+                "o_orderkey": t["l_orderkey"],
+                "ship_us": pc.cast(t["l_shipdate"], pa.int64()),
+            }
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
-    maxship = (
-        li.groupby("o_orderkey")
-        .max("ship_us", ignore_nulls=True)
-        .map_batches(
-            lambda t: t.rename_columns(["o_orderkey", "max_ship_us"]),
-            batch_format="pyarrow",
-        )
-    )
+    # the per-block pre-max pays off although orderkeys are near-unique:
+    # lineitem is clustered by orderkey, so it thins the shuffle input
+    # ~|items-per-order|x
+    maxship = grouped_reduce(li, "o_orderkey", {"max_ship_us": ("ship_us", "max")})
     orders = _read(
         sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
     ).map_batches(
@@ -4193,27 +4004,16 @@ def _late_shipment_join_plan(sf_dir: str, n_orders: int):
     )
     late_us = 60 * 86_400 * 1_000_000
 
-    def late_partials(t: pa.Table) -> pa.Table:
+    def late_only(t: pa.Table) -> pa.Table:
         late = pc.greater(
             t["max_ship_us"], pc.add(t["ord_us"], pa.scalar(late_us, pa.int64()))
         )
-        # per-block pre-agg: only |priorities|-bounded partials shuffle
-        g = (
-            pa.table({"o_orderpriority": t["o_orderpriority"]})
-            .filter(late)
-            .group_by(["o_orderpriority"])
-            .aggregate([("o_orderpriority", "count")])
-        )
-        return g.rename_columns(["o_orderpriority", "n_late"])
+        return pa.table({"o_orderpriority": t["o_orderpriority"]}).filter(late)
 
-    out = (
-        joined.map_batches(late_partials, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .sum("n_late", ignore_nulls=True)
-        .map_batches(
-            lambda t: t.rename_columns(["o_orderpriority", "n_late"]),
-            batch_format="pyarrow",
-        )
+    out = grouped_reduce(
+        joined.map_batches(late_only, batch_format="pyarrow"),
+        "o_orderpriority",
+        {"n_late": ("o_orderpriority", "count")},
     )
     return out.sort("o_orderpriority")
 
@@ -4238,32 +4038,24 @@ def _lang_value_histogram(sf_dir: str):
     shuffles only the |langs| x |distinct n_chars|-bounded histogram.
     Returns a pandas frame with columns k (lang), v (n_chars), cnt."""
 
-    def part(t: pa.Table) -> pa.Table:
-        packed = pc.binary_join_element_wise(
-            t["lang"], pc.cast(t["n_chars"], pa.string()), "\x1f"
-        )
-        g = (
-            pa.table({"kv": packed})
-            .group_by(["kv"])
-            .aggregate([("kv", "count")])
-        )
-        return g.rename_columns(["kv", "cnt"])
-
-    rows = (
-        _read(sf_dir, "documents", ["lang", "n_chars"])
-        .map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("kv")
-        .sum("cnt", ignore_nulls=True)
-        .take_all()  # bounded: |langs| x |distinct n_chars|
-    )
     import pandas as pd
 
-    df = pd.DataFrame(
-        {
-            "kv": [r["kv"] for r in rows],
-            "cnt": [int(r["sum(cnt)"]) for r in rows],
-        }
-    )
+    rows = grouped_reduce(
+        _read(sf_dir, "documents", ["lang", "n_chars"]).map_batches(
+            lambda t: pa.table(
+                {
+                    "kv": pc.binary_join_element_wise(
+                        t["lang"], pc.cast(t["n_chars"], pa.string()), "\x1f"
+                    )
+                }
+            ),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        ),
+        "kv",
+        {"cnt": ("kv", "count")},
+    ).take_all()  # bounded: |langs| x |distinct n_chars|
+    df = pd.DataFrame(rows, columns=["kv", "cnt"])
     kv = df["kv"].str.split("\x1f", expand=True)
     return df.assign(k=kv[0], v=kv[1].astype(np.int64))
 
@@ -4466,28 +4258,16 @@ def type_weighted_value_salted(sf_dir: str):
     )
     joined = salted_join(ev, dim, on="event_type", salt=8)
 
-    def part(t: pa.Table) -> pa.Table:
+    def weighted(t: pa.Table) -> pa.Table:
         micro = pc.cast(_oround(pc.multiply(t["value"], pa.scalar(1e6))), pa.int64())
-        g = (
-            pa.table(
-                {
-                    "event_type": t["event_type"],
-                    "w": pc.multiply(micro, t["mult"]),
-                }
-            )
-            .group_by("event_type")
-            .aggregate([("w", "sum"), ("w", "count")])
+        return pa.table(
+            {"event_type": t["event_type"], "w": pc.multiply(micro, t["mult"])}
         )
-        return g.rename_columns(["event_type", "wsum_micro", "n"])
 
-    out = (
-        joined.map_batches(part, batch_format="pyarrow")
-        .groupby("event_type")
-        .sum(["wsum_micro", "n"], ignore_nulls=True)
-        .map_batches(
-            lambda t: t.rename_columns(["event_type", "wsum_micro", "n"]),
-            batch_format="pyarrow",
-        )
+    out = grouped_reduce(
+        joined.map_batches(weighted, batch_format="pyarrow"),
+        "event_type",
+        {"wsum_micro": ("w", "sum"), "n": ("w", "count")},
     )
     return out.sort("event_type")
 
@@ -4500,8 +4280,6 @@ def doc_embedding_coverage(sf_dir: str):
     Runs broadcast_lookup_join(how="left") under the same size guard as
     the inner path (broadcast searchsorted + NULL fill below the budget,
     Ray left_outer hash join above). Oracle: LEFT JOIN + count(vec_id)."""
-    from ray.data.aggregate import Sum
-
     from ..stages.joins import broadcast_lookup_join
 
     docs = _read(sf_dir, "documents", ["doc_id", "lang"])
@@ -4523,28 +4301,9 @@ def doc_embedding_coverage(sf_dir: str):
         docs, vecs, on="doc_id", right_count=n_vecs, how="left"
     )
 
-    def part(t: pa.Table) -> pa.Table:
-        g = (
-            pa.table(
-                {
-                    "lang": t["lang"],
-                    "n_docs": pa.array(np.ones(t.num_rows, np.int64), pa.int64()),
-                    "n_matched": pc.fill_null(t["m"], 0),
-                }
-            )
-            .group_by("lang")
-            .aggregate([("n_docs", "sum"), ("n_matched", "sum")])
-        )
-        return g.rename_columns(["lang", "n_docs", "n_matched"])
-
-    out = (
-        joined.map_batches(part, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Sum("n_docs"), Sum("n_matched"))
-        .map_batches(
-            lambda t: t.rename_columns(["lang", "n_docs", "n_matched"]),
-            batch_format="pyarrow",
-        )
+    # m is 1 on a match and NULL on a miss, so count(m) = matched docs
+    out = grouped_reduce(
+        joined, "lang", {"n_docs": (None, "count_all"), "n_matched": ("m", "count")}
     )
     return out.sort("lang")
 
@@ -4566,7 +4325,7 @@ def bloom_set_cardinalities(sf_dir: str):
     rows-only driver record carries the accuracy claim. The bound is
     generous vs the estimator's actual variance at these fills (pytest
     pins 1%-level accuracy on a 20k/15k planted overlap)."""
-    from ray.data.aggregate import Max, Sum
+    from ray.data.aggregate import Sum
 
     from ..stages.builder import build_grouped
 
@@ -4584,18 +4343,13 @@ def bloom_set_cardinalities(sf_dir: str):
     def flags(t: pa.Table) -> pa.Table:
         keep = pc.is_in(t["event_type"], value_set=pa.array(["click", "purchase"]))
         t = t.filter(keep)
-        g = (
-            pa.table(
-                {
-                    "user_id": t["user_id"],
-                    "c": pc.equal(t["event_type"], "click").cast(pa.int64()),
-                    "p": pc.equal(t["event_type"], "purchase").cast(pa.int64()),
-                }
-            )
-            .group_by("user_id")
-            .aggregate([("c", "max"), ("p", "max")])
+        return pa.table(
+            {
+                "user_id": t["user_id"],
+                "c": pc.equal(t["event_type"], "click").cast(pa.int64()),
+                "p": pc.equal(t["event_type"], "purchase").cast(pa.int64()),
+            }
         )
-        return g.rename_columns(["user_id", "c", "p"])
 
     def cnt(t: pa.Table) -> pa.Table:
         c = t["c"].to_numpy(zero_copy_only=False)
@@ -4609,13 +4363,12 @@ def bloom_set_cardinalities(sf_dir: str):
         )
 
     ex = (
-        ds.map_batches(flags, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(Max("c"), Max("p"))
-        .map_batches(
-            lambda t: cnt(t.rename_columns(["user_id", "c", "p"])),
-            batch_format="pyarrow",
+        grouped_reduce(
+            ds.map_batches(flags, batch_format="pyarrow", zero_copy_batch=True),
+            "user_id",
+            {"c": ("c", "max"), "p": ("p", "max")},
         )
+        .map_batches(cnt, batch_format="pyarrow")
         .aggregate(Sum("nA"), Sum("nB"), Sum("nI"))
     )
     n_a, n_b, n_i = int(ex["sum(nA)"]), int(ex["sum(nB)"]), int(ex["sum(nI)"])
@@ -4653,38 +4406,14 @@ def lang_source_rollup(sf_dir: str):
     dimension-bounded groupby; the coarser levels fold from the finest
     level's |langs| x |sources| rows on the driver (pure re-aggregation
     — no second scan, the rollup identity)."""
-
-    def part(t: pa.Table) -> pa.Table:
-        g = (
-            pa.table(
-                {
-                    "lang": t["lang"],
-                    "source": t["source"],
-                    "n_chars": t["n_chars"],
-                }
-            )
-            .group_by(["lang", "source"])
-            .aggregate([("n_chars", "count"), ("n_chars", "sum")])
-        )
-        return g.rename_columns(["lang", "source", "n_docs", "sum_chars"])
-
-    rows = (
-        _read(sf_dir, "documents", ["lang", "source", "n_chars"])
-        .map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["lang", "source"])
-        .sum(["n_docs", "sum_chars"], ignore_nulls=True)
-        .take_all()  # bounded: |langs| x |sources|
-    )
     import pandas as pd
 
-    fine = pd.DataFrame(
-        {
-            "lang": [r["lang"] for r in rows],
-            "source": [r["source"] for r in rows],
-            "n_docs": [int(r["sum(n_docs)"]) for r in rows],
-            "sum_chars": [int(r["sum(sum_chars)"]) for r in rows],
-        }
-    )
+    rows = grouped_reduce(
+        _read(sf_dir, "documents", ["lang", "source", "n_chars"]),
+        ["lang", "source"],
+        {"n_docs": ("n_chars", "count"), "sum_chars": ("n_chars", "sum")},
+    ).take_all()  # bounded: |langs| x |sources|
+    fine = pd.DataFrame(rows, columns=["lang", "source", "n_docs", "sum_chars"])
     by_lang = (
         fine.groupby("lang", as_index=False)[["n_docs", "sum_chars"]]
         .sum()
@@ -4860,7 +4589,7 @@ def value_time_corr(sf_dir: str):
         .min("us")
     ) // 1_000_000
 
-    def part(t: pa.Table) -> pa.Table:
+    def moments(t: pa.Table) -> pa.Table:
         x = (
             pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64())
             .to_numpy(zero_copy_only=False)
@@ -4870,64 +4599,47 @@ def value_time_corr(sf_dir: str):
             // 1_000_000
             - t0
         )
-        g = (
-            pa.table(
-                {
-                    "event_type": t["event_type"],
-                    "n": pa.array(np.ones(len(x), np.int64)),
-                    "sx": pa.array(x),
-                    "sy": pa.array(y),
-                    "sxy": pa.array(x * y),
-                    "sxx": pa.array(x * x),
-                    "syy": pa.array(y * y),
-                    "mx": pa.array(np.abs(x)),
-                    "my": pa.array(np.abs(y)),
-                }
-            )
-            .group_by(["event_type"])
-            .aggregate(
-                [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-                 ("sxy", "sum"), ("sxx", "sum"), ("syy", "sum"),
-                 ("mx", "max"), ("my", "max")]
-            )
-        )
-        return g.rename_columns(
-            ["event_type", "n", "sx", "sy", "sxy", "sxx", "syy", "mx", "my"]
+        return pa.table(
+            {
+                "event_type": t["event_type"],
+                "x": pa.array(x),
+                "y": pa.array(y),
+                "xy": pa.array(x * y),
+                "xx": pa.array(x * x),
+                "yy": pa.array(y * y),
+                "ax": pa.array(np.abs(x)),
+                "ay": pa.array(np.abs(y)),
+            }
         )
 
-    from ray.data.aggregate import Max, Sum
-
-    rows = (
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            *[Sum(c, alias_name=f"sum({c})")
-              for c in ("n", "sx", "sy", "sxy", "sxx", "syy")],
-            Max("mx", alias_name="mx"),
-            Max("my", alias_name="my"),
-        )
-        .take_all()  # |types|-bounded
-    )
+    rows = grouped_reduce(
+        ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type",
+        {
+            "n": (None, "count_all"),
+            **{f"s{c}": (c, "sum") for c in ("x", "y", "xy", "xx", "yy")},
+            "mx": ("ax", "max"),
+            "my": ("ay", "max"),
+        },
+    ).take_all()  # |types|-bounded
     out = []
     for r in sorted(rows, key=lambda r: r["event_type"]):
-        if int(r["sum(n)"]) * int(r["mx"]) * int(r["my"]) >= (1 << 62):
+        if int(r["n"]) * int(r["mx"]) * int(r["my"]) >= (1 << 62):
             raise ValueError(
                 "value_time_corr: sum(x*y) risks int64 overflow "
-                f"(n={r['sum(n)']}, max|x|={r['mx']}, max|y|={r['my']}); "
+                f"(n={r['n']}, max|x|={r['mx']}, max|y|={r['my']}); "
                 "rescale units or shard the group"
             )
-        n = float(r["sum(n)"])
-        sx, sy = float(r["sum(sx)"]), float(r["sum(sy)"])
-        sxy, sxx, syy = (
-            float(r["sum(sxy)"]), float(r["sum(sxx)"]), float(r["sum(syy)"])
-        )
+        n = float(r["n"])
+        sx, sy = float(r["sx"]), float(r["sy"])
+        sxy, sxx, syy = float(r["sxy"]), float(r["sxx"]), float(r["syy"])
         corr = (n * sxy - sx * sy) / np.sqrt(
             (n * sxx - sx * sx) * (n * syy - sy * sy)
         )
         out.append(
             {
                 "event_type": r["event_type"],
-                "n": int(r["sum(n)"]),
+                "n": int(r["n"]),
                 "corr": float(np.floor(corr * 1e6 + 0.5) / 1e6)
                 if corr >= 0
                 else float(np.ceil(corr * 1e6 - 0.5) / 1e6),
@@ -4945,44 +4657,31 @@ def props_key_stats(sf_dir: str):
     are excluded from the numeric aggregates, exactly like the twin's
     json_extract -> NULL. Per-block partials -> |types|-bounded groupby."""
 
-    def part(t: pa.Table) -> pa.Table:
+    def extract_k(t: pa.Table) -> pa.Table:
         ex = pc.extract_regex(
             t["props"], r'"k"\s*:\s*(?P<k>-?\d+)'
         )
         k = pc.cast(pc.struct_field(ex, "k"), pa.int64())
-        missing = pc.is_null(k)
-        g = (
-            pa.table(
-                {
-                    "event_type": t["event_type"],
-                    "n": pa.array(np.ones(t.num_rows, np.int64)),
-                    "n_missing": pc.cast(missing, pa.int64()),
-                    "k": k,
-                }
-            )
-            .group_by(["event_type"])
-            .aggregate(
-                [("n", "sum"), ("n_missing", "sum"), ("k", "sum"),
-                 ("k", "min"), ("k", "max")]
-            )
-        )
-        return g.rename_columns(
-            ["event_type", "n", "n_missing", "sum_k", "min_k", "max_k"]
+        return pa.table(
+            {
+                "event_type": t["event_type"],
+                "missing": pc.cast(pc.is_null(k), pa.int64()),
+                "k": k,
+            }
         )
 
-    from ray.data.aggregate import Max, Min, Sum
-
-    out = (
-        _read(sf_dir, "events", ["event_type", "props"])
-        .map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("n_missing", alias_name="n_missing"),
-            Sum("sum_k", alias_name="sum_k"),
-            Min("min_k", alias_name="min_k"),
-            Max("max_k", alias_name="max_k"),
-        )
+    out = grouped_reduce(
+        _read(sf_dir, "events", ["event_type", "props"]).map_batches(
+            extract_k, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "event_type",
+        {
+            "n": (None, "count_all"),
+            "n_missing": ("missing", "sum"),
+            "sum_k": ("k", "sum"),
+            "min_k": ("k", "min"),
+            "max_k": ("k", "max"),
+        },
     )
     return out.sort("event_type")
 
@@ -5203,21 +4902,11 @@ def lang_sources_concat(sf_dir: str):
     one groupby over |langs| x |sources| rows); the join to one string
     per lang folds on the driver over that bounded set."""
 
-    def pair_part(t: pa.Table) -> pa.Table:
-        g = (
-            t.select(["lang", "source"])
-            .group_by(["lang", "source"])
-            .aggregate([("source", "count")])
-        )
-        return g.select(["lang", "source"])
-
-    rows = (
-        _read(sf_dir, "documents", ["lang", "source"])
-        .map_batches(pair_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["lang", "source"])
-        .count()
-        .take_all()  # bounded: |langs| x |sources|
-    )
+    rows = grouped_reduce(
+        _read(sf_dir, "documents", ["lang", "source"]),
+        ["lang", "source"],
+        {"n": (None, "count_all")},
+    ).take_all()  # bounded: |langs| x |sources|
     pairs = sorted((r["lang"], r["source"]) for r in rows)
     out = {}
     for lang, src in pairs:
@@ -5245,6 +4934,8 @@ def latest_user_event(sf_dir: str):
     then the winning rows attach via the size-guarded broadcast/hash
     join on the packed key — no row ever carries more than (user,
     packed) into the shuffle."""
+    from ray.data.aggregate import Max
+
     from ..stages.joins import broadcast_lookup_join
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
@@ -5273,14 +4964,7 @@ def latest_user_event(sf_dir: str):
         )
 
     packed = ev.map_batches(pack, batch_format="pyarrow", zero_copy_batch=True)
-    winners = (
-        packed.groupby("user_id")
-        .max("packed", ignore_nulls=True)
-        .map_batches(
-            lambda t: t.rename_columns(["user_id", "packed"]),
-            batch_format="pyarrow",
-        )
-    )
+    winners = packed.groupby("user_id").aggregate(Max("packed", alias_name="packed"))
     n_users = winners.count()
     rows = ev.map_batches(
         lambda t: pack(t).append_column("event_id", t["event_id"]).append_column(
@@ -5440,7 +5124,7 @@ def value_quartile_rollup(sf_dir: str):
     cumulative_by_key's two-pass distributed scan over the (type, cents,
     id)-sorted stream; group sizes are a tiny broadcast; the tile formula
     is vectorized per row and the rollup pre-aggregates per block to a
-    single-string-key groupby (<= |types| x 4 rows)."""
+    (type, tile)-keyed groupby (<= |types| x 4 rows)."""
     import ray
 
     from ..stages.windows import cumulative_by_key
@@ -5469,7 +5153,6 @@ def value_quartile_rollup(sf_dir: str):
     size_keys = pa.array([r["event_type"] for r in sizes], pa.string())
     size_n = np.array([int(r["max(_rank)"]) for r in sizes], dtype=np.int64)
     ref = ray.put((size_keys, size_n))
-    sep = "\x1f"
 
     def assign(t: pa.Table) -> pa.Table:
         keys_arr, n_arr = ray.get(ref)
@@ -5490,46 +5173,19 @@ def value_quartile_rollup(sf_dir: str):
                 rem + (r0 - cut) // np.maximum(size, 1),
             ),
         ) + 1
-        g = pa.table(
+        return pa.table(
             {
                 "event_type": t["event_type"],
                 "tile": pa.array(tile.astype(np.int64)),
                 "cents": t["cents"],
             }
-        ).group_by(["event_type", "tile"]).aggregate(
-            [("cents", "sum"), ("cents", "count")]
-        )
-        # pyarrow emits key columns first, then aggregates in call order
-        tt = g["tile"].to_numpy(zero_copy_only=False)
-        pk = [f"{s}{sep}{v}" for s, v in zip(g["event_type"].to_pylist(), tt)]
-        return pa.table(
-            {
-                "pk": pa.array(pk, pa.string()),
-                "sum_cents": g["cents_sum"],
-                "n_events": g["cents_count"],
-            }
         )
 
-    rolled = (
-        ranked.map_batches(assign, batch_format="pyarrow")
-        .groupby("pk")
-        .sum(["sum_cents", "n_events"])
-    )
-
-    def unpack(t: pa.Table) -> pa.Table:
-        ks = t["pk"].to_pylist()
-        return pa.table(
-            {
-                "event_type": pa.array([x.split(sep)[0] for x in ks]),
-                "tile": pa.array([int(x.split(sep)[1]) for x in ks], pa.int64()),
-                "n_events": pc.cast(t["sum(n_events)"], pa.int64()),
-                "sum_cents": t["sum(sum_cents)"],
-            }
-        )
-
-    return rolled.map_batches(unpack, batch_format="pyarrow").sort(
-        ["event_type", "tile"]
-    )
+    return grouped_reduce(
+        ranked.map_batches(assign, batch_format="pyarrow"),
+        ["event_type", "tile"],
+        {"n_events": ("cents", "count"), "sum_cents": ("cents", "sum")},
+    ).sort(["event_type", "tile"])
 
 
 def nation_account_coverage(sf_dir: str):
@@ -5542,38 +5198,29 @@ def nation_account_coverage(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_nationkey", "c_acctbal"])
     supp = _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
 
-    def side(t: pa.Table, k: str, bal: str, out: str) -> pa.Table:
-        f = t.filter(pc.greater(t[bal], 9000.0))
-        g = f.group_by(k).aggregate([(k, "count")])
-        return g.rename_columns(["nationkey", out])
+    def side(ds, k: str, bal: str, out: str):
+        rich = ds.map_batches(
+            lambda t: pa.table(
+                {"nationkey": t.filter(pc.greater(t[bal], 9000.0))[k]}
+            ),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+        return grouped_reduce(rich, "nationkey", {out: ("nationkey", "count")})
 
-    c = cust.map_batches(
-        lambda t: side(t, "c_nationkey", "c_acctbal", "n_cust"),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).groupby("nationkey").sum("n_cust")
-    s = supp.map_batches(
-        lambda t: side(t, "s_nationkey", "s_acctbal", "n_supp"),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).groupby("nationkey").sum("n_supp")
-    c, s = c.materialize(), s.materialize()
+    c = side(cust, "c_nationkey", "c_acctbal", "n_cust").materialize()
+    s = side(supp, "s_nationkey", "s_acctbal", "n_supp").materialize()
     if c.count() == 0 or s.count() == 0:
         # a 0-row Dataset loses its schema (CLAUDE.md) and the hash join
         # can't resolve the key: the outer result IS the nonempty side
-        rows = (c if s.count() == 0 else s).take_all()
-        fill = "sum(n_supp)" if s.count() == 0 else "sum(n_cust)"
-        have = "sum(n_cust)" if s.count() == 0 else "sum(n_supp)"
-        rows.sort(key=lambda r: r["nationkey"])
+        rows = sorted(
+            (c if s.count() == 0 else s).take_all(), key=lambda r: r["nationkey"]
+        )
         return pa.table(
             {
                 "nationkey": pa.array([r["nationkey"] for r in rows], pa.int64()),
-                "n_cust": pa.array(
-                    [r.get(have, 0) if fill == "sum(n_supp)" else 0 for r in rows],
-                    pa.int64(),
-                ),
-                "n_supp": pa.array(
-                    [0 if fill == "sum(n_supp)" else r.get(have, 0) for r in rows],
-                    pa.int64(),
-                ),
+                "n_cust": pa.array([r.get("n_cust", 0) for r in rows], pa.int64()),
+                "n_supp": pa.array([r.get("n_supp", 0) for r in rows], pa.int64()),
             }
         )
     j = c.join(
@@ -5588,10 +5235,10 @@ def nation_account_coverage(sf_dir: str):
             {
                 "nationkey": t["nationkey"],
                 "n_cust": pc.coalesce(
-                    pc.cast(t["sum(n_cust)"], pa.int64()), pa.scalar(0, pa.int64())
+                    pc.cast(t["n_cust"], pa.int64()), pa.scalar(0, pa.int64())
                 ),
                 "n_supp": pc.coalesce(
-                    pc.cast(t["sum(n_supp)"], pa.int64()), pa.scalar(0, pa.int64())
+                    pc.cast(t["n_supp"], pa.int64()), pa.scalar(0, pa.int64())
                 ),
             }
         )
@@ -5662,26 +5309,17 @@ def q3_shipping_priority(sf_dir: str):
         ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     )
 
-    def li_partials(t: pa.Table) -> pa.Table:
+    def shipped_late(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater(pc.cast(t["l_shipdate"], pa.int64()), cut_us))
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        rev = pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc))
-        g = pa.table(
-            {"l_orderkey": t["l_orderkey"], "rev": rev}
-        ).group_by("l_orderkey").aggregate([("rev", "sum")])
-        return g.rename_columns(["l_orderkey", "rev"])
+        return pa.table({"l_orderkey": t["l_orderkey"], "rev": _rev_cc(t)})
 
-    per_order = (
-        li.map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_orderkey")
-        .sum("rev")
+    per_order = grouped_reduce(
+        li.map_batches(shipped_late, batch_format="pyarrow", zero_copy_batch=True),
+        "l_orderkey",
+        {"revenue_cc": ("rev", "sum")},
     )
     enriched = broadcast_lookup_join(
-        per_order.map_batches(
-            lambda t: t.rename_columns(["l_orderkey", "revenue_cc"]),
-            batch_format="pyarrow",
-        ),
+        per_order,
         qual,
         on="l_orderkey",
         right_count=n_qual,
@@ -5750,22 +5388,12 @@ def fk_integrity_report(sf_dir: str):
         # broadcast): one id_set_filter anti-join per edge
         names, counts = [], []
         for eid, label, child, fk, parent, pk in edges:
-            ch = _read(sf_dir, child, [fk])
-
-            def key_counts(t: pa.Table, fk=fk) -> pa.Table:
-                g = t.group_by(fk).aggregate([(fk, "count")])
-                return g.rename_columns(["k", "n"])
-
-            keyed = (
-                ch.map_batches(
-                    key_counts, batch_format="pyarrow", zero_copy_batch=True
-                )
-                .groupby("k")
-                .sum("n")
-                .map_batches(
-                    lambda t: t.rename_columns(["k", "n"]), batch_format="pyarrow"
-                )
+            ch = _read(sf_dir, child, [fk]).map_batches(
+                lambda t, fk=fk: pa.table({"k": t[fk]}),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
             )
+            keyed = grouped_reduce(ch, "k", {"n": ("k", "count")})
             par = _read(sf_dir, parent, [pk]).map_batches(
                 lambda t, pk=pk: pa.table({"k": t[pk]}), batch_format="pyarrow"
             )
@@ -5858,21 +5486,8 @@ def ohlc_hourly(sf_dir: str):
     HOUR_US = 3_600_000_000
     ev = _read(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
 
-    vocab_rows = (
-        _read(sf_dir, "events", ["event_type"])
-        .map_batches(
-            lambda t: pa.table(
-                {"event_type": pa.array(np.unique(
-                    t["event_type"].to_numpy(zero_copy_only=False)
-                ).tolist(), pa.string())}
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .unique("event_type")
-    )
-    vocab = np.sort(np.array(vocab_rows, dtype=object))
-    vocab_pa = pa.array(vocab.tolist(), pa.string())
+    vocab_pa = _event_type_vocab(sf_dir)
+    vocab = vocab_pa.to_numpy(zero_copy_only=False)
     nv = len(vocab)
 
     def keys_of(t: pa.Table):
@@ -5986,34 +5601,23 @@ def lang_stats_unpivot(sf_dir: str):
     emitted as (lang, stat, value) rows — the relational unpivot operator
     over a grouped rollup. Per-block partials shuffle (the q1 pre-agg
     shape); the melt is a constant-fanout map over the tiny wide table."""
-    ev = _read(sf_dir, "documents", ["lang", "n_chars"])
-
-    def pre(t: pa.Table) -> pa.Table:
-        g = t.group_by("lang").aggregate(
-            [("n_chars", "min"), ("n_chars", "max"), ("n_chars", "sum")]
-        )
-        return g.rename_columns(["lang", "n_min", "n_max", "n_sum"])
-
-    from ray.data.aggregate import Max, Min, Sum
-
-    wide = (
-        ev.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .aggregate(Min("n_min"), Max("n_max"), Sum("n_sum"))
+    wide = grouped_reduce(
+        _read(sf_dir, "documents", ["lang", "n_chars"]),
+        "lang",
+        {
+            "n_min": ("n_chars", "min"),
+            "n_max": ("n_chars", "max"),
+            "n_sum": ("n_chars", "sum"),
+        },
     )
 
     def melt(t: pa.Table) -> pa.Table:
         langs = t["lang"].to_pylist()
-        stats = {
-            "n_min": t["min(n_min)"].to_numpy(zero_copy_only=False),
-            "n_max": t["max(n_max)"].to_numpy(zero_copy_only=False),
-            "n_sum": t["sum(n_sum)"].to_numpy(zero_copy_only=False),
-        }
         out_l, out_s, out_v = [], [], []
-        for name, vals in stats.items():  # 3 stat names, not per-row work
+        for name in ("n_min", "n_max", "n_sum"):  # 3 stats, not per-row work
             out_l.extend(langs)
             out_s.extend([name] * len(langs))
-            out_v.extend(vals.tolist())
+            out_v.extend(t[name].to_pylist())
         return pa.table(
             {
                 "lang": pa.array(out_l, pa.string()),
@@ -6041,21 +5645,8 @@ def type_cooccurrence(sf_dir: str):
     import ray
 
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
-    vocab_rows = (
-        _read(sf_dir, "events", ["event_type"])
-        .map_batches(
-            lambda t: pa.table(
-                {"event_type": pa.array(np.unique(
-                    t["event_type"].to_numpy(zero_copy_only=False)
-                ).tolist(), pa.string())}
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .unique("event_type")
-    )
-    vocab = np.sort(np.array(vocab_rows, dtype=object))
-    vocab_pa = pa.array(vocab.tolist(), pa.string())
+    vocab_pa = _event_type_vocab(sf_dir)
+    vocab = vocab_pa.to_numpy(zero_copy_only=False)
     nv = len(vocab)
     if nv >= 63:
         raise ValueError(
@@ -6191,7 +5782,7 @@ def user_lifespan_histogram(sf_dir: str):
     analyst's lifetime curve. Per-block (user, min-day, max-day) partials
     thin before the only groupby; the histogram domain is time-span
     bounded, not data bounded."""
-    from ray.data.aggregate import Max, Min
+    from ray.data.aggregate import Count, Max, Min
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -6225,16 +5816,7 @@ def user_lifespan_histogram(sf_dir: str):
     return (
         spans.map_batches(lifespan, batch_format="pyarrow")
         .groupby("lifespan_days")
-        .count()
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "lifespan_days": t["lifespan_days"],
-                    "n_users": t["count()"],
-                }
-            ),
-            batch_format="pyarrow",
-        )
+        .aggregate(Count(alias_name="n_users"))
         .sort("lifespan_days")
     )
 
@@ -6383,16 +5965,7 @@ def longest_daily_streak(sf_dir: str):
     return (
         masks.map_batches(streaks, batch_format="pyarrow")
         .groupby("streak_days")
-        .sum("n")
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "streak_days": t["streak_days"],
-                    "n_users": t["sum(n)"],
-                }
-            ),
-            batch_format="pyarrow",
-        )
+        .aggregate(Sum("n", alias_name="n_users"))
         .sort("streak_days")
     )
 
@@ -6420,34 +5993,14 @@ def cms_join_size(sf_dir: str):
     b = build_sketch(od, spec, on="o_custkey")
     est = a.inner_product(b)
 
-    def counts_of(ds, col):
-        def pre(t: pa.Table) -> pa.Table:
-            u, c = np.unique(
-                t[col].to_numpy(zero_copy_only=False), return_counts=True
-            )
-            return pa.table(
-                {"k": pa.array(u), "n": pa.array(c.astype(np.int64))}
-            )
-
-        return (
-            ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("k")
-            .sum("n")
-            .map_batches(
-                lambda t: t.rename_columns(["k", "n"]), batch_format="pyarrow"
-            )
-            .materialize()
+    def counts_of(ds, col, out):
+        keys = ds.map_batches(
+            lambda t: pa.table({"k": t[col]}), batch_format="pyarrow", zero_copy_batch=True
         )
+        return grouped_reduce(keys, "k", {out: ("k", "count")}).materialize()
 
-    ca, cb = counts_of(ev, "user_id"), counts_of(od, "o_custkey")
-    joined = broadcast_lookup_join(
-        ca,
-        cb.map_batches(
-            lambda t: t.rename_columns(["k", "n_b"]), batch_format="pyarrow"
-        ),
-        on="k",
-        right_count=cb.count(),
-    )
+    ca, cb = counts_of(ev, "user_id", "n"), counts_of(od, "o_custkey", "n_b")
+    joined = broadcast_lookup_join(ca, cb, on="k", right_count=cb.count())
     prod = joined.map_batches(
         lambda t: pa.table(
             {
@@ -6482,22 +6035,8 @@ def user_type_entropy(sf_dir: str):
     fold is a second native integer-sum groupby over the thinned count
     stream."""
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
-    vocab_rows = (
-        _read(sf_dir, "events", ["event_type"])
-        .map_batches(
-            lambda t: pa.table(
-                {"event_type": pa.array(np.unique(
-                    t["event_type"].to_numpy(zero_copy_only=False)
-                ).tolist(), pa.string())}
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .unique("event_type")
-    )
-    vocab = np.sort(np.array(vocab_rows, dtype=object))
-    vocab_pa = pa.array(vocab.tolist(), pa.string())
-    bits = max(int(np.ceil(np.log2(max(len(vocab), 2)))), 1)
+    vocab_pa = _event_type_vocab(sf_dir)
+    bits = max(int(np.ceil(np.log2(max(len(vocab_pa), 2)))), 1)
 
     def pre(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
@@ -6572,27 +6111,22 @@ def large_volume_customers(sf_dir: str, min_qty: int = 300):
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
-    def qty_partials(t: pa.Table) -> pa.Table:
-        q = pc.cast(_oround(t["l_quantity"]), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        g = (
-            pa.table({"l_orderkey": t["l_orderkey"], "q": pa.array(q)})
-            .group_by("l_orderkey")
-            .aggregate([("q", "sum")])
-        )
-        return g.rename_columns(["l_orderkey", "q"])
-
-    per_order = (
-        li.map_batches(qty_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_orderkey")
-        .sum("q")
+    per_order = grouped_reduce(
+        li.map_batches(
+            lambda t: pa.table(
+                {
+                    "o_orderkey": t["l_orderkey"],
+                    "q": pc.cast(_oround(t["l_quantity"]), pa.int64()),
+                }
+            ),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        ),
+        "o_orderkey",
+        {"sum_qty": ("q", "sum")},
     )
     winners = per_order.map_batches(
-        lambda t: pa.table(
-            {"o_orderkey": t["l_orderkey"], "sum_qty": t["sum(q)"]}
-        ).filter(pc.greater(t["sum(q)"], min_qty)),
-        batch_format="pyarrow",
+        lambda t: t.filter(pc.greater(t["sum_qty"], min_qty)), batch_format="pyarrow"
     ).materialize()
     n_win = winners.count()
 
@@ -6669,36 +6203,11 @@ def orders_above_cust_avg(sf_dir: str):
     (only customer-level partials shuffle); a second pass probes the
     per-customer table through the size-guarded join and folds per-block
     priority counts."""
-    from ray.data.aggregate import Sum
-
     from ..stages.joins import broadcast_lookup_join
 
     orders = _read(
         sf_dir, "orders", ["o_custkey", "o_totalprice", "o_orderpriority"]
     )
-
-    def cust_partials(t: pa.Table) -> pa.Table:
-        tc = pc.cast(_oround(pc.multiply(t["o_totalprice"], 100.0)), pa.int64())
-        g = (
-            pa.table({"o_custkey": t["o_custkey"], "tc": tc})
-            .group_by("o_custkey")
-            .aggregate([("tc", "sum"), ("tc", "count")])
-        )
-        return g.rename_columns(["o_custkey", "s", "n"])
-
-    percust = (
-        orders.map_batches(
-            cust_partials, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("o_custkey")
-        .aggregate(Sum("s"), Sum("n"))
-        .map_batches(
-            lambda t: t.rename_columns(["o_custkey", "s", "n"]),
-            batch_format="pyarrow",
-        )
-    )
-    n_cust = _read(sf_dir, "customer", ["c_custkey"]).count()  # upper bound
-
     probe = orders.map_batches(
         lambda t: pa.table(
             {
@@ -6712,32 +6221,25 @@ def orders_above_cust_avg(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
+    percust = grouped_reduce(
+        probe, "o_custkey", {"s": ("tc", "sum"), "n": ("tc", "count")}
+    )
+    n_cust = _read(sf_dir, "customer", ["c_custkey"]).count()  # upper bound
     joined = broadcast_lookup_join(
         probe, percust, on="o_custkey", right_count=n_cust
     )
 
-    def above_partials(t: pa.Table) -> pa.Table:
+    def above(t: pa.Table) -> pa.Table:
         tc = t["tc"].to_numpy(zero_copy_only=False)
         s = t["s"].to_numpy(zero_copy_only=False)
         n = t["n"].to_numpy(zero_copy_only=False)
-        kept = t.filter(pa.array(tc * n > s))
-        g = (
-            pa.table({"o_orderpriority": kept["o_orderpriority"]})
-            .group_by("o_orderpriority")
-            .aggregate([([], "count_all")])
-        )
-        return g.rename_columns(["o_orderpriority", "n_above"])
+        return t.filter(pa.array(tc * n > s)).select(["o_orderpriority"])
 
-    return (
-        joined.map_batches(above_partials, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .sum("n_above")
-        .map_batches(
-            lambda t: t.rename_columns(["o_orderpriority", "n_above"]),
-            batch_format="pyarrow",
-        )
-        .sort("o_orderpriority")
-    )
+    return grouped_reduce(
+        joined.map_batches(above, batch_format="pyarrow"),
+        "o_orderpriority",
+        {"n_above": (None, "count_all")},
+    ).sort("o_orderpriority")
 
 
 def daily_activity_union(sf_dir: str):
@@ -6806,23 +6308,19 @@ def user_setops(sf_dir: str):
     max partials compose with the one native groupby-max shuffle); the
     final per-block combination tally ships O(blocks) 3-column rows.
     No distinct-join and no driver-side id set ever materializes."""
-    from ray.data.aggregate import Max
-
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def flags(t: pa.Table) -> pa.Table:
         c = pc.cast(pc.equal(t["event_type"], "click"), pa.int8())
         p = pc.cast(pc.equal(t["event_type"], "purchase"), pa.int8())
-        tt = pa.table({"user_id": t["user_id"], "c": c, "p": p}).filter(
+        return pa.table({"user_id": t["user_id"], "c": c, "p": p}).filter(
             pc.or_(pc.equal(c, 1), pc.equal(p, 1))
         )
-        g = tt.group_by("user_id").aggregate([("c", "max"), ("p", "max")])
-        return g.rename_columns(["user_id", "c", "p"])
 
-    per_user = (
-        ev.map_batches(flags, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(Max("c", alias_name="c"), Max("p", alias_name="p"))
+    per_user = grouped_reduce(
+        ev.map_batches(flags, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id",
+        {"c": ("c", "max"), "p": ("p", "max")},
     )
 
     def tally(t: pa.Table) -> pa.Table:
@@ -6864,26 +6362,8 @@ def cube_type_weekday(sf_dir: str):
     no driver-side fold at any cardinality."""
     day_us = 86_400_000_000
 
-    vocab_rows = (
-        _read(sf_dir, "events", ["event_type"])
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "event_type": pa.array(
-                        np.unique(
-                            t["event_type"].to_numpy(zero_copy_only=False)
-                        ).tolist(),
-                        pa.string(),
-                    )
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .unique("event_type")
-    )
-    vocab = np.sort(np.array(vocab_rows, dtype=object))
-    vocab_pa = pa.array(vocab.tolist(), pa.string())
+    vocab_pa = _event_type_vocab(sf_dir)
+    vocab = vocab_pa.to_numpy(zero_copy_only=False)
     nt = len(vocab)
     code_all, dow_all = nt, 7  # sentinels for the aggregated axes
     span = (nt + 1) * 8  # pk = gid*span + code*8 + dow
@@ -6982,17 +6462,7 @@ def nations_volume_shipping(sf_dir: str):
             raise ValueError("n_nationkey out of 5-bit pack range")
         nname[int(r["n_nationkey"])] = r["n_name"]
 
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
-        lambda t: pa.table(
-            {
-                "l_suppkey": t["s_suppkey"],
-                "s_nat": pc.cast(t["s_nationkey"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    n_supp = _read(sf_dir, "supplier", ["s_suppkey"]).count()
+    supp, n_supp = _supplier_nations(sf_dir)
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
         lambda t: pa.table(
@@ -7014,17 +6484,12 @@ def nations_volume_shipping(sf_dir: str):
     )
 
     def prep_li(t: pa.Table) -> pa.Table:
-        base_c = pc.cast(
-            _oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64()
-        )
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        rev_cc = pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
         return pa.table(
             {
                 "l_suppkey": t["l_suppkey"],
                 "o_orderkey": t["l_orderkey"],
                 "year": pc.cast(pc.year(t["l_shipdate"]), pa.int64()),
-                "rev_cc": rev_cc,
+                "rev_cc": _rev_cc(t),
             }
         )
 
@@ -7041,22 +6506,17 @@ def nations_volume_shipping(sf_dir: str):
         li, ord_enriched, on="o_orderkey", right_count=n_orders, left_count=n_li
     )
 
-    def grid_partials(t: pa.Table) -> pa.Table:
+    def grid_key(t: pa.Table) -> pa.Table:
         year = t["year"].to_numpy(zero_copy_only=False)
         sn = t["s_nat"].to_numpy(zero_copy_only=False)
         cn = t["c_nat"].to_numpy(zero_copy_only=False)
         pk = (year << 10) | (sn << 5) | cn
-        g = (
-            pa.table({"pk": pa.array(pk), "rev_cc": t["rev_cc"]})
-            .group_by("pk")
-            .aggregate([("rev_cc", "sum"), ("rev_cc", "count")])
-        )
-        return g.rename_columns(["pk", "s", "n"])
+        return pa.table({"pk": pa.array(pk), "rev_cc": t["rev_cc"]})
 
-    agg = (
-        li.map_batches(grid_partials, batch_format="pyarrow")
-        .groupby("pk")
-        .sum(["s", "n"])
+    agg = grouped_reduce(
+        li.map_batches(grid_key, batch_format="pyarrow"),
+        "pk",
+        {"revenue_cc": ("rev_cc", "sum"), "n_items": ("rev_cc", "count")},
     )
 
     def unpack(t: pa.Table) -> pa.Table:
@@ -7068,8 +6528,8 @@ def nations_volume_shipping(sf_dir: str):
                 ),
                 "cust_nation": pa.array(nname[pk & 31].tolist(), pa.string()),
                 "year": pa.array(pk >> 10),
-                "revenue_cc": t["sum(s)"],
-                "n_items": t["sum(n)"],
+                "revenue_cc": t["revenue_cc"],
+                "n_items": t["n_items"],
             }
         )
 
@@ -7200,18 +6660,16 @@ def daily_counts_dense(sf_dir: str):
             {"day": pa.array(day), "n": pa.array(n.astype(np.int64))}
         )
 
+    from ray.data.aggregate import Max, Min, Sum
+
     counts = (
         ev.map_batches(day_partials, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("day")
-        .sum("n")
-        .map_batches(
-            lambda t: t.rename_columns(["day", "n"]), batch_format="pyarrow"
-        )
+        .aggregate(Sum("n", alias_name="n"))
         # consumed twice (bounds aggregate + join right): pin so the
         # day groupby runs once (day-bounded rows)
         .materialize()
     )
-    from ray.data.aggregate import Max, Min
 
     bounds = counts.aggregate(Min("day"), Max("day"))
     if bounds is None or bounds.get("min(day)") is None:
@@ -7332,30 +6790,26 @@ def _orders_late_union_plan(sf_dir: str, grace_days: int):
         Max("pcode", alias_name="pcode"),
     )
 
-    def late_partials(t: pa.Table) -> pa.Table:
+    def late_only(t: pa.Table) -> pa.Table:
         # null ship (no line items) and null-threshold guards both drop
         # via the null-propagating comparison
         late = pc.greater(t["ship_us"], t["thresh_us"])
-        g = (
-            pa.table({"pcode": t["pcode"]})
-            .filter(pc.fill_null(late, False))
-            .group_by("pcode")
-            .aggregate([([], "count_all")])
-        )
-        return g.rename_columns(["pcode", "n_late_orders"])
+        return pa.table({"pcode": t["pcode"]}).filter(pc.fill_null(late, False))
 
     def unpack(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "o_orderpriority": pc.take(prio_pa, t["pcode"]),
-                "n_late_orders": t["sum(n_late_orders)"],
+                "n_late_orders": t["n_late_orders"],
             }
         )
 
     return (
-        per_order.map_batches(late_partials, batch_format="pyarrow")
-        .groupby("pcode")
-        .sum("n_late_orders")
+        grouped_reduce(
+            per_order.map_batches(late_only, batch_format="pyarrow"),
+            "pcode",
+            {"n_late_orders": (None, "count_all")},
+        )
         .map_batches(unpack, batch_format="pyarrow")
         .sort("o_orderpriority")
     )
@@ -7512,38 +6966,11 @@ def user_growth_accounting(sf_dir: str):
         .materialize()
     )
 
-    def day_counts(col_out: str):
-        def _c(t: pa.Table) -> pa.Table:
-            day, n = np.unique(
-                t["day"].to_numpy(zero_copy_only=False), return_counts=True
-            )
-            return pa.table(
-                {"day": pa.array(day), col_out: pa.array(n.astype(np.int64))}
-            )
-
-        return _c
-
-    actives = (
-        pairs.map_batches(day_counts("n_active"), batch_format="pyarrow")
-        .groupby("day")
-        .sum("n_active")
-        .map_batches(
-            lambda t: t.rename_columns(["day", "n_active"]),
-            batch_format="pyarrow",
-        )
-    )
-    firsts = (
-        pairs.groupby("user_id")
-        .aggregate(Min("day", alias_name="day"))
-        .map_batches(
-            lambda t: t.select(["day"]), batch_format="pyarrow"
-        )
-        .map_batches(day_counts("n_new"), batch_format="pyarrow")
-        .groupby("day")
-        .sum("n_new")
-        .map_batches(
-            lambda t: t.rename_columns(["day", "n_new"]), batch_format="pyarrow"
-        )
+    actives = grouped_reduce(pairs, "day", {"n_active": (None, "count_all")})
+    firsts = grouped_reduce(
+        pairs.groupby("user_id").aggregate(Min("day", alias_name="day")),
+        "day",
+        {"n_new": (None, "count_all")},
     )
     n_days = firsts.count()  # day-bounded
     joined = broadcast_lookup_join(
@@ -7576,31 +7003,23 @@ def revenue_concentration(sf_dir: str, top_n: int = 100):
     is a native sum. Ties at the cut resolve by custkey ASC, matching
     the SQL row_number twin. Integer cents end to end; ppm by
     non-negative floor division."""
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def cust_partials(t: pa.Table) -> pa.Table:
-        tc = pc.cast(_oround(pc.multiply(t["o_totalprice"], 100.0)), pa.int64())
-        g = (
-            pa.table({"o_custkey": t["o_custkey"], "tc": tc})
-            .group_by("o_custkey")
-            .aggregate([("tc", "sum")])
-        )
-        return g.rename_columns(["o_custkey", "rev_c"])
-
-    per_cust = (
-        orders.map_batches(
-            cust_partials, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("o_custkey")
-        .sum("rev_c")
-        .map_batches(
-            lambda t: t.rename_columns(["o_custkey", "rev_c"]),
-            batch_format="pyarrow",
-        )
-        # consumed three times (top fold, total, count): pin so the
-        # customer groupby runs once (16 B/row, customer-bounded)
-        .materialize()
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
+        lambda t: pa.table(
+            {
+                "o_custkey": t["o_custkey"],
+                "tc": pc.cast(
+                    _oround(pc.multiply(t["o_totalprice"], 100.0)), pa.int64()
+                ),
+            }
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
+    # consumed three times (top fold, total, count): pin so the
+    # customer groupby runs once (16 B/row, customer-bounded)
+    per_cust = grouped_reduce(
+        orders, "o_custkey", {"rev_c": ("tc", "sum")}
+    ).materialize()
 
     def block_top(t: pa.Table) -> pa.Table:
         rc = t["rev_c"].to_numpy(zero_copy_only=False)
@@ -7709,30 +7128,20 @@ def type_decay_scores(sf_dir: str, horizon_days: int = 30):
         zero_copy_batch=True,
     ).max("d"))
 
-    def partials(t: pa.Table) -> pa.Table:
+    def weights(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         age = max_day - us // day_us
         # clamp BEFORE shifting: a negative shift amount (age beyond the
         # horizon) is undefined even on the branch np.where discards
         shift = np.clip(horizon_days - age, 0, horizon_days)
         w = np.where(age <= horizon_days, 1 << shift, 0).astype(np.int64)
-        g = (
-            pa.table({"event_type": t["event_type"], "w": pa.array(w)})
-            .group_by("event_type")
-            .aggregate([("w", "sum")])
-        )
-        return g.rename_columns(["event_type", "decayed_score"])
+        return pa.table({"event_type": t["event_type"], "w": pa.array(w)})
 
-    return (
-        ev.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .sum("decayed_score")
-        .map_batches(
-            lambda t: t.rename_columns(["event_type", "decayed_score"]),
-            batch_format="pyarrow",
-        )
-        .sort("event_type")
-    )
+    return grouped_reduce(
+        ev.map_batches(weights, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type",
+        {"decayed_score": ("w", "sum")},
+    ).sort("event_type")
 
 
 def user_value_intervals(sf_dir: str):
@@ -7807,21 +7216,8 @@ def type_jaccard_pairs(sf_dir: str):
     grids are type-bounded; division is non-negative floor (DuckDB //
     parity)."""
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
-    vocab_rows = (
-        _read(sf_dir, "events", ["event_type"])
-        .map_batches(
-            lambda t: pa.table(
-                {"event_type": pa.array(np.unique(
-                    t["event_type"].to_numpy(zero_copy_only=False)
-                ).tolist(), pa.string())}
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .unique("event_type")
-    )
-    vocab = np.sort(np.array(vocab_rows, dtype=object))
-    vocab_pa = pa.array(vocab.tolist(), pa.string())
+    vocab_pa = _event_type_vocab(sf_dir)
+    vocab = vocab_pa.to_numpy(zero_copy_only=False)
     nv = len(vocab)
     if nv >= 63:
         raise ValueError("type_jaccard_pairs: vocabulary too wide for int64")
@@ -7991,36 +7387,15 @@ def q13_customer_distribution(sf_dir: str):
     computed without shipping the customer table anywhere."""
     n_cust = _read(sf_dir, "customer", ["c_custkey"]).count()  # metadata
 
-    def cnt_part(t: pa.Table) -> pa.Table:
-        g = (
-            t.select(["o_custkey"])
-            .group_by(["o_custkey"])
-            .aggregate([("o_custkey", "count")])
-        )
-        return g.rename_columns(["o_custkey", "c"])
-
-    per_cust = (
-        _read(sf_dir, "orders", ["o_custkey"])
-        .map_batches(cnt_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_custkey")
-        .sum("c", ignore_nulls=True)
+    per_cust = grouped_reduce(
+        _read(sf_dir, "orders", ["o_custkey"]),
+        "o_custkey",
+        {"c_orders": ("o_custkey", "count")},
     )
-
-    def hist_part(t: pa.Table) -> pa.Table:
-        g = (
-            pa.table({"c_orders": t["sum(c)"]})
-            .group_by(["c_orders"])
-            .aggregate([("c_orders", "count")])
-        )
-        return g.rename_columns(["c_orders", "n"])
-
-    rows = (
-        per_cust.map_batches(hist_part, batch_format="pyarrow")
-        .groupby("c_orders")
-        .sum("n", ignore_nulls=True)
-        .take_all()  # bounded: max orders-per-customer buckets
-    )
-    buckets = {int(r["c_orders"]): int(r["sum(n)"]) for r in rows}
+    rows = grouped_reduce(
+        per_cust, "c_orders", {"n": ("c_orders", "count")}
+    ).take_all()  # bounded: max orders-per-customer buckets
+    buckets = {int(r["c_orders"]): int(r["n"]) for r in rows}
     zero = n_cust - sum(buckets.values())
     if zero > 0:  # the LEFT JOIN contributes a 0 bucket only when nonempty
         buckets[0] = zero
@@ -8082,29 +7457,10 @@ def q17_small_quantity_revenue(sf_dir: str):
         .materialize()  # O(brand lines); consumed by stats + filter
     )
 
-    def stats_part(t: pa.Table) -> pa.Table:
-        g = (
-            pa.table(
-                {
-                    "l_partkey": t["l_partkey"],
-                    "s": t["q"],
-                    "one": pa.array(np.ones(t.num_rows, np.int64)),
-                }
-            )
-            .group_by(["l_partkey"])
-            .aggregate([("s", "sum"), ("one", "sum")])
-        )
-        return g.rename_columns(["l_partkey", "s", "c"])
-
-    from ray.data.aggregate import Sum
-
-    st = (
-        bl.map_batches(stats_part, batch_format="pyarrow")
-        .groupby("l_partkey")
-        .aggregate(Sum("s"), Sum("c"))
-        .take_all()  # bounded: |parts in brand|
-    )
-    s_map = {int(r["l_partkey"]): (int(r["sum(s)"]), int(r["sum(c)"])) for r in st}
+    st = grouped_reduce(
+        bl, "l_partkey", {"s": ("q", "sum"), "c": (None, "count_all")}
+    ).take_all()  # bounded: |parts in brand|
+    s_map = {int(r["l_partkey"]): (int(r["s"]), int(r["c"])) for r in st}
     ref = ray.put(s_map)
 
     def small_part(t: pa.Table) -> pa.Table:
@@ -8323,60 +7679,35 @@ def q21_waiting_suppliers(sf_dir: str, driver_tier_max_rows: int = 20_000_000):
         batch_format="pyarrow",
     ).materialize()  # O(order x supplier pairs); consumed twice below
 
-    def order_part(t: pa.Table) -> pa.Table:
-        g = (
-            pa.table(
-                {
-                    "o_orderkey": t["o_orderkey"],
-                    "one": pa.array(np.ones(t.num_rows, np.int64)),
-                    "late": t["late"],
-                }
-            )
-            .group_by(["o_orderkey"])
-            .aggregate([("one", "sum"), ("late", "sum")])
-        )
-        return g.rename_columns(["o_orderkey", "n_supp", "n_late"])
-
-    from ray.data.aggregate import Sum
-
-    per_order = (
-        flagged.map_batches(order_part, batch_format="pyarrow")
-        .groupby("o_orderkey")
-        .aggregate(Sum("n_supp"), Sum("n_late"))
+    per_order = grouped_reduce(
+        flagged,
+        "o_orderkey",
+        {"n_supp": (None, "count_all"), "n_late": ("late", "sum")},
     )
     winners = per_order.map_batches(
         lambda t: t.filter(
             pc.and_(
-                pc.greater_equal(t["sum(n_supp)"], 2),
-                pc.equal(t["sum(n_late)"], 1),
+                pc.greater_equal(t["n_supp"], 2),
+                pc.equal(t["n_late"], 1),
             )
         ).select(["o_orderkey"]),
         batch_format="pyarrow",
     )
     keep = id_set_filter(winners, "o_orderkey", keep=True, n_ids=n_orders)
 
-    def supp_part(t: pa.Table) -> pa.Table:
-        g = (
-            t.filter(pc.equal(t["late"], 1))
-            .select(["suppkey"])
-            .group_by(["suppkey"])
-            .aggregate([("suppkey", "count")])
-        )
-        return g.rename_columns(["suppkey", "n"])
-
-    counts = (
-        keep(flagged)
-        .map_batches(supp_part, batch_format="pyarrow")
-        .groupby("suppkey")
-        .sum("n", ignore_nulls=True)
-        .take_all()  # bounded: |suppliers|
-    )
+    counts = grouped_reduce(
+        keep(flagged).map_batches(
+            lambda t: t.filter(pc.equal(t["late"], 1)), batch_format="pyarrow"
+        ),
+        "suppkey",
+        {"n": ("suppkey", "count")},
+    ).take_all()  # bounded: |suppliers|
     import pandas as pd
 
     cnt = pd.DataFrame(
         {
             "s_suppkey": [int(r["suppkey"]) for r in counts],
-            "numwait": [int(r["sum(n)"]) for r in counts],
+            "numwait": [int(r["n"]) for r in counts],
         }
     )
     return _q21_finish(cnt, sf_dir)
@@ -8452,27 +7783,11 @@ def q22_idle_balance(sf_dir: str):
     n_cust = _read(sf_dir, "customer", ["c_custkey"]).count()  # bound
     drop = id_set_filter(buyers, "c_custkey", keep=False, n_ids=n_cust)
 
-    def seg_part(t: pa.Table) -> pa.Table:
-        g = (
-            pa.table(
-                {
-                    "c_mktsegment": t["c_mktsegment"],
-                    "one": pa.array(np.ones(t.num_rows, np.int64)),
-                    "cents": t["cents"],
-                }
-            )
-            .group_by(["c_mktsegment"])
-            .aggregate([("one", "sum"), ("cents", "sum")])
-        )
-        return g.rename_columns(["c_mktsegment", "n", "cents"])
-
-    rows = (
-        drop(eligible)
-        .map_batches(seg_part, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .aggregate(Sum("n"), Sum("cents"))
-        .take_all()
-    )
+    rows = grouped_reduce(
+        drop(eligible),
+        "c_mktsegment",
+        {"n": (None, "count_all"), "cents": ("cents", "sum")},
+    ).take_all()
     rows.sort(key=lambda r: r["c_mktsegment"])
     # 0-row Datasets lose their schema (CLAUDE.md): always hand back a
     # schema-bearing table — the driver testdata's every-customer-ordered
@@ -8482,9 +7797,9 @@ def q22_idle_balance(sf_dir: str):
             "c_mktsegment": pa.array(
                 [r["c_mktsegment"] for r in rows], pa.string()
             ),
-            "n_custs": pa.array([int(r["sum(n)"]) for r in rows], pa.int64()),
+            "n_custs": pa.array([int(r["n"]) for r in rows], pa.int64()),
             "balance_cents": pa.array(
-                [int(r["sum(cents)"]) for r in rows], pa.int64()
+                [int(r["cents"]) for r in rows], pa.int64()
             ),
         }
     )
@@ -8614,12 +7929,7 @@ def q14_promo_effect(sf_dir: str):
         yr = pc.year(t["l_shipdate"]).to_numpy(zero_copy_only=False)
         mo = pc.month(t["l_shipdate"]).to_numpy(zero_copy_only=False)
         keep = (yr == 1996) & (mo == 3)
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        cc = (
-            base_c.to_numpy(zero_copy_only=False)
-            * (100 - disc_pct.to_numpy(zero_copy_only=False))
-        )[keep]
+        cc = _rev_cc(t).to_numpy(zero_copy_only=False)[keep]
         pk = t["l_partkey"].to_numpy(zero_copy_only=False)[keep]
         member, _, _ = _dim_probe(ref, pk)
         return pa.table(
@@ -8760,8 +8070,6 @@ def q10_returned_items(sf_dir: str):
     c_custkey so the top-20 is deterministic."""
     import ray
 
-    from ray.data.aggregate import Sum
-
     from ..stages.joins import broadcast_lookup_join
 
     q_lo = np.datetime64("1996-01-01")
@@ -8784,11 +8092,8 @@ def q10_returned_items(sf_dir: str):
 
     def prep_li(t: pa.Table) -> pa.Table:
         keep = pc.equal(t["l_returnflag"], "R")
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        cc = pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
         return pa.table(
-            {"l_orderkey": t["l_orderkey"], "cc": cc}
+            {"l_orderkey": t["l_orderkey"], "cc": _rev_cc(t)}
         ).filter(keep)
 
     li = _read(
@@ -8801,19 +8106,7 @@ def q10_returned_items(sf_dir: str):
         li, orders, on="l_orderkey", right_count=n_orders, left_count=n_li
     )
 
-    def cust_partials(t: pa.Table) -> pa.Table:
-        return (
-            t.select(["o_custkey", "cc"])
-            .group_by(["o_custkey"])
-            .aggregate([("cc", "sum")])
-            .rename_columns(["o_custkey", "cc"])
-        )
-
-    per_cust = (
-        joined.map_batches(cust_partials, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("cc"))
-    )
+    per_cust = grouped_reduce(joined, "o_custkey", {"cc": ("cc", "sum")})
 
     # block-local top-20 partials over the per-customer aggregate (the
     # aggregate is |returning customers| — fact-scaled at 100 TB, so only
@@ -8824,19 +8117,19 @@ def q10_returned_items(sf_dir: str):
         if t.num_rows > 20:
             order = pc.sort_indices(
                 t,
-                sort_keys=[("sum(cc)", "descending"), ("o_custkey", "ascending")],
+                sort_keys=[("cc", "descending"), ("o_custkey", "ascending")],
             )
             t = t.take(order[:20])
         return t
 
     top = (
         per_cust.map_batches(top_partial, batch_format="pyarrow")
-        .sort(["sum(cc)", "o_custkey"], descending=[True, False])
+        .sort(["cc", "o_custkey"], descending=[True, False])
         .limit(20)
         .take_all()
     )
     win_keys = [int(r["o_custkey"]) for r in top]
-    rev = {int(r["o_custkey"]): int(r["sum(cc)"]) for r in top}
+    rev = {int(r["o_custkey"]): int(r["cc"]) for r in top}
 
     import ray.data as rd
 
@@ -8890,8 +8183,6 @@ def q12_priority_classes(sf_dir: str):
 
     Shape: one size-guarded lookup join (orderkey -> orderdate+priority),
     per-block (flag -> high, low) partials, a 3-row groupby-sum."""
-    from ray.data.aggregate import Sum
-
     from ..stages.joins import broadcast_lookup_join
 
     def prep_orders(t: pa.Table) -> pa.Table:
@@ -8931,30 +8222,24 @@ def q12_priority_classes(sf_dir: str):
         li, orders, on="l_orderkey", right_count=n_orders, left_count=n_li
     )
 
-    def flag_partials(t: pa.Table) -> pa.Table:
+    def late_lines(t: pa.Table) -> pa.Table:
         sd = t["sdate"].to_numpy(zero_copy_only=False)
         od = t["odate"].to_numpy(zero_copy_only=False)
         late = sd > od + np.timedelta64(30, "D")
         high = t["high"].to_numpy(zero_copy_only=False)
-        tt = pa.table(
+        return pa.table(
             {
                 "l_returnflag": t["l_returnflag"].filter(pa.array(late)),
-                "high_line_count": pa.array(high[late]),
-                "low_line_count": pa.array(1 - high[late]),
+                "high": pa.array(high[late]),
+                "low": pa.array(1 - high[late]),
             }
         )
-        return (
-            tt.group_by(["l_returnflag"])
-            .aggregate([("high_line_count", "sum"), ("low_line_count", "sum")])
-            .rename_columns(["l_returnflag", "high_line_count", "low_line_count"])
-        )
 
-    out = (
-        joined.map_batches(flag_partials, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(Sum("high_line_count"), Sum("low_line_count"))
-        .take_all()
-    )
+    out = grouped_reduce(
+        joined.map_batches(late_lines, batch_format="pyarrow"),
+        "l_returnflag",
+        {"high_line_count": ("high", "sum"), "low_line_count": ("low", "sum")},
+    ).take_all()
     out.sort(key=lambda r: r["l_returnflag"])
     return pa.table(
         {
@@ -8962,10 +8247,10 @@ def q12_priority_classes(sf_dir: str):
                 [r["l_returnflag"] for r in out], pa.string()
             ),
             "high_line_count": pa.array(
-                [int(r["sum(high_line_count)"]) for r in out], pa.int64()
+                [int(r["high_line_count"]) for r in out], pa.int64()
             ),
             "low_line_count": pa.array(
-                [int(r["sum(low_line_count)"]) for r in out], pa.int64()
+                [int(r["low_line_count"]) for r in out], pa.int64()
             ),
         }
     )
@@ -8980,37 +8265,25 @@ def q15_top_supplier(sf_dir: str):
     groupby-sum -> driver-side max + equality filter (ties all returned,
     as in the spec) -> names via the supplier dimension. Money in integer
     centi-cents."""
-    from ray.data.aggregate import Sum
-
     q_lo = np.datetime64("1996-01-01")
     q_hi = np.datetime64("1996-04-01")
 
     def prep_li(t: pa.Table) -> pa.Table:
         sd = t["l_shipdate"].to_numpy(zero_copy_only=False)
         keep = (sd >= q_lo) & (sd < q_hi)
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        cc = pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
-        tt = pa.table({"l_suppkey": t["l_suppkey"], "cc": cc}).filter(
+        return pa.table({"l_suppkey": t["l_suppkey"], "cc": _rev_cc(t)}).filter(
             pa.array(keep)
         )
-        return (
-            tt.group_by(["l_suppkey"])
-            .aggregate([("cc", "sum")])
-            .rename_columns(["l_suppkey", "cc"])
-        )
 
-    per_supp = (
+    per_supp = grouped_reduce(
         _read(
             sf_dir,
             "lineitem",
             ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        )
-        .map_batches(prep_li, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_suppkey")
-        .aggregate(Sum("cc"))
-        .materialize()  # supplier-scaled aggregate, consumed twice below
-    )
+        ).map_batches(prep_li, batch_format="pyarrow", zero_copy_batch=True),
+        "l_suppkey",
+        {"cc": ("cc", "sum")},
+    ).materialize()  # supplier-scaled aggregate, consumed twice below
     if per_supp.count() == 0:
         return pa.table(
             {
@@ -9023,11 +8296,11 @@ def q15_top_supplier(sf_dir: str):
     # then a map-side equality filter — only the winner rows reach the
     # driver (the per-supplier aggregate itself never does; at 100 TB the
     # supplier dimension is SF-scaled)
-    best = int(per_supp.max("sum(cc)"))
+    best = int(per_supp.max("cc"))
     winners = sorted(
         int(r["l_suppkey"])
         for r in per_supp.map_batches(
-            lambda t: t.filter(pc.equal(t["sum(cc)"], best)),
+            lambda t: t.filter(pc.equal(t["cc"], best)),
             batch_format="pyarrow",
         ).take_all()
     )
@@ -9138,15 +8411,12 @@ def q8_market_share(sf_dir: str):
     keep_std = id_set_filter(std_parts, "l_partkey", keep=True, n_ids=n_parts)
 
     def prep_li(t: pa.Table) -> pa.Table:
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        cc = pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
         return pa.table(
             {
                 "l_partkey": t["l_partkey"],
                 "l_suppkey": t["l_suppkey"],
                 "o_orderkey": t["l_orderkey"],
-                "cc": cc,
+                "cc": _rev_cc(t),
             }
         )
 
@@ -9159,17 +8429,7 @@ def q8_market_share(sf_dir: str):
     ).map_batches(prep_li, batch_format="pyarrow")
     n_li = _read(sf_dir, "lineitem", ["l_orderkey"]).count()
 
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
-        lambda t: pa.table(
-            {
-                "l_suppkey": t["s_suppkey"],
-                "s_nat": pc.cast(t["s_nationkey"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    n_supp = _read(sf_dir, "supplier", ["s_suppkey"]).count()
+    supp, n_supp = _supplier_nations(sf_dir)
     li = broadcast_lookup_join(
         li, supp, on="l_suppkey", right_count=n_supp, left_count=n_li
     )
@@ -9224,8 +8484,6 @@ def q9_product_profit(sf_dir: str):
     partials pack (year, s_nat) into one int64 (the Q7 grid convention)
     so the single native groupby-sum carries only grid-bounded rows; the
     25-row nation name table attaches after aggregation."""
-    from ray.data.aggregate import Sum
-
     from ..stages.dedup import id_set_filter
     from ..stages.joins import broadcast_lookup_join
 
@@ -9246,15 +8504,12 @@ def q9_product_profit(sf_dir: str):
     keep_red = id_set_filter(red_parts, "l_partkey", keep=True, n_ids=n_parts)
 
     def prep_li(t: pa.Table) -> pa.Table:
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        cc = pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
         return pa.table(
             {
                 "l_partkey": t["l_partkey"],
                 "l_suppkey": t["l_suppkey"],
                 "o_orderkey": t["l_orderkey"],
-                "cc": cc,
+                "cc": _rev_cc(t),
             }
         )
 
@@ -9267,17 +8522,7 @@ def q9_product_profit(sf_dir: str):
     ).map_batches(prep_li, batch_format="pyarrow")
     n_li = _read(sf_dir, "lineitem", ["l_orderkey"]).count()
 
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
-        lambda t: pa.table(
-            {
-                "l_suppkey": t["s_suppkey"],
-                "s_nat": pc.cast(t["s_nationkey"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    n_supp = _read(sf_dir, "supplier", ["s_suppkey"]).count()
+    supp, n_supp = _supplier_nations(sf_dir)
     ords = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
         lambda t: pa.table(
             {
@@ -9296,23 +8541,16 @@ def q9_product_profit(sf_dir: str):
         li, ords, on="o_orderkey", right_count=n_orders, left_count=n_li
     )
 
-    def grid_partials(t: pa.Table) -> pa.Table:
+    def grid_key(t: pa.Table) -> pa.Table:
         yr = t["o_year"].to_numpy(zero_copy_only=False)
         sn = t["s_nat"].to_numpy(zero_copy_only=False)
-        pk = (yr << 5) | sn
-        g = (
-            pa.table({"pk": pa.array(pk), "cc": t["cc"]})
-            .group_by(["pk"])
-            .aggregate([("cc", "sum"), ("cc", "count")])
-        )
-        return g.rename_columns(["pk", "cc", "n"])
+        return pa.table({"pk": pa.array((yr << 5) | sn), "cc": t["cc"]})
 
-    rows = (
-        li.map_batches(grid_partials, batch_format="pyarrow")
-        .groupby("pk")
-        .aggregate(Sum("cc"), Sum("n"))
-        .take_all()  # grid-bounded: |nations| x |years|
-    )
+    rows = grouped_reduce(
+        li.map_batches(grid_key, batch_format="pyarrow"),
+        "pk",
+        {"cc": ("cc", "sum"), "n": ("cc", "count")},
+    ).take_all()  # grid-bounded: |nations| x |years|
     rows.sort(key=lambda r: (str(nname[int(r["pk"]) & 31]), -(int(r["pk"]) >> 5)))
     return pa.table(
         {
@@ -9321,9 +8559,9 @@ def q9_product_profit(sf_dir: str):
             ),
             "o_year": pa.array([int(r["pk"]) >> 5 for r in rows], pa.int64()),
             "profit_centicents": pa.array(
-                [int(r["sum(cc)"]) for r in rows], pa.int64()
+                [int(r["cc"]) for r in rows], pa.int64()
             ),
-            "n_lines": pa.array([int(r["sum(n)"]) for r in rows], pa.int64()),
+            "n_lines": pa.array([int(r["n"]) for r in rows], pa.int64()),
         }
     )
 
@@ -9344,8 +8582,6 @@ def q2_min_balance_supplier(sf_dir: str):
     (`_dim_lookup` budget guard), and names attach to winners only."""
     import ray
     import ray.data as rd
-
-    from ray.data.aggregate import Min
 
     from ..stages.dedup import id_set_filter
     from ..stages.joins import broadcast_lookup_join
@@ -9401,7 +8637,7 @@ def q2_min_balance_supplier(sf_dir: str):
         li, supp, on="l_suppkey", right_count=n_supp, left_count=n_li
     )
 
-    def pair_partials(t: pa.Table) -> pa.Table:
+    def eu_pairs(t: pa.Table) -> pa.Table:
         nats = ray.get(eu_ref)
         sn = t["s_nat"].to_numpy(zero_copy_only=False)
         if len(nats) == 0:
@@ -9415,46 +8651,34 @@ def q2_min_balance_supplier(sf_dir: str):
         if len(sk) and (sk.max() >= (1 << 31) or pk_arr.max() >= (1 << 31)):
             raise ValueError("q2: key exceeds the 31-bit pack range")
         packed = (pk_arr.astype(np.int64) << 31) | sk.astype(np.int64)
-        g = (
-            pa.table({"pk": pa.array(packed), "cents": t["cents"]})
-            .group_by(["pk"])
-            .aggregate([("cents", "min")])
-        )
-        return g.rename_columns(["pk", "cents"])
+        return pa.table({"pk": pa.array(packed), "cents": t["cents"]})
 
-    pairs = (
-        li.map_batches(pair_partials, batch_format="pyarrow")
-        .groupby("pk")
-        .aggregate(Min("cents"))
-        .materialize()  # bounded: |size-15 parts| x |EU suppliers shipped|
-    )
+    pairs = grouped_reduce(
+        li.map_batches(eu_pairs, batch_format="pyarrow"),
+        "pk",
+        {"cents": ("cents", "min")},
+    ).materialize()  # bounded: |size-15 parts| x |EU suppliers shipped|
 
-    per_part_min = pairs.map_batches(
-        lambda t: pa.table(
-            {
-                "p_partkey": pa.array(
-                    t["pk"].to_numpy(zero_copy_only=False) >> 31
-                ),
-                "cents": t["min(cents)"],
-            }
-        )
-        .group_by(["p_partkey"])
-        .aggregate([("cents", "min")])
-        .rename_columns(["p_partkey", "min_cents"]),
-        batch_format="pyarrow",
-    ).groupby("p_partkey").aggregate(Min("min_cents"))
-    min_ref = _dim_lookup(
-        per_part_min.map_batches(
-            lambda t: t.rename_columns(["p_partkey", "min_cents"]),
+    per_part_min = grouped_reduce(
+        pairs.map_batches(
+            lambda t: pa.table(
+                {
+                    "p_partkey": pa.array(
+                        t["pk"].to_numpy(zero_copy_only=False) >> 31
+                    ),
+                    "cents": t["cents"],
+                }
+            ),
             batch_format="pyarrow",
         ),
         "p_partkey",
-        ["min_cents"],
+        {"min_cents": ("cents", "min")},
     )
+    min_ref = _dim_lookup(per_part_min, "p_partkey", ["min_cents"])
 
     def winners_only(t: pa.Table) -> pa.Table:
         pk = t["pk"].to_numpy(zero_copy_only=False)
-        cents = t["min(cents)"].to_numpy(zero_copy_only=False)
+        cents = t["cents"].to_numpy(zero_copy_only=False)
         part = pk >> 31
         member, pos, attrs = _dim_probe(min_ref, part)
         if not member.all():
@@ -9534,8 +8758,6 @@ def q11_important_parts(sf_dir: str):
     reach the driver."""
     import ray
 
-    from ray.data.aggregate import Sum
-
     from ..stages.joins import broadcast_lookup_join
 
     nat_rows = _read(
@@ -9555,17 +8777,7 @@ def q11_important_parts(sf_dir: str):
     )
     eu_ref = ray.put(eu_nats)
 
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
-        lambda t: pa.table(
-            {
-                "l_suppkey": t["s_suppkey"],
-                "s_nat": pc.cast(t["s_nationkey"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    n_supp = _read(sf_dir, "supplier", ["s_suppkey"]).count()
+    supp, n_supp = _supplier_nations(sf_dir)
     li = _read(
         sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"]
     )
@@ -9574,7 +8786,7 @@ def q11_important_parts(sf_dir: str):
         li, supp, on="l_suppkey", right_count=n_supp, left_count=n_li
     )
 
-    def part_partials(t: pa.Table) -> pa.Table:
+    def eu_lines(t: pa.Table) -> pa.Table:
         nats = ray.get(eu_ref)
         sn = t["s_nat"].to_numpy(zero_copy_only=False)
         if len(nats) == 0:
@@ -9583,23 +8795,14 @@ def q11_important_parts(sf_dir: str):
             )
         pos = np.minimum(np.searchsorted(nats, sn), len(nats) - 1)
         t = t.filter(pa.array(nats[pos] == sn))
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
-        cc = pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
-        return (
-            pa.table({"l_partkey": t["l_partkey"], "cc": cc})
-            .group_by(["l_partkey"])
-            .aggregate([("cc", "sum")])
-            .rename_columns(["l_partkey", "cc"])
-        )
+        return pa.table({"l_partkey": t["l_partkey"], "cc": _rev_cc(t)})
 
-    per_part = (
-        li.map_batches(part_partials, batch_format="pyarrow")
-        .groupby("l_partkey")
-        .aggregate(Sum("cc"))
-        .materialize()  # part-scaled, consumed twice (total + filter)
-    )
-    total = int(per_part.sum("sum(cc)") or 0)
+    per_part = grouped_reduce(
+        li.map_batches(eu_lines, batch_format="pyarrow"),
+        "l_partkey",
+        {"cc": ("cc", "sum")},
+    ).materialize()  # part-scaled, consumed twice (total + filter)
+    total = int(per_part.sum("cc") or 0)
     if total == 0:
         return pa.table(
             {
@@ -9609,15 +8812,15 @@ def q11_important_parts(sf_dir: str):
         )
     win = per_part.map_batches(
         lambda t: t.filter(
-            pc.greater(pc.multiply(t["sum(cc)"], pa.scalar(1000, pa.int64())), total)
+            pc.greater(pc.multiply(t["cc"], pa.scalar(1000, pa.int64())), total)
         ),
         batch_format="pyarrow",
     ).take_all()  # <= 999 rows by construction
-    win.sort(key=lambda r: (-int(r["sum(cc)"]), int(r["l_partkey"])))
+    win.sort(key=lambda r: (-int(r["cc"]), int(r["l_partkey"])))
     return pa.table(
         {
             "p_partkey": pa.array([int(r["l_partkey"]) for r in win], pa.int64()),
-            "value_centicents": pa.array([int(r["sum(cc)"]) for r in win], pa.int64()),
+            "value_centicents": pa.array([int(r["cc"]) for r in win], pa.int64()),
         }
     )
 
@@ -9633,7 +8836,7 @@ def q16_supplier_part_counts(sf_dir: str):
     multi-col distinct collapses blocks, then the global distinct runs on
     ONE packed int64 (grp << 31 | suppkey — CLAUDE.md multi-col groupby
     rule) and a grid-bounded groupby-sum counts suppliers per group."""
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     from ..stages.joins import broadcast_lookup_join
 
@@ -9727,23 +8930,16 @@ def q16_supplier_part_counts(sf_dir: str):
         .aggregate(Count())  # global distinct on the packed key
     )
 
-    def grp_partials(t: pa.Table) -> pa.Table:
-        grp = t["pk"].to_numpy(zero_copy_only=False) >> 31
-        g = (
-            pa.table(
-                {"grp": pa.array(grp), "n": pa.array(np.ones(len(grp), np.int64))}
-            )
-            .group_by(["grp"])
-            .aggregate([("n", "sum")])
-        )
-        return g.rename_columns(["grp", "n"])
-
-    rows = (
-        distinct_pairs.map_batches(grp_partials, batch_format="pyarrow")
-        .groupby("grp")
-        .aggregate(Sum("n"))
-        .take_all()  # grid-bounded: |brands| x |types| x |sizes|
-    )
+    rows = grouped_reduce(
+        distinct_pairs.map_batches(
+            lambda t: pa.table(
+                {"grp": pa.array(t["pk"].to_numpy(zero_copy_only=False) >> 31)}
+            ),
+            batch_format="pyarrow",
+        ),
+        "grp",
+        {"n": (None, "count_all")},
+    ).take_all()  # grid-bounded: |brands| x |types| x |sizes|
     binv = {i: s for s, i in bdict.items()}
     tinv = {i: s for s, i in tdict.items()}
     recs = [
@@ -9751,7 +8947,7 @@ def q16_supplier_part_counts(sf_dir: str):
             binv[int(r["grp"]) >> 10],
             tinv[(int(r["grp"]) >> 6) & 15],
             int(r["grp"]) & 63,
-            int(r["sum(n)"]),
+            int(r["n"]),
         )
         for r in rows
     ]
@@ -9778,8 +8974,6 @@ def q20_volume_share_suppliers(sf_dir: str):
     broadcast back over the pair aggregate (`_dim_lookup` budget guard);
     winner supplier ids are output-sized and names attach to them only."""
     import ray.data as rd
-
-    from ray.data.aggregate import Sum
 
     from ..stages.dedup import id_set_filter
 
@@ -9816,46 +9010,23 @@ def q20_volume_share_suppliers(sf_dir: str):
         .materialize()  # O(blue 1996 lines); feeds pairs + totals
     )
 
-    def pair_partials(t: pa.Table) -> pa.Table:
+    def pack_pair(t: pa.Table) -> pa.Table:
         pk_arr = t["l_partkey"].to_numpy(zero_copy_only=False)
         sk = t["l_suppkey"].to_numpy(zero_copy_only=False)
         if len(sk) and (sk.max() >= (1 << 31) or pk_arr.max() >= (1 << 31)):
             raise ValueError("q20: key exceeds the 31-bit pack range")
         packed = (pk_arr.astype(np.int64) << 31) | sk.astype(np.int64)
-        return (
-            pa.table({"pk": pa.array(packed), "q": t["q"]})
-            .group_by(["pk"])
-            .aggregate([("q", "sum")])
-            .rename_columns(["pk", "q"])
-        )
+        return pa.table({"pk": pa.array(packed), "q": t["q"]})
 
-    pairs = (
-        bl.map_batches(pair_partials, batch_format="pyarrow")
-        .groupby("pk")
-        .aggregate(Sum("q"))
+    pairs = grouped_reduce(
+        bl.map_batches(pack_pair, batch_format="pyarrow"), "pk", {"q": ("q", "sum")}
     )
-    totals = (
-        bl.map_batches(
-            lambda t: pa.table({"l_partkey": t["l_partkey"], "q": t["q"]})
-            .group_by(["l_partkey"])
-            .aggregate([("q", "sum")])
-            .rename_columns(["l_partkey", "q"]),
-            batch_format="pyarrow",
-        )
-        .groupby("l_partkey")
-        .aggregate(Sum("q"))
-    )
-    tot_ref = _dim_lookup(
-        totals.map_batches(
-            lambda t: t.rename_columns(["l_partkey", "tq"]), batch_format="pyarrow"
-        ),
-        "l_partkey",
-        ["tq"],
-    )
+    totals = grouped_reduce(bl, "l_partkey", {"tq": ("q", "sum")})
+    tot_ref = _dim_lookup(totals, "l_partkey", ["tq"])
 
     def winners(t: pa.Table) -> pa.Table:
         pk = t["pk"].to_numpy(zero_copy_only=False)
-        sq = t["sum(q)"].to_numpy(zero_copy_only=False)
+        sq = t["q"].to_numpy(zero_copy_only=False)
         part = pk >> 31
         member, pos, attrs = _dim_probe(tot_ref, part)
         if not member.all():
@@ -9955,27 +9126,8 @@ def user_type_degree_histogram(sf_dir: str):
     count-groupbys — the degree stream is |users| rows, the result <=
     |types| rows."""
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
-    vocab_rows = (
-        ev.select_columns(["event_type"])
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "event_type": pa.array(
-                        np.unique(
-                            t["event_type"].to_numpy(zero_copy_only=False)
-                        ).tolist(),
-                        pa.string(),
-                    )
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .unique("event_type")
-    )
-    vocab = np.sort(np.array(vocab_rows, dtype=object))
-    vocab_pa = pa.array(vocab.tolist(), pa.string())
-    bits = max(int(np.ceil(np.log2(max(len(vocab), 2)))), 1)
+    vocab_pa = _event_type_vocab(sf_dir)
+    bits = max(int(np.ceil(np.log2(max(len(vocab_pa), 2)))), 1)
 
     def pre(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy(zero_copy_only=False)
@@ -10388,23 +9540,17 @@ def cbf_open_orders_lineitems(sf_dir: str, broadcast_max: int = 4_000_000):
             num_partitions=16,
         ).select_columns(["l_orderkey", "l_linestatus", "l_quantity"])
 
-    def pre(t: pa.Table) -> pa.Table:
-        qty = pc.cast(_oround(t["l_quantity"]), pa.int64())
-        return (
-            pa.table({"l_linestatus": t["l_linestatus"], "qty": qty, "one": qty})
-            .group_by(["l_linestatus"])
-            .aggregate([("qty", "sum"), ("one", "count")])
-            .rename_columns(["l_linestatus", "sum_qty", "n_lines"])
-        )
-
-    return (
-        exact.map_batches(pre, batch_format="pyarrow")
-        .groupby("l_linestatus")
-        .sum(["sum_qty", "n_lines"], ignore_nulls=True)
-        .map_batches(
-            lambda t: t.rename_columns(["l_linestatus", "sum_qty", "n_lines"]),
-            batch_format="pyarrow",
-        )
+    qty = exact.map_batches(
+        lambda t: pa.table(
+            {
+                "l_linestatus": t["l_linestatus"],
+                "qty": pc.cast(_oround(t["l_quantity"]), pa.int64()),
+            }
+        ),
+        batch_format="pyarrow",
+    )
+    return grouped_reduce(
+        qty, "l_linestatus", {"sum_qty": ("qty", "sum"), "n_lines": ("qty", "count")}
     )
 
 
@@ -10439,23 +9585,10 @@ def events_range_layout(sf_dir: str, k: int = 8):
     bounds = range_boundaries(cents_ds(), "c", k)
     tagged = assign_range_buckets(cents_ds(), "c", bounds)
 
-    def pre(t: pa.Table) -> pa.Table:
-        return (
-            t.group_by(["bucket"])
-            .aggregate([("c", "count"), ("c", "min"), ("c", "max")])
-            .rename_columns(["bucket", "n", "min_c", "max_c"])
-        )
-
-    from ray.data.aggregate import Max, Min, Sum
-
-    agg = (
-        tagged.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Min("min_c", alias_name="min_c"),
-            Max("max_c", alias_name="max_c"),
-        )
+    agg = grouped_reduce(
+        tagged,
+        "bucket",
+        {"n": ("c", "count"), "min_c": ("c", "min"), "max_c": ("c", "max")},
     )
     return agg.map_batches(
         lambda t: t.sort_by("bucket"), batch_format="pyarrow"
@@ -10495,28 +9628,20 @@ def customer_rfm_segments(sf_dir: str, k: int = 4):
             pc.cast(t["o_orderdate"], pa.int64()),
             pa.scalar(86_400_000_000, pa.int64()),
         )
-        g = (
-            pa.table(
-                {"c": t["o_custkey"], "day": day, "cents": cents, "one": cents}
-            )
-            .group_by(["c"])
-            .aggregate([("day", "max"), ("one", "count"), ("cents", "sum")])
-        )
-        return g.rename_columns(["c", "last_day", "n", "cents"])
+        return pa.table({"c": t["o_custkey"], "day": day, "cents": cents})
 
-    from ray.data.aggregate import Max, Sum
-
-    agg = (
-        orders.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("c")
-        .aggregate(
-            Max("last_day", alias_name="last_day"),
-            Sum("n", alias_name="n"),
-            Sum("cents", alias_name="cents"),
-        )
-        .materialize()  # |customers|-bounded; reused by the fused
-        # boundary pass, the native max, and the segment-tagging pass
-    )
+    # frequency is count(*), like the SQL twin: an order with a NULL
+    # price still counts
+    agg = grouped_reduce(
+        orders.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True),
+        "c",
+        {
+            "last_day": ("day", "max"),
+            "n": (None, "count_all"),
+            "cents": ("cents", "sum"),
+        },
+    ).materialize()  # |customers|-bounded; reused by the fused
+    # boundary pass, the native max, and the segment-tagging pass
     max_day = agg.max("last_day")
 
     def metrics(t: pa.Table) -> pa.Table:
@@ -10543,25 +9668,17 @@ def customer_rfm_segments(sf_dir: str, k: int = 4):
             out[col[0] + "_seg"] = pa.array(
                 1 + np.searchsorted(bounds[col], v, side="left").astype(np.int64)
             )
-        out["n_customers"] = pa.array(np.ones(t.num_rows, np.int64))
-        out["sum_cents"] = t["monetary"]
-        g = (
-            pa.table(out)
-            .group_by(["r_seg", "f_seg", "m_seg"])
-            .aggregate([("n_customers", "sum"), ("sum_cents", "sum")])
-        )
-        return g.rename_columns(
-            ["r_seg", "f_seg", "m_seg", "n_customers", "sum_cents"]
-        )
+        out["monetary"] = t["monetary"]
+        return pa.table(out)
 
-    grid = (
-        mds.map_batches(seg, batch_format="pyarrow")
-        .groupby(["r_seg", "f_seg", "m_seg"])
-        .sum(["n_customers", "sum_cents"], ignore_nulls=True)
+    grid = grouped_reduce(
+        mds.map_batches(seg, batch_format="pyarrow"),
+        ["r_seg", "f_seg", "m_seg"],
+        {"n_customers": (None, "count_all"), "sum_cents": ("monetary", "sum")},
     )
     return grid.map_batches(
-        lambda t: t.rename_columns(
-            ["r_seg", "f_seg", "m_seg", "n_customers", "sum_cents"]
-        ).sort_by([("r_seg", "ascending"), ("f_seg", "ascending"), ("m_seg", "ascending")]),
+        lambda t: t.sort_by(
+            [("r_seg", "ascending"), ("f_seg", "ascending"), ("m_seg", "ascending")]
+        ),
         batch_format="pyarrow",
     )

@@ -1,11 +1,11 @@
-"""Generic Ray Data aggregation adapter for any ``Sketch``.
+"""Ray Data aggregation adapters: ``SketchAgg`` and ``grouped_reduce``.
 
-One ``AggregateFnV2`` subclass wraps every sketch kind (the reference's
-implicit filter duck-type made explicit — SURVEY.md §2.5): Ray's aggregate
-machinery executes the partial-per-block build and the hierarchical
-``combine`` inside the shuffle, which is exactly the reference's
-``BloomFilter.Merge`` (bloom.go:241-260) generalized to all sketches.
-Its per-block update is the build leaf's ``update_chunked``
+``SketchAgg`` is one ``AggregateFnV2`` subclass that wraps every sketch kind
+(the reference's implicit filter duck-type made explicit — SURVEY.md §2.5):
+Ray's aggregate machinery executes the partial-per-block build and the
+hierarchical ``combine`` inside the shuffle, which is exactly the
+reference's ``BloomFilter.Merge`` (bloom.go:241-260) generalized to all
+sketches. Its per-block update is the build leaf's ``update_chunked``
 (stages/builder.py), so a block's padded key matrices stay under the
 murmur3 byte budget here too.
 
@@ -18,6 +18,9 @@ Geometry preconditions (bloom.go:242-247) are enforced structurally: every
 partial is constructed from the same plan-time-frozen :class:`SketchSpec`, so
 ``merge`` never sees mismatched (k, bit_width).
 
+``grouped_reduce`` is the one exact grouped sum/count/min/max: a per-block
+``pa.Table.group_by`` partial, then one Ray groupby over the partials.
+
 Usage::
 
     from sprout_ray.kernel import SketchSpec
@@ -25,13 +28,14 @@ Usage::
         SketchAgg(SketchSpec.of("hll", 14), on="repo",
                   finalizer=lambda s: s.estimate(),
                   alias_name="repo_card"))                     # grouped
+    counts = grouped_reduce(ds, "lang", {"n": (None, "count_all")})
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
-from ray.data.aggregate import AggregateFnV2
+from ray.data.aggregate import AggregateFnV2, Max, Min, Sum
 from ray.data.block import Block, BlockAccessor
 
 from ..kernel.sketch import SketchSpec
@@ -71,3 +75,47 @@ class SketchAgg(AggregateFnV2):
         if self._finalizer is not None:
             return self._finalizer(accumulator)
         return accumulator.to_bytes()
+
+
+# how each op's per-block partials merge across blocks
+_MERGE = {"sum": Sum, "count": Sum, "count_all": Sum, "min": Min, "max": Max}
+
+
+def grouped_reduce(
+    ds, keys: str | Sequence[str], aggs: dict[str, tuple[str | None, str]]
+):
+    """Exact grouped aggregate ``{out_name: (column, op)}`` over ``ds``.
+
+    ``op`` is one of ``sum``, ``count`` (non-null values of ``column``),
+    ``count_all`` (rows, like SQL ``count(*)``; ``column`` is ignored),
+    ``min`` and ``max``. Output: the key columns first, then one column per
+    ``aggs`` entry in order; sums and counts are int64 for integer input.
+
+    Ray Data's sort-shuffle groupby has no map-side combine: a bare groupby
+    over a fat stream sort-shuffles every row even when there are few
+    groups. So each block is first reduced by ``pa.Table.group_by`` to one
+    partial row per key, and only those |keys|-bounded partials reach the
+    exchange, where one Ray groupby merges them (sums and counts by
+    ``Sum``, mins by ``Min``, maxes by ``Max``, nulls ignored).
+    pyarrow 16's ``group_by(keys).aggregate(...)`` emits the key columns
+    first, then the aggregates in call order; the partial's rename relies
+    on that order. The merge's ``alias_name`` names the output columns.
+
+    The caller's column prep stays a ``map_batches`` just before this call;
+    Ray fuses adjacent map stages, so prep and partial run in one task.
+    Keys that are almost all unique gain nothing from the partial: there,
+    call the Ray groupby directly.
+    """
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    spec = [([], "count_all") if op == "count_all" else (col, op) for col, op in aggs.values()]
+    names = keys + list(aggs)
+
+    def partial(t):
+        return t.group_by(keys).aggregate(spec).rename_columns(names)
+
+    merges = [_MERGE[op](name, alias_name=name) for name, (_, op) in aggs.items()]
+    return (
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby(keys)
+        .aggregate(*merges)
+    )

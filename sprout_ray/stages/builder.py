@@ -236,15 +236,18 @@ def tree_reduce(leaf_ds, specs: dict) -> dict:
         partial_rows.extend(tbl.to_pylist())
     # merge the kinds concurrently: zlib decompress + numpy merges release
     # the GIL, so threads parallelize the (small) driver-side reduce (empty
-    # input: merge_partials returns a fresh sketch per kind)
-    built = {}
-    with ThreadPoolExecutor(max_workers=min(len(spec_items), 8)) as pool:
-        futures = {
-            name: pool.submit(merge_partials, [r[name] for r in partial_rows], spec)
-            for name, spec in spec_items
-        }
-        for name, fut in futures.items():
-            built[name] = fut.result()
+    # input: merge_partials returns a fresh sketch per kind). One kind has
+    # nothing to overlap: merge it inline rather than start a pool thread.
+    if len(spec_items) == 1:
+        (name, spec), = spec_items
+        built = {name: merge_partials([r[name] for r in partial_rows], spec)}
+    else:
+        with ThreadPoolExecutor(max_workers=min(len(spec_items), 8)) as pool:
+            futures = {
+                name: pool.submit(merge_partials, [r[name] for r in partial_rows], spec)
+                for name, spec in spec_items
+            }
+            built = {name: fut.result() for name, fut in futures.items()}
     built["_rows"] = sum(r["rows"] for r in partial_rows)
     return built
 

@@ -50,11 +50,9 @@ def exact_dedup(
     shuffle of content. Beyond that, a distributed hash SEMI-JOIN of ``ds``
     against the survivor ids runs instead (ids alone at 10^12 rows dwarf any
     single node's memory, so the broadcast path cannot be the default)."""
-    firsts = ds.groupby(key_col).min(id_col, ignore_nulls=True)
-    keep = firsts.map_batches(
-        lambda t: t.rename_columns([key_col, id_col]),
-        batch_format="pyarrow",
-    )
+    from ray.data.aggregate import Min
+
+    keep = ds.groupby(key_col).aggregate(Min(id_col, alias_name=id_col))
     if keep_cols is None:
         return keep
     import ray
@@ -1447,6 +1445,7 @@ def connected_components_distributed(
     auto-clamped to a couple of partitions.
     """
     import ray
+    from ray.data.aggregate import Min
 
     def both_dirs(t: pa.Table) -> pa.Table:
         left = t["left_id"].to_numpy(zero_copy_only=False)
@@ -1569,11 +1568,7 @@ def connected_components_distributed(
         propagated = (
             labels.union(msgs)
             .groupby(id_col)
-            .min("cluster", ignore_nulls=True)
-            .map_batches(
-                lambda t: t.rename_columns([id_col, "cluster"]),
-                batch_format="pyarrow",
-            )
+            .aggregate(Min("cluster", alias_name="cluster"))
             .materialize()  # consumed twice by the self-join below
         )
         # pointer jump: cluster := cluster-of-cluster (labels are node ids
@@ -2045,6 +2040,7 @@ def span_dedup_stats(
     before the tiny doc-cardinality groupby; per-doc span totals ride a
     separate cheap scan and merge via a marker-column union instead of a
     join (one doc-cardinality shuffle, zero join actors)."""
+    from ray.data.aggregate import Sum
 
     def explode(t: pa.Table) -> pa.Table:
         # per-block combiner: local min-pack per span shrinks the exchange
@@ -2104,10 +2100,13 @@ def span_dedup_stats(
 
     totals = ds.map_batches(total_counts, batch_format="pyarrow")
 
-    merged = totals.union(kept).groupby(id_col).sum(["n_spans", "n_kept"])
+    merged = (
+        totals.union(kept)
+        .groupby(id_col)
+        .aggregate(Sum("n_spans", alias_name="n_spans"), Sum("n_kept", alias_name="n_kept"))
+    )
 
     def finish(t: pa.Table) -> pa.Table:
-        t = t.rename_columns([id_col, "n_spans", "n_kept"])
         return t.append_column(
             "n_dropped", pc.subtract(t["n_spans"], t["n_kept"])
         )

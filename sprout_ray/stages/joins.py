@@ -272,6 +272,8 @@ def windowed_range_count(
     corpus size. Anchors with zero events are restored by a left join
     against the count table (count coalesced to 0).
     """
+    from ray.data.aggregate import Count
+
     w_us = window_s * 1_000_000
 
     def prep_events(t: pa.Table) -> pa.Table:
@@ -320,11 +322,7 @@ def windowed_range_count(
     counts = (
         joined.map_batches(in_window, batch_format="pyarrow")
         .groupby(anchor_id)
-        .count()
-        .map_batches(
-            lambda t: t.rename_columns([anchor_id, out_col]),
-            batch_format="pyarrow",
-        )
+        .aggregate(Count(alias_name=out_col))
     )
     ids = anchor_ds.map_batches(
         lambda t: pa.table({anchor_id: pc.cast(t[anchor_id], pa.int64())}),

@@ -28,6 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import grouped_reduce
+
 
 def _boundaries_from_hist(vs: np.ndarray, cum: np.ndarray, k: int) -> np.ndarray:
     """percentile_disc(i/k) boundaries from a sorted (value, cumcount)
@@ -51,22 +53,12 @@ def range_boundaries(
     if k < 2:
         raise ValueError("k must be >= 2")
 
-    def block_hist(t: pa.Table) -> pa.Table:
-        g = (
-            t.select([col])
-            .drop_null()
-            .group_by([col])
-            .aggregate([(col, "count")])
-        )
-        return g.rename_columns(["v", "cnt"]).set_column(
-            1, "cnt", g[f"{col}_count"].cast(pa.int64())
-        )
-
-    grouped = (
-        ds.map_batches(block_hist, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("v")
-        .sum("cnt")
+    values = ds.map_batches(
+        lambda t: pa.table({"v": t[col]}).drop_null(),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
+    grouped = grouped_reduce(values, "v", {"cnt": ("v", "count")})
     try:
         hist = grouped.to_pandas(limit=max_hist_rows)
     except ValueError as e:
@@ -78,7 +70,7 @@ def range_boundaries(
         raise ValueError("range_boundaries: empty input")
     hist = hist.sort_values("v")
     return _boundaries_from_hist(
-        hist["v"].to_numpy(), hist["sum(cnt)"].cumsum().to_numpy(), k
+        hist["v"].to_numpy(), hist["cnt"].cumsum().to_numpy(), k
     )
 
 
@@ -281,6 +273,8 @@ def write_zorder_partitioned(
         )
 
     z_max = z_ds().max(zcol)
+    if z_max is None:
+        raise ValueError("write_zorder_partitioned: empty input")
     shift = max(0, int(z_max).bit_length() - boundary_bits)
     coarse = z_ds().map_batches(
         lambda t: pa.table(

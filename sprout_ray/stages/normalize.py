@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from .agg import grouped_reduce
+
 
 def zscore_by_group(
     ds,
@@ -53,34 +55,25 @@ def zscore_by_group(
 
     u = ds.map_batches(units, batch_format="pyarrow", zero_copy_batch=True)
 
-    def block_moments(t: pa.Table) -> pa.Table:
+    def powers(t: pa.Table) -> pa.Table:
         c = t["_c"].to_numpy(zero_copy_only=False)
-        g = (
-            pa.table(
-                {
-                    key: t[key],
-                    "_s": t["_c"],
-                    "_q": pa.array(c * c, pa.int64()),
-                    "_a": pa.array(np.abs(c), pa.int64()),
-                }
-            )
-            .group_by([key])
-            .aggregate([("_s", "sum"), ("_q", "sum"), ("_a", "max"), ("_s", "count")])
+        return pa.table(
+            {
+                key: t[key],
+                "_c": t["_c"],
+                "_q": pa.array(c * c, pa.int64()),
+                "_a": pa.array(np.abs(c), pa.int64()),
+            }
         )
-        # pyarrow 16 emits key first, then aggregates in call order
-        return g.rename_columns([key, "_s", "_q", "_a", "_n"])
 
-    from ray.data.aggregate import Max, Sum
-
-    stats = (
-        u.map_batches(block_moments, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(key)
-        .aggregate(Sum("_s"), Sum("_q"), Max("_a"), Sum("_n"))
-        .take_all()
-    )  # O(groups) rows — the only driver materialization
+    stats = grouped_reduce(
+        u.map_batches(powers, batch_format="pyarrow", zero_copy_batch=True),
+        key,
+        {"_s": ("_c", "sum"), "_q": ("_q", "sum"), "_a": ("_a", "max"), "_n": ("_c", "count")},
+    ).take_all()  # O(groups) rows — the only driver materialization
     gkeys, means, stds = [], [], []
     for r in stats:
-        s, q, a, n = r["sum(_s)"], r["sum(_q)"], r["max(_a)"], r["sum(_n)"]
+        s, q, a, n = r["_s"], r["_q"], r["_a"], r["_n"]
         if n * a * a >= (1 << 62):
             raise ValueError(
                 f"zscore_by_group: group {r[key]!r} risks int64 overflow in "

@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import token_count_column
+from .agg import grouped_reduce
 
 
 def _round6(x):
@@ -355,25 +356,14 @@ def unigram_logprob_scores(
     from ..stages.similarity import _BM25_S1, _BM25_S2, _bm25_match, _bm25_tokenize
     from ..functions.hashing import murmur_column
 
-    def tf_partial(t: pa.Table) -> pa.Table:
-        flat, _parents = _bm25_tokenize(t, text_col)
-        part = (
-            pa.table({"token": flat})
-            .group_by(["token"])
-            .aggregate([("token", "count")])
-        )
-        return part.rename_columns(["token", "tf"])
-
-    grouped = (
-        ds.select_columns([text_col])
-        .map_batches(tf_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("token")
-        .sum("tf", ignore_nulls=True)
-        .rename_columns({"sum(tf)": "tf"})
-        # O(distinct tokens) — corpus-size-independent; materializing here
-        # keeps the sum + sort consumers from re-running the corpus scan.
-        .materialize()
+    tokens = ds.select_columns([text_col]).map_batches(
+        lambda t: pa.table({"token": _bm25_tokenize(t, text_col)[0]}),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
+    # O(distinct tokens) — corpus-size-independent; materializing here
+    # keeps the sum + sort consumers from re-running the corpus scan.
+    grouped = grouped_reduce(tokens, "token", {"tf": ("token", "count")}).materialize()
     n_total = int(grouped.sum("tf", ignore_nulls=True) or 0)
     if n_total == 0:
         # schema-bearing pa.Table, not a Dataset: a 0-row Dataset drops
@@ -663,40 +653,26 @@ def dsir_importance_scores(
     from ..functions.hashing import murmur_column
     from ..stages.similarity import _BM25_S1, _BM25_S2
 
-    def tf_partial(t: pa.Table) -> pa.Table:
+    def gram_hits(t: pa.Table) -> pa.Table:
         grams, gparents = _word_bigrams(t, text_col)
         if len(grams) == 0:
             return pa.table(
-                {
-                    "gram": pa.array([], pa.string()),
-                    "tf": pa.array([], pa.int64()),
-                    "tf_t": pa.array([], pa.int64()),
-                }
+                {"gram": pa.array([], pa.string()), "hit": pa.array([], pa.int64())}
             )
         is_t = pc.equal(
             pc.fill_null(t[target_col], ""), target_value
         ).to_numpy(zero_copy_only=False)
-        part = (
-            pa.table(
-                {
-                    "gram": grams,
-                    "one": pa.array(np.ones(len(grams), np.int64)),
-                    "hit": pa.array(is_t[gparents].astype(np.int64)),
-                }
-            )
-            .group_by(["gram"])
-            .aggregate([("one", "sum"), ("hit", "sum")])
+        return pa.table(
+            {"gram": grams, "hit": pa.array(is_t[gparents].astype(np.int64))}
         )
-        return part.rename_columns(["gram", "tf", "tf_t"])
 
-    grouped = (
-        ds.select_columns([target_col, text_col])
-        .map_batches(tf_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("gram")
-        .sum(["tf", "tf_t"], ignore_nulls=True)
-        .rename_columns({"sum(tf)": "tf", "sum(tf_t)": "tf_t"})
-        .materialize()  # O(distinct grams), read by 2 sorts + 2 sums
-    )
+    grouped = grouped_reduce(
+        ds.select_columns([target_col, text_col]).map_batches(
+            gram_hits, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "gram",
+        {"tf": (None, "count_all"), "tf_t": ("hit", "sum")},
+    ).materialize()  # O(distinct grams), read by 2 sorts + 2 sums
     n_raw = int(grouped.sum("tf", ignore_nulls=True) or 0)
     n_tgt = int(grouped.sum("tf_t", ignore_nulls=True) or 0)
     empty = pa.table(
@@ -807,24 +783,16 @@ def pmi_collocations(
             [flat.combine_chunks() if isinstance(flat, pa.ChunkedArray) else flat, grams]
         )
         if len(keys) == 0:
-            return pa.table(
-                {"gram": pa.array([], pa.string()), "tf": pa.array([], pa.int64())}
-            )
-        out = (
-            pa.table({"gram": keys})
-            .group_by(["gram"])
-            .aggregate([("gram", "count")])
-        )
-        return out.rename_columns(["gram", "tf"])
+            return pa.table({"gram": pa.array([], pa.string())})
+        return pa.table({"gram": keys})
 
-    grouped = (
-        ds.select_columns([text_col])
-        .map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("gram")
-        .sum("tf", ignore_nulls=True)
-        .rename_columns({"sum(tf)": "tf"})
-        .materialize()  # O(distinct grams); read by totals + both join sides
-    )
+    grouped = grouped_reduce(
+        ds.select_columns([text_col]).map_batches(
+            part, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "gram",
+        {"tf": ("gram", "count")},
+    ).materialize()  # O(distinct grams); read by totals + both join sides
 
     def split_kind(t: pa.Table, want_bigrams: bool) -> pa.Table:
         isb = pc.match_substring(t["gram"], " ")

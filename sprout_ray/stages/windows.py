@@ -25,6 +25,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import grouped_reduce
+
 _US = 1_000_000
 
 
@@ -36,27 +38,8 @@ def add_tumbling_window(batch: pa.Table, ts_col: str = "ts", size_s: int = 3600,
     return batch.append_column(out, win)
 
 
-def _window_count_rollup(parts_ds, key: str):
-    """Groupby-sum of per-block (key, window, n, sum_value_micro) partials
-    — only |keys x windows-per-block|-bounded rows reach the shuffle
-    (time-clustered blocks thin far below that)."""
-    return (
-        parts_ds.groupby([key, "window"])
-        .sum(["n", "sum_value_micro"], ignore_nulls=True)
-        .map_batches(
-            lambda t: t.rename_columns(
-                [key, "window", "n", "sum_value_micro"]
-            ),
-            batch_format="pyarrow",
-        )
-    )
-
-
 def tumbling_counts(ds, key: str = "event_type", ts_col: str = "ts", size_s: int = 3600):
-    """Per-(key, window) count + value sum in integer micro-units.
-
-    Per-block pre-agg -> groupby-sum: the shuffle carries partials, never
-    the event stream."""
+    """Per-(key, window) count + value sum in integer micro-units."""
 
     def prep(t: pa.Table) -> pa.Table:
         t = add_tumbling_window(t, ts_col=ts_col, size_s=size_s)
@@ -69,21 +52,15 @@ def tumbling_counts(ds, key: str = "event_type", ts_col: str = "ts", size_s: int
             ),
             pa.int64(),
         )
-        g = (
-            pa.table(
-                {
-                    key: t[key],
-                    "window": t["window"],
-                    "value_micro": vmicro,
-                }
-            )
-            .group_by([key, "window"])
-            .aggregate([("value_micro", "count"), ("value_micro", "sum")])
+        return pa.table(
+            {key: t[key], "window": t["window"], "value_micro": vmicro}
         )
-        return g.rename_columns([key, "window", "n", "sum_value_micro"])
 
-    parts = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    return _window_count_rollup(parts, key)
+    return grouped_reduce(
+        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        [key, "window"],
+        {"n": ("value_micro", "count"), "sum_value_micro": ("value_micro", "sum")},
+    )
 
 
 def sessionize(ds, key: str = "user_id", ts_col: str = "ts", id_col: str = "event_id", gap_s: int = 1800):
@@ -241,23 +218,21 @@ def hopping_counts(
             ),
             pa.int64(),
         ).to_numpy(zero_copy_only=False)
-        g = (
-            pa.table(
-                {
-                    key: t[key].take(pa.array(idx, pa.int64())),
-                    "window": pa.array(windows, pa.int64()),
-                    "value_micro": pa.array(vmicro[idx], pa.int64()),
-                }
-            )
-            .group_by([key, "window"])
-            .aggregate([("value_micro", "count"), ("value_micro", "sum")])
+        return pa.table(
+            {
+                key: t[key].take(pa.array(idx, pa.int64())),
+                "window": pa.array(windows, pa.int64()),
+                "value_micro": pa.array(vmicro[idx], pa.int64()),
+            }
         )
-        # per-block pre-agg folds the size/hop fan-out right back down for
-        # time-clustered blocks before the shuffle
-        return g.rename_columns([key, "window", "n", "sum_value_micro"])
 
-    parts = ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    return _window_count_rollup(parts, key)
+    # the per-block partial folds the size/hop fan-out right back down for
+    # time-clustered blocks before the shuffle
+    return grouped_reduce(
+        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
+        [key, "window"],
+        {"n": ("value_micro", "count"), "sum_value_micro": ("value_micro", "sum")},
+    )
 
 
 def cumulative_by_key(
@@ -952,6 +927,7 @@ def grouped_weighted_median(
     weights must already be integers (the repo's integer-unit convention).
     """
     import ray
+    from ray.data.aggregate import Min
 
     for c in (val_col, weight_col):
         if not pa.types.is_integer(ds.schema().base_schema.field(c).type):
@@ -993,10 +969,5 @@ def grouped_weighted_median(
 
     hits = cum.map_batches(select, batch_format="pyarrow")
     return (
-        hits.groupby(key)
-        .min(val_col)
-        .map_batches(
-            lambda t: t.rename_columns([key, out_col]), batch_format="pyarrow"
-        )
-        .sort(key)
+        hits.groupby(key).aggregate(Min(val_col, alias_name=out_col)).sort(key)
     )

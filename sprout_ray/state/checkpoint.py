@@ -24,7 +24,8 @@ requested spec and column AND its lineage lists exactly the partition's
 current input files. Every other partition is rebuilt by one streaming
 scan of its files and checkpointed the moment it finishes; a checkpoint
 that was present but stale (by spec, column, lineage, or an older file
-format) is counted in ``metrics['invalidated']``. A crash mid-run loses at most the in-flight
+format) is counted in ``metrics['invalidated']``, as is each checkpoint
+past the current partition count, which the rerun deletes. A crash mid-run loses at most the in-flight
 partitions.
 
 Reading a directory back as ONE sketch (the CLI's probe/stats/merge) goes
@@ -43,6 +44,11 @@ import pyarrow.parquet as pq
 
 from ..kernel.sketch import SketchSpec, sketch_from_bytes
 from ..stages.builder import merge_partials, update_block
+
+
+# pending partition tasks in flight at once, so a long file list doesn't
+# flood the cluster
+_MAX_IN_FLIGHT = 16
 
 
 class CheckpointDirError(ValueError):
@@ -144,7 +150,6 @@ def build_multi_with_checkpoints(
     specs: dict,
     ckpt_dir: str,
     files_per_partition: int = 1,
-    max_concurrency: int = 16,
     derive=None,
 ):
     """Resumable multi-sketch build: ``specs`` = name -> (SketchSpec, on).
@@ -156,8 +161,11 @@ def build_multi_with_checkpoints(
     resumes only when its checkpoint covers every requested sketch with
     matching spec, column and lineage; otherwise the whole partition rebuilds (the
     scan is shared, so per-sketch resume would re-read the files anyway).
-    Pending partitions build concurrently, at most ``max_concurrency`` in
-    flight. Returns ({name: sketch}, metrics), metrics holding
+    Pending partitions build concurrently, at most ``_MAX_IN_FLIGHT`` in
+    flight. Checkpoints whose partition id is at or past the current
+    partition count (left by a run with a smaller ``files_per_partition``)
+    are deleted and counted as invalidated, so the finished directory reads
+    back with :func:`read_checkpoint_dir`. Returns ({name: sketch}, metrics), metrics holding
     ``partitions``, ``built``, ``resumed``, ``invalidated`` and ``rows``."""
     import ray
 
@@ -170,6 +178,9 @@ def build_multi_with_checkpoints(
     done = completed_partitions(ckpt_dir, specs)
     metrics = {"partitions": len(parts), "built": 0, "resumed": 0,
                "invalidated": 0, "rows": 0}
+    for pid in sorted(p for p in done if p >= len(parts)):
+        os.remove(os.path.join(ckpt_dir, f"part-{pid:05d}.parquet"))
+        metrics["invalidated"] += 1
     task = ray.remote(_build_partition)
 
     states: dict = {}  # pid -> {name: serialized sketch}
@@ -196,8 +207,7 @@ def build_multi_with_checkpoints(
         if pid in done:
             metrics["invalidated"] += 1  # stale spec/column/lineage/format -> rebuild
         pending[task.options(num_cpus=1).remote(files, specs, derive)] = (pid, files)
-        # bound in-flight tasks so a long file list doesn't flood the cluster
-        while len(pending) >= max_concurrency:
+        while len(pending) >= _MAX_IN_FLIGHT:
             drain_one()
     while pending:
         drain_one()

@@ -365,14 +365,16 @@ def test_checkpoint_resume_new_sketch_kinds(corpus, tmp_path):
 
 
 def test_cli_refuses_stale_partitioning(corpus, tmp_path):
-    """A rebuild with another --files-per-partition leaves the old
-    partitions' files beside the new ones; merging them all counted every
-    row of files 2-3 twice. The reader refuses the directory instead."""
+    """A rebuild with a larger --files-per-partition deletes the old
+    partitions past the new count, so the directory it completed reads
+    back. A stale partition file left beside the new ones (merging it
+    would count files 2-3 twice) makes the reader refuse the directory."""
     from sprout_ray import cli
     from sprout_ray.state.checkpoint import (
         CheckpointDirError,
         build_with_checkpoints,
         read_checkpoint_dir,
+        write_partition_checkpoint,
     )
 
     files = _corpus_files(corpus)
@@ -383,7 +385,13 @@ def test_cli_refuses_stale_partitioning(corpus, tmp_path):
     _, m = build_with_checkpoints(
         files, spec, on="lang", ckpt_dir=ck, files_per_partition=2
     )
-    assert m["partitions"] == 2 and m["invalidated"] == 2 and m["rows"] == N_ROWS
+    # partitions 0-1 rebuilt over new lineage, 2-3 deleted
+    assert m["partitions"] == 2 and m["invalidated"] == 4 and m["rows"] == N_ROWS
+    assert read_checkpoint_dir(ck).total == N_ROWS
+    name = "cms(lang)"
+    write_partition_checkpoint(
+        ck, 2, {name: (spec, "lang")}, {name: spec.make().to_bytes()}, 0, files[2:3]
+    )
     with pytest.raises(CheckpointDirError, match="lineage of partitions"):
         read_checkpoint_dir(ck)
     with pytest.raises(CheckpointDirError, match="lineage of partitions"):
