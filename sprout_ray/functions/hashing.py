@@ -16,7 +16,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..kernel.murmur3 import arrow_to_key_matrix, murmur3_64_padded
+from ..kernel.murmur3 import hash_keys
 
 
 def sha256_column(arr: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -36,24 +36,9 @@ def add_sha256(batch: pa.Table, column: str = "content", out: str = "sha256") ->
 
 
 def murmur_column(arr, seed: int = 0) -> np.ndarray:
-    """Vectorized murmur3-64 of an Arrow string/binary column.
-
-    Hashed in length-bucketed spans: the padded key matrix densifies to the
-    longest key in a span, so one multi-MB document must not share a span
-    with thousands of small ones (see murmur3.length_bucketed_spans)."""
-    import pyarrow as pa
-
-    from ..kernel.murmur3 import byte_lengths, length_bucketed_spans
-
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    lengths = byte_lengths(arr)
-    out = np.empty(len(arr), dtype=np.uint64)
-    for start, end in length_bucketed_spans(lengths):
-        sl = arr.slice(start, end - start)
-        mat, ls = arrow_to_key_matrix(sl)
-        out[start:end] = murmur3_64_padded(mat, ls, seed)
-    return out
+    """Vectorized murmur3-64 of an Arrow column under one seed (uint64;
+    key rules and matrix budget as in ``kernel.murmur3.hash_keys``)."""
+    return hash_keys(arr, (seed,))[0]
 
 
 def token_count_column(arr, pattern: str = r"\s+") -> pa.Array:

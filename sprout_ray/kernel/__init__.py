@@ -12,7 +12,7 @@ from .hll import HyperLogLog
 from .kll import KLLSketch
 from .kmv import KMVSketch
 from .misragries import MisraGries
-from .murmur3 import murmur3_64, murmur3_64_batch
+from .murmur3 import hash_keys, murmur3_64
 from .scalable_bloom import GROWTH_LARGE, GROWTH_SMALL, ScalableBloomFilter
 from .sketch import Sketch, SketchSpec, register_sketch
 from .tdigest import TDigest
@@ -34,7 +34,7 @@ __all__ = [
     "SketchSpec",
     "TDigest",
     "derive_params",
+    "hash_keys",
     "murmur3_64",
-    "murmur3_64_batch",
     "register_sketch",
 ]

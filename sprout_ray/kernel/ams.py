@@ -19,8 +19,8 @@ queries: ``median_i sign_i(x) * C[i, h_i(x)]``, unbiased with
 Bucket and sign for row i derive from one murmur3-64 value (seed schedule
 ``97 << (i+1)``, same hash family as bloom.go:111-114 but a disjoint seed
 lane from bloom/CMS): bucket = low bits via modulo, sign = bit 63 — nearly
-independent since ``w << 2^63``. All d rows hash in ONE padded-key-matrix
-traversal (``murmur3_64_padded_multi``, the CMS convention). Merge =
+independent since ``w << 2^63``. All d rows hash in ONE traversal of the keys
+(``hash_keys``, the CMS convention). Merge =
 elementwise signed ADD — exactly associative and commutative over int64,
 so distributed partials combine losslessly.
 """
@@ -31,8 +31,7 @@ import json
 
 import numpy as np
 
-from .bloom import _as_matrix
-from .murmur3 import murmur3_64_padded_multi
+from .murmur3 import hash_keys
 
 
 class AMSF2Sketch:
@@ -47,21 +46,19 @@ class AMSF2Sketch:
         self.counters = np.zeros((self.d, self.w), dtype=np.int64)
         self.n = 0  # total occurrences absorbed
 
-    def _bucket_sign(self, mat, lengths):
-        # one key traversal for all d seeded rows (murmur's key-mixing is
-        # seed-independent); stays uint64 — int64 astype is the slow
+    def _bucket_sign(self, h: np.ndarray):
+        # h: (d, n) hash_keys matrix under self.seeds — one key traversal
+        # for all d rows; stays uint64 — int64 astype is the slow
         # checked-cast path on numpy 1.26, views are free
-        h = murmur3_64_padded_multi(mat, lengths, self.seeds)  # (d, n)
         buckets = h % np.uint64(self.w)
         signs = 1 - 2 * (h >> np.uint64(63)).view(np.int64)
         return buckets, signs
 
     def update_batch(self, keys, counts=None) -> None:
-        mat, lengths = _as_matrix(keys)
-        n = mat.shape[0]
+        buckets, signs = self._bucket_sign(hash_keys(keys, self.seeds))
+        n = buckets.shape[1]
         if n == 0:
             return
-        buckets, signs = self._bucket_sign(mat, lengths)
         if counts is None:
             weights = signs
             self.n += n
@@ -86,10 +83,9 @@ class AMSF2Sketch:
     def point_estimate(self, keys) -> np.ndarray:
         """Signed-median CountSketch frequency estimate per key (float64;
         unbiased, two-sided error sqrt(4*F2/w) w.h.p.)."""
-        mat, lengths = _as_matrix(keys)
-        if mat.shape[0] == 0:
+        buckets, signs = self._bucket_sign(hash_keys(keys, self.seeds))
+        if buckets.shape[1] == 0:
             return np.empty(0, dtype=np.float64)
-        buckets, signs = self._bucket_sign(mat, lengths)
         est = np.stack(
             [signs[i] * self.counters[i][buckets[i]] for i in range(self.d)]
         )

@@ -23,8 +23,8 @@ Unlike the reference (mmap + fslock single-writer), state is a plain numpy
 reference, see bloom.go:130-160 which never restores ``count``) round-trips
 the full metadata including ``count``.
 
-All per-batch operations are vectorized: k seeded murmur3 passes over a
-zero-padded key matrix, then a single ``np.bitwise_or.at`` scatter / gather.
+All per-batch operations are vectorized: one ``hash_keys`` traversal of the
+keys under all k seeds, then a single ``np.bitwise_or.at`` scatter / gather.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .murmur3 import (
-    arrow_to_key_matrix,
-    keys_to_matrix,
-    murmur3_64_padded,
-    murmur3_64_padded_multi,
-)
+from .murmur3 import hash_keys
 
 
 class BloomCapacityError(RuntimeError):
@@ -160,15 +155,14 @@ class BloomFilter:
 
     # ---- probe layout -------------------------------------------------
 
-    def _probe_indices(self, mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def _probe_indices(self, h: np.ndarray) -> np.ndarray:
         """(k, B) uint64 bit indices; slice i owns [i*m, (i+1)*m).
 
-        All k seeded hashes come from ONE traversal of the key matrix
-        (murmur3_64_padded_multi) — the key-mixing half of murmur is
-        seed-independent."""
-        h = murmur3_64_padded_multi(mat, lengths, self.seeds)  # (k, B)
-        m = np.uint64(self.m)
-        h %= m
+        ``h`` is a ``hash_keys`` matrix under (a schedule starting with)
+        this filter's seeds; its first k rows are turned into the indices
+        IN PLACE."""
+        h = h[: self.k]
+        h %= np.uint64(self.m)
         h += (np.uint64(self.m) * np.arange(self.k, dtype=np.uint64))[:, None]
         return h
 
@@ -185,8 +179,8 @@ class BloomFilter:
 
     # ---- core ops -----------------------------------------------------
 
-    def _set_bits(self, mat: np.ndarray, lengths: np.ndarray) -> None:
-        idx = self._probe_indices(mat, lengths)
+    def _set_bits(self, h: np.ndarray) -> None:
+        idx = self._probe_indices(h)
         if self._bits is None:
             flat = idx.ravel()
             self._pending.append(flat)
@@ -202,15 +196,15 @@ class BloomFilter:
         """Add keys; mirrors per-row Add semantics: once count reaches
         capacity, remaining keys raise BloomCapacityError (bloom.go:170-172).
         Keys up to the boundary ARE added before the error is raised."""
-        mat, lengths = _as_matrix(keys)
-        n = mat.shape[0]
+        h = hash_keys(keys, self.seeds)
+        n = h.shape[1]
         room = self.capacity - self.count
         if room <= 0 and n > 0:
             raise BloomCapacityError(
                 f"BloomFilter has reached full capacity {self.capacity}"
             )
         take = min(n, room)
-        self._set_bits(mat[:take], lengths[:take])
+        self._set_bits(h[:, :take])
         self.count += take
         if take < n:
             raise BloomCapacityError(
@@ -222,9 +216,10 @@ class BloomFilter:
 
     def contains_batch(self, keys) -> np.ndarray:
         """Boolean array: True = maybe present (never a false negative)."""
-        mat, lengths = _as_matrix(keys)
-        idx = self._probe_indices(mat, lengths)
-        byte_idx, masks = self._bit_addr(idx)
+        return self._contains_hashes(hash_keys(keys, self.seeds))
+
+    def _contains_hashes(self, h: np.ndarray) -> np.ndarray:
+        byte_idx, masks = self._bit_addr(self._probe_indices(h))
         return ((self.bits[byte_idx] & masks) != 0).all(axis=0)
 
     def contains(self, key) -> bool:
@@ -392,16 +387,3 @@ class BloomFilter:
             np.bitwise_or(self.bits, view, out=self.bits)
         self.count += meta["count"]
 
-
-def _as_matrix(keys) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize keys (Arrow array, padded-matrix tuple, or sequence)."""
-    if isinstance(keys, tuple) and len(keys) == 2:
-        return keys
-    try:
-        import pyarrow as pa
-
-        if isinstance(keys, (pa.Array, pa.ChunkedArray)):
-            return arrow_to_key_matrix(keys)
-    except ImportError:  # pragma: no cover
-        pass
-    return keys_to_matrix(keys)

@@ -30,8 +30,8 @@ import json
 
 import numpy as np
 
-from .bloom import BloomCapacityError, _as_matrix, derive_params
-from .murmur3 import murmur3_64_padded_multi
+from .bloom import BloomCapacityError, derive_params
+from .murmur3 import hash_keys
 
 
 class CountingBloomFilter:
@@ -53,35 +53,34 @@ class CountingBloomFilter:
         self.n_removed = 0
 
     # ---- probe layout (identical to kernel/bloom.py) --------------------
-    def _probe_indices(self, mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        h = murmur3_64_padded_multi(mat, lengths, self.seeds)  # (k, B)
+    def _probe_indices(self, h: np.ndarray) -> np.ndarray:
+        """(k, B) slot indices, in place over a (k, B) hash_keys matrix."""
         h %= np.uint64(self.m)
         h += (np.uint64(self.m) * np.arange(self.k, dtype=np.uint64))[:, None]
         return h
 
     # ---- core ops --------------------------------------------------------
     def add_batch(self, keys) -> None:
-        mat, lengths = _as_matrix(keys)
-        n = mat.shape[0]
+        h = hash_keys(keys, self.seeds)
+        n = h.shape[1]
         if n == 0:
             return
         if self.n_added - self.n_removed + n > self.capacity:
             raise BloomCapacityError(
                 f"CountingBloomFilter would exceed capacity {self.capacity}"
             )
-        idx = self._probe_indices(mat, lengths).ravel()
+        idx = self._probe_indices(h).ravel()
         np.add.at(self.counts, idx, np.int32(1))
         self.n_added += n
 
     def remove_batch(self, keys) -> None:
         """Decrement the keys' slots. Legal only for keys currently in the
         multiset (checked on the merged filter via validate())."""
-        mat, lengths = _as_matrix(keys)
-        if mat.shape[0] == 0:
+        h = hash_keys(keys, self.seeds)
+        if h.shape[1] == 0:
             return
-        idx = self._probe_indices(mat, lengths).ravel()
-        np.subtract.at(self.counts, idx, np.int32(1))
-        self.n_removed += mat.shape[0]
+        np.subtract.at(self.counts, self._probe_indices(h).ravel(), np.int32(1))
+        self.n_removed += h.shape[1]
 
     def add(self, key) -> None:
         self.add_batch([key])
@@ -92,8 +91,7 @@ class CountingBloomFilter:
     def contains_batch(self, keys) -> np.ndarray:
         """True = maybe present in the current multiset; never a false
         negative for keys whose adds/removes are all merged in."""
-        mat, lengths = _as_matrix(keys)
-        idx = self._probe_indices(mat, lengths)
+        idx = self._probe_indices(hash_keys(keys, self.seeds))
         return (self.counts[idx] > 0).all(axis=0)
 
     def contains(self, key) -> bool:

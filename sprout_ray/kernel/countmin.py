@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from .bloom import _as_matrix
-from .murmur3 import murmur3_64_padded_multi
+from .murmur3 import hash_keys
 
 
 class CountMinSketch:
@@ -36,19 +35,18 @@ class CountMinSketch:
         self.table = np.zeros((self.d, self.w), dtype=np.uint64)
         self.total = 0
 
-    def _row_indices(self, mat, lengths) -> np.ndarray:
-        # one key traversal for all d seeded rows; stays uint64 (fancy
-        # indexing accepts it; int64 astype is slow on numpy 1.26)
-        idx = murmur3_64_padded_multi(mat, lengths, self.seeds)
-        idx %= np.uint64(self.w)
-        return idx
+    def _row_indices(self, h: np.ndarray) -> np.ndarray:
+        # h: one key traversal for all d seeded rows (hash_keys under
+        # self.seeds), reduced in place; stays uint64 (fancy indexing
+        # accepts it; int64 astype is slow on numpy 1.26)
+        h %= np.uint64(self.w)
+        return h
 
     def update_batch(self, keys, counts=None) -> None:
-        mat, lengths = _as_matrix(keys)
-        n = mat.shape[0]
+        idx = self._row_indices(hash_keys(keys, self.seeds))
+        n = idx.shape[1]
         if n == 0:
             return
-        idx = self._row_indices(mat, lengths)
         if counts is None:
             weights = np.ones(n, dtype=np.uint64)
         else:
@@ -58,10 +56,9 @@ class CountMinSketch:
         self.total += int(weights.sum())
 
     def query_batch(self, keys) -> np.ndarray:
-        mat, lengths = _as_matrix(keys)
-        if mat.shape[0] == 0:
+        idx = self._row_indices(hash_keys(keys, self.seeds))
+        if idx.shape[1] == 0:
             return np.empty(0, dtype=np.uint64)
-        idx = self._row_indices(mat, lengths)
         est = self.table[0][idx[0]]
         for i in range(1, self.d):
             est = np.minimum(est, self.table[i][idx[i]])
@@ -83,12 +80,10 @@ class CountMinSketch:
         ``<= eps*N`` overcount bound to provable exactness (the degenerate
         regime used by the oracle-checked twin, mirroring Misra-Gries'
         ``err_bound == 0``)."""
-        mat, lengths = _as_matrix(universe)
-        n = mat.shape[0]
-        ok = np.zeros(n, dtype=bool)
-        if n == 0:
+        idx = self._row_indices(hash_keys(universe, self.seeds))
+        ok = np.zeros(idx.shape[1], dtype=bool)
+        if ok.size == 0:
             return ok
-        idx = self._row_indices(mat, lengths)
         for i in range(self.d):
             _, inv, cnt = np.unique(
                 idx[i], return_inverse=True, return_counts=True

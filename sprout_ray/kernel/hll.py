@@ -30,8 +30,7 @@ import math
 
 import numpy as np
 
-from .bloom import _as_matrix
-from .murmur3 import murmur3_64_padded
+from .murmur3 import hash_keys
 
 # densify when nnz * 9 > m: in-memory sparse costs ~9 B/register touched
 # (uint64 idx + uint8 rank) vs m bytes dense
@@ -98,10 +97,9 @@ class HyperLogLog:
     # -- updates ----------------------------------------------------------
 
     def update_batch(self, keys) -> None:
-        mat, lengths = _as_matrix(keys)
-        if mat.shape[0] == 0:
+        h = hash_keys(keys, (0,))[0]
+        if h.size == 0:
             return
-        h = murmur3_64_padded(mat, lengths, 0)
         idx = h >> np.uint64(64 - self.p)  # uint64 indexing; int64 cast is slow
         # rank = leading zeros of the remaining 64-p bits + 1
         w = h & ((np.uint64(1) << np.uint64(64 - self.p)) - np.uint64(1))

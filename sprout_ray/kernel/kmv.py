@@ -46,15 +46,18 @@ class KMVSketch:
     def update_batch(self, values) -> None:
         import pyarrow as pa
 
-        from ..functions.hashing import murmur_column
+        from .murmur3 import canonical_keys, hash_keys
 
+        if not isinstance(values, (pa.Array, pa.ChunkedArray)):
+            values = pa.array(values)
+        # retain the keys in the form they are hashed (decimal strings for
+        # numeric columns, like the build path)
+        values = canonical_keys(values)
         if isinstance(values, pa.ChunkedArray):
             values = values.combine_chunks()
-        if not isinstance(values, pa.Array):
-            values = pa.array([str(v) for v in values], pa.string())
         if len(values) == 0:
             return
-        h = murmur_column(values, seed=0)
+        h = hash_keys(values, (0,))[0]
         # batch-local minima first: at most k rows survive to the merge
         order = np.argsort(h, kind="stable")
         h = h[order]

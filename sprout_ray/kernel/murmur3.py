@@ -8,19 +8,23 @@ little-endian platform).
 
 Two implementations are provided:
 
-- :func:`murmur3_64` — scalar, pure-Python-int port. The readable reference;
-  used in tests and for one-off hashing.
-- :func:`murmur3_64_batch` — numpy-vectorized over a whole column of keys
-  (zero-copy from an Arrow string/binary array's data+offsets buffers). This
-  is the hot path used by every sketch's ``update_batch``.
+- :func:`murmur3_64` — scalar, pure-Python-int port. The readable reference
+  and the test oracle.
+- :func:`murmur3_64_padded_multi` — the one vectorized kernel: numpy passes
+  over a zero-padded key matrix, every seed in one traversal of the keys.
 
-Both are cross-checked against each other and against frozen fixture vectors
-in ``tests/test_murmur3.py``.
+:func:`hash_keys` is the only way the package hashes keys: it canonicalizes
+the input (Arrow arrays zero-copy from their data+offsets buffers, or a
+Python sequence), splits it into spans whose padded matrix stays under
+``MAX_MATRIX_BYTES`` and runs the vectorized kernel on each span. Both
+implementations are cross-checked against each other and against frozen
+fixture vectors in ``tests/test_murmur3.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 _M64 = (1 << 64) - 1
 
@@ -32,7 +36,6 @@ _NC2 = np.uint64(_C2)
 _N5 = np.uint64(5)
 _NA1 = np.uint64(0x52DCE729)
 _NA2 = np.uint64(0x38495AB5)
-_N64 = np.uint64(64)
 _FM1 = np.uint64(0xFF51AFD7ED558CCD)
 _FM2 = np.uint64(0xC4CEB9FE1A85EC53)
 _N33 = np.uint64(33)
@@ -112,17 +115,20 @@ def murmur3_64(key: bytes, seed: int) -> int:
     return h1
 
 
-def _nrotl(x: np.ndarray, r: int) -> np.ndarray:
-    rr = np.uint64(r)
-    return (x << rr) | (x >> (_N64 - rr))
+def _rotl(x: np.ndarray, r: int) -> np.ndarray:
+    """64-bit rotate-left, in place (``x`` must be a fresh temporary)."""
+    hi = x >> np.uint64(64 - r)
+    x <<= np.uint64(r)
+    x |= hi
+    return x
 
 
 def _nfmix(k: np.ndarray) -> np.ndarray:
     k = k ^ (k >> _N33)
-    k = k * _FM1
-    k = k ^ (k >> _N33)
-    k = k * _FM2
-    k = k ^ (k >> _N33)
+    k *= _FM1
+    k ^= k >> _N33
+    k *= _FM2
+    k ^= k >> _N33
     return k
 
 
@@ -143,175 +149,149 @@ def pad_keys(data: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return mat
 
 
-def murmur3_64_padded(
-    mat: np.ndarray, lengths: np.ndarray, seed: int
-) -> np.ndarray:
-    """Vectorized murmur3 h1 over a pre-padded key matrix (see pad_keys)."""
-    n = mat.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        blocks = np.ascontiguousarray(mat).view("<u8")
-        h1 = np.full(n, seed, dtype=np.uint64)
-        h2 = h1.copy()
-        nblocks = lengths // 16
-        maxb = int(nblocks.max())
-        for i in range(maxb):
-            active = nblocks > i
-            k1 = blocks[:, 2 * i].copy()
-            k2 = blocks[:, 2 * i + 1].copy()
-            k1 *= _NC1
-            k1 = _nrotl(k1, 31)
-            k1 *= _NC2
-            nh1 = h1 ^ k1
-            nh1 = _nrotl(nh1, 27) + h2
-            nh1 = nh1 * _N5 + _NA1
-            k2 *= _NC2
-            k2 = _nrotl(k2, 33)
-            k2 *= _NC1
-            nh2 = h2 ^ k2
-            nh2 = _nrotl(nh2, 31) + nh1
-            nh2 = nh2 * _N5 + _NA2
-            h1 = np.where(active, nh1, h1)
-            h2 = np.where(active, nh2, h2)
-
-        tail_start = nblocks * 16
-        rows = np.arange(n)
-        # NOTE: int64<->uint64 astype is pathologically slow in numpy 1.26
-        # (~1us/element, checked-cast path); these values are non-negative so
-        # a zero-copy view is equivalent. Applies to every .view() below.
-        tlen = np.ascontiguousarray(lengths & 15).view(np.uint64)
-        k1 = np.zeros(n, dtype=np.uint64)
-        k2 = np.zeros(n, dtype=np.uint64)
-        # zero padding past each key's end makes unmasked gathers contribute 0
-        for j in range(8):
-            k1 |= mat[rows, tail_start + j].astype(np.uint64) << np.uint64(8 * j)
-        for j in range(7):
-            k2 |= mat[rows, tail_start + 8 + j].astype(np.uint64) << np.uint64(
-                8 * j
-            )
-        k2 = _nrotl(k2 * _NC2, 33) * _NC1
-        h2 = np.where(tlen >= 9, h2 ^ k2, h2)
-        k1 = _nrotl(k1 * _NC1, 31) * _NC2
-        h1 = np.where(tlen >= 1, h1 ^ k1, h1)
-
-        ln = np.ascontiguousarray(lengths).view(np.uint64)
-        h1 = h1 ^ ln
-        h2 = h2 ^ ln
-        h1 = h1 + h2
-        h2 = h2 + h1
-        h1 = _nfmix(h1)
-        h2 = _nfmix(h2)
-        h1 = h1 + h2
-    return h1
-
-
 def murmur3_64_padded_multi(
     mat: np.ndarray, lengths: np.ndarray, seeds
 ) -> np.ndarray:
     """Vectorized murmur3 h1 for MANY seeds in one traversal -> (n_seeds, n).
 
-    The per-block k1/k2 mixing (multiply/rotate/multiply) does not depend on
-    the seed — only the h1/h2 chains do — so hashing a key under k seeds
-    shares one pass over the key bytes. This is the hot path for the k-probe
-    Bloom filter and the d-row count-min sketch (reference seed schedule
-    64 << (i+1), bloom.go:111-114).
+    ``mat`` is a (n, width) uint8 key matrix, zero past each key's end,
+    with room for every key's tail block (a :func:`pad_keys` matrix, or a
+    16-wide matrix of keys shorter than 16 bytes). The per-block k1/k2
+    mixing (multiply/rotate/multiply) does not depend on the seed — only
+    the h1/h2 chains do — so hashing a key under k seeds shares one pass
+    over the key bytes (reference seed schedule 64 << (i+1),
+    bloom.go:111-114).
     """
     n = mat.shape[0]
-    s = len(seeds)
+    h1 = np.repeat(np.asarray(seeds, dtype=np.uint64)[:, None], n, axis=1)
     if n == 0:
-        return np.empty((s, 0), dtype=np.uint64)
+        return h1
     with np.errstate(over="ignore"):
         blocks = np.ascontiguousarray(mat).view("<u8")
-        h1 = np.empty((s, n), dtype=np.uint64)
-        for i, seed in enumerate(seeds):
-            h1[i, :] = seed
         h2 = h1.copy()
         nblocks = lengths // 16
-        maxb = int(nblocks.max())
-        for i in range(maxb):
-            active = nblocks > i
+        full = int(nblocks.min())  # blocks that every key fills
+        for i in range(int(nblocks.max())):
             # seed-independent key mixing, once per block
-            k1 = blocks[:, 2 * i] * _NC1
-            k1 = _nrotl(k1, 31)
+            k1 = _rotl(blocks[:, 2 * i] * _NC1, 31)
             k1 *= _NC2
-            k2 = blocks[:, 2 * i + 1] * _NC2
-            k2 = _nrotl(k2, 33)
+            k2 = _rotl(blocks[:, 2 * i + 1] * _NC2, 33)
             k2 *= _NC1
             # seed-dependent chains, broadcast over seeds
-            nh1 = h1 ^ k1[None, :]
-            nh1 = _nrotl(nh1, 27) + h2
-            nh1 = nh1 * _N5 + _NA1
-            nh2 = h2 ^ k2[None, :]
-            nh2 = _nrotl(nh2, 31) + nh1
-            nh2 = nh2 * _N5 + _NA2
-            h1[:, active] = nh1[:, active]
-            h2[:, active] = nh2[:, active]
+            nh1 = _rotl(h1 ^ k1, 27)
+            nh1 += h2
+            nh1 *= _N5
+            nh1 += _NA1
+            nh2 = _rotl(h2 ^ k2, 31)
+            nh2 += nh1
+            nh2 *= _N5
+            nh2 += _NA2
+            if i < full:
+                h1, h2 = nh1, nh2
+            else:
+                active = nblocks > i
+                h1 = np.where(active, nh1, h1)
+                h2 = np.where(active, nh2, h2)
 
-        tail_start = nblocks * 16
+        # Tail: the bytes past each key's end are zero, so the 16-byte block
+        # at the tail offset IS the scalar port's k1 (bytes 0..7) / k2 (bytes
+        # 8..14) gather, and a lane the tail does not reach is 0, which mixes
+        # to 0 and leaves h unchanged — no length mask needed.
         rows = np.arange(n)
-        tlen = np.ascontiguousarray(lengths & 15).view(np.uint64)
-        k1 = np.zeros(n, dtype=np.uint64)
-        k2 = np.zeros(n, dtype=np.uint64)
-        for j in range(8):
-            k1 |= mat[rows, tail_start + j].astype(np.uint64) << np.uint64(8 * j)
-        for j in range(7):
-            k2 |= mat[rows, tail_start + 8 + j].astype(np.uint64) << np.uint64(
-                8 * j
-            )
-        k2 = _nrotl(k2 * _NC2, 33) * _NC1
-        use_k2 = tlen >= 9
-        use_k1 = tlen >= 1
-        h2[:, use_k2] ^= k2[None, use_k2]
-        k1 = _nrotl(k1 * _NC1, 31) * _NC2
-        h1[:, use_k1] ^= k1[None, use_k1]
+        k1 = _rotl(blocks[rows, 2 * nblocks] * _NC1, 31)
+        k1 *= _NC2
+        k2 = _rotl(blocks[rows, 2 * nblocks + 1] * _NC2, 33)
+        k2 *= _NC1
+        h1 ^= k1
+        h2 ^= k2
 
+        # NOTE: int64<->uint64 astype is pathologically slow in numpy 1.26
+        # (~1us/element, checked-cast path); lengths are non-negative so a
+        # zero-copy view is equivalent.
         ln = np.ascontiguousarray(lengths).view(np.uint64)
-        h1 ^= ln[None, :]
-        h2 ^= ln[None, :]
+        h1 ^= ln
+        h2 ^= ln
         h1 += h2
         h2 += h1
         h1 = _nfmix(h1)
-        h2 = _nfmix(h2)
-        h1 += h2
+        h1 += _nfmix(h2)
     return h1
 
 
-def arrow_to_key_matrix(arr) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-copy extract (padded matrix, lengths) from an Arrow string/binary array.
+def murmur3_64_padded(
+    mat: np.ndarray, lengths: np.ndarray, seed: int
+) -> np.ndarray:
+    """Single-seed view of :func:`murmur3_64_padded_multi` -> (n,)."""
+    return murmur3_64_padded_multi(mat, lengths, (seed,))[0]
 
-    Accepts ``pyarrow.Array`` / ``ChunkedArray`` of (large_)string/(large_)binary.
-    Null entries are treated as empty keys; callers should drop nulls first if
-    other semantics are wanted.
-    """
-    import pyarrow as pa
 
+def _key_array(arr) -> pa.Array:
+    """Arrow keys -> null-free large_binary array of the bytes to hash."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    t = arr.type
-    if pa.types.is_string(t) or pa.types.is_binary(t):
-        arr = arr.cast(pa.large_binary())
-    elif pa.types.is_large_string(t):
+    arr = canonical_keys(arr)
+    if not pa.types.is_large_binary(arr.type):
         arr = arr.cast(pa.large_binary())
     if arr.null_count:
         arr = arr.fill_null(b"")
-    buffers = arr.buffers()
-    offsets = np.frombuffer(buffers[1], dtype=np.int64)[
+    return arr
+
+
+def _offsets(arr: pa.Array) -> np.ndarray:
+    """int64 offsets of a large_binary array (slice-aware)."""
+    return np.frombuffer(arr.buffers()[1], dtype=np.int64)[
         arr.offset : arr.offset + len(arr) + 1
     ]
+
+
+def canonical_keys(arr):
+    """Arrow keys as they are hashed: (large_)string and (large_)binary
+    values as they are; any other type cast to string — the build path's
+    decimal-string convention (reference cmd/main.go:40 Sprintf("%d"))."""
+    t = arr.type
+    if (
+        pa.types.is_string(t)
+        or pa.types.is_large_string(t)
+        or pa.types.is_binary(t)
+        or pa.types.is_large_binary(t)
+    ):
+        return arr
+    return arr.cast(pa.string())
+
+
+def arrow_to_key_matrix(arr) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-copy extract (padded matrix, lengths) from an Arrow array.
+
+    Accepts ``pyarrow.Array`` / ``ChunkedArray`` under the
+    :func:`hash_keys` rules; null entries are empty keys."""
+    arr = _key_array(arr)
+    offsets = _offsets(arr)
     data = (
-        np.frombuffer(buffers[2], dtype=np.uint8)
-        if buffers[2] is not None
+        np.frombuffer(arr.buffers()[2], dtype=np.uint8)
+        if arr.buffers()[2] is not None
         else np.empty(0, dtype=np.uint8)
     )
     lengths = np.diff(offsets)
-    flat = data[offsets[0] : offsets[-1]]
-    return pad_keys(flat, lengths), lengths
+    return pad_keys(data[offsets[0] : offsets[-1]], lengths), lengths
+
+
+def _key_bytes(key) -> bytes:
+    if isinstance(key, str):
+        return key.encode()
+    if isinstance(key, (bytes, bytearray, memoryview)):
+        return bytes(key)
+    if isinstance(key, (int, np.integer)):
+        return b"%d" % key
+    raise TypeError(
+        f"cannot hash a key of type {type(key).__name__}: keys are str, "
+        "bytes-like or int"
+    )
 
 
 def keys_to_matrix(keys) -> tuple[np.ndarray, np.ndarray]:
-    """Build (padded matrix, lengths) from a python sequence of bytes/str."""
-    bs = [k.encode() if isinstance(k, str) else bytes(k) for k in keys]
+    """Build (padded matrix, lengths) from a Python sequence of keys
+    (:func:`hash_keys` item rules)."""
+    bs = [_key_bytes(k) for k in keys]
     lengths = np.array([len(b) for b in bs], dtype=np.int64)
     flat = (
         np.frombuffer(b"".join(bs), dtype=np.uint8)
@@ -319,12 +299,6 @@ def keys_to_matrix(keys) -> tuple[np.ndarray, np.ndarray]:
         else np.empty(0, dtype=np.uint8)
     )
     return pad_keys(flat, lengths), lengths
-
-
-def murmur3_64_batch(keys, seed: int) -> np.ndarray:
-    """Vectorized murmur3 h1 over a sequence of bytes/str keys."""
-    mat, lengths = keys_to_matrix(keys)
-    return murmur3_64_padded(mat, lengths, seed)
 
 
 # Cap on any one padded key matrix (rows x padded max key length). pad_keys
@@ -335,33 +309,16 @@ MAX_MATRIX_BYTES = 64 * 1024 * 1024
 
 
 def byte_lengths(arr) -> np.ndarray:
-    """Per-row byte lengths of an Arrow string/binary array (offset diffs)."""
-    import pyarrow as pa
-
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    if not pa.types.is_large_binary(arr.type):
-        arr = arr.cast(pa.large_binary())
-    if arr.null_count:
-        arr = arr.fill_null(b"")
-    offsets = np.frombuffer(arr.buffers()[1], dtype=np.int64)[
-        arr.offset : arr.offset + len(arr) + 1
-    ]
-    return np.diff(offsets)
+    """Per-row byte lengths of Arrow keys as :func:`hash_keys` hashes them."""
+    return np.diff(_offsets(_key_array(arr)))
 
 
-def length_bucketed_spans(
-    lengths: np.ndarray,
-    budget: int | None = None,
-    max_rows: int | None = None,
-) -> list:
+def length_bucketed_spans(lengths: np.ndarray) -> list:
     """Order-preserving [start, end) spans whose padded matrices each stay
-    under ``budget`` bytes (rows x running padded max width). A single key
-    longer than the budget gets a span of its own — the matrix is then just
-    that key's padded width. ``budget`` defaults to the module's
-    MAX_MATRIX_BYTES (read at call time so tests can shrink it)."""
-    if budget is None:
-        budget = MAX_MATRIX_BYTES
+    under MAX_MATRIX_BYTES (rows x running padded max width; read at call
+    time so tests can shrink it). A single key longer than the budget gets
+    a span of its own — the matrix is then just that key's padded width."""
+    budget = MAX_MATRIX_BYTES
     n = len(lengths)
     if n == 0:
         return []
@@ -369,7 +326,7 @@ def length_bucketed_spans(
     # fast path (the overwhelmingly common case: uniform short keys): if the
     # whole chunk padded to the GLOBAL max width fits the budget, it is one
     # span — no per-row Python walk in the hash hot path
-    if n * int(widths.max()) <= budget and (max_rows is None or n <= max_rows):
+    if n * int(widths.max()) <= budget:
         return [(0, n)]
     spans = []
     i = 0
@@ -380,8 +337,6 @@ def length_bucketed_spans(
             w = max(cur_w, int(widths[j]))
             if (j - i + 1) * w > budget:
                 break
-            if max_rows is not None and (j - i) >= max_rows:
-                break
             cur_w = w
             j += 1
         spans.append((i, j))
@@ -389,7 +344,37 @@ def length_bucketed_spans(
     return spans
 
 
-def murmur_hash_column(col, seed: int = 0) -> np.ndarray:
-    """Murmur3-64 of an Arrow string/binary column (uint64)."""
-    mat, lengths = arrow_to_key_matrix(col)
-    return murmur3_64_padded(mat, lengths, seed)
+def hash_keys(keys, seeds) -> np.ndarray:
+    """murmur3 h1 of every key under every seed -> (len(seeds), n) uint64.
+
+    The one way the package hashes keys. ``keys`` is either
+    - a ``pyarrow`` Array / ChunkedArray (sliced is fine): (large_)string
+      and (large_)binary values are hashed as their bytes, a null as the
+      empty key, and any other type as its string cast
+      (:func:`canonical_keys`); or
+    - a Python sequence whose items are ``str`` (UTF-8), bytes-like, or
+      ``int``/``np.integer`` (hashed as the decimal string); any other item
+      type raises ``TypeError``.
+
+    Keys are hashed in order-preserving :func:`length_bucketed_spans`: the
+    padded matrix densifies to the longest key in a span, so one multi-MB
+    key must not share a span with thousands of short ones."""
+    if isinstance(keys, (pa.Array, pa.ChunkedArray)):
+        arr = _key_array(keys)
+        lengths = byte_lengths(arr)
+
+        def key_matrix(a, b):
+            return arrow_to_key_matrix(arr.slice(a, b - a))
+    else:
+        bs = [_key_bytes(k) for k in keys]
+        lengths = np.array([len(b) for b in bs], dtype=np.int64)
+
+        def key_matrix(a, b):
+            return keys_to_matrix(bs[a:b])
+    spans = length_bucketed_spans(lengths)
+    if len(spans) == 1:
+        return murmur3_64_padded_multi(*key_matrix(0, len(lengths)), seeds)
+    out = np.empty((len(seeds), len(lengths)), dtype=np.uint64)
+    for a, b in spans:
+        out[:, a:b] = murmur3_64_padded_multi(*key_matrix(a, b), seeds)
+    return out

@@ -36,6 +36,7 @@ import math
 import numpy as np
 
 from .bloom import BloomFilter, BloomMergeError, BloomStats
+from .murmur3 import hash_keys
 
 GROWTH_SMALL = 2
 GROWTH_LARGE = 4
@@ -85,35 +86,42 @@ class ScalableBloomFilter:
     # ---- core ops -----------------------------------------------------
 
     def add_batch(self, keys) -> None:
-        """Vectorized add: fill the top stage to capacity, grow, repeat."""
-        from .bloom import _as_matrix
+        """Vectorized add: fill the top stage to capacity, grow, repeat.
 
-        mat, lengths = _as_matrix(keys)
-        pos, n = 0, mat.shape[0]
+        The stages to fill are planned first, then the keys hash ONCE under
+        the widest (top) stage's seeds: stage errors only tighten, so k
+        never shrinks, and every stage's seed schedule ``64 << (i+1)`` is a
+        prefix of the top's — stage j reads the first k_j rows."""
+        plan, pos, n = [], 0, len(keys)
+        room = self.top.capacity - self.top.count
         while pos < n:
-            top = self.top
-            if top.count >= top.capacity:
+            if room <= 0:
                 self._grow()
+                room = self.top.capacity
                 continue
-            room = top.capacity - top.count
             take = min(room, n - pos)
-            top._set_bits(mat[pos : pos + take], lengths[pos : pos + take])
-            top.count += take
+            plan.append((self.top, pos, take))
+            room -= take
             pos += take
+        if not plan:
+            return
+        h = hash_keys(keys, self.top.seeds)
+        for f, pos, take in plan:
+            f._set_bits(h[:, pos : pos + take])
+            f.count += take
 
     def add(self, key) -> None:
         self.add_batch([key])
 
     def contains_batch(self, keys) -> np.ndarray:
-        from .bloom import _as_matrix
-
-        mat, lengths = _as_matrix(keys)
-        res = np.zeros(mat.shape[0], dtype=bool)
+        # one hash pass under the widest stage's seeds (see add_batch)
+        h = hash_keys(keys, self.top.seeds)
+        res = np.zeros(h.shape[1], dtype=bool)
         for f in self.filters:
             pending = ~res
             if not pending.any():
                 break
-            res[pending] = f.contains_batch((mat[pending], lengths[pending]))
+            res[pending] = f._contains_hashes(h[: f.k, pending])
         return res
 
     def contains(self, key) -> bool:

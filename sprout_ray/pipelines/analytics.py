@@ -752,16 +752,17 @@ def _dup_pair_ds(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from ..functions.hashing import murmur_column
+    from ..kernel.murmur3 import hash_keys
     from ..stages.dedup import lsh_candidate_pairs
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def key_rows(t: pa.Table) -> pa.Table:
+        h0, h1 = hash_keys(t["text"], (0, 1))
         return pa.table(
             {
-                "bucket_key": pa.array(murmur_column(t["text"], 0).view(np.int64)),
-                "h1": pa.array(murmur_column(t["text"], 1).view(np.int64)),
+                "bucket_key": pa.array(h0.view(np.int64)),
+                "h1": pa.array(h1.view(np.int64)),
                 "doc_id": t["doc_id"],
             }
         )
@@ -1580,7 +1581,7 @@ def _verify_pairs_exact_text(pairs_ds, corpus_ds, id_col: str = "doc_id"):
     so the fingerprint lookup is a tiny broadcast."""
     import ray
 
-    from ..functions.hashing import murmur_column
+    from ..kernel.murmur3 import hash_keys
 
     ids_tbl = pa.concat_tables(
         [
@@ -1612,11 +1613,12 @@ def _verify_pairs_exact_text(pairs_ds, corpus_ds, id_col: str = "doc_id"):
         # filter FIRST: hashing every corpus row to keep ~hundreds of
         # candidates did two full murmur passes over the whole corpus
         sub = t.filter(pc.is_in(t[id_col], value_set=cand_ids))
+        h0, h1 = hash_keys(sub["text"], (0, 1))
         return pa.table(
             {
                 id_col: sub[id_col],
-                "h0": pa.array(murmur_column(sub["text"], 0).view(np.int64)),
-                "h1": pa.array(murmur_column(sub["text"], 1).view(np.int64)),
+                "h0": pa.array(h0.view(np.int64)),
+                "h1": pa.array(h1.view(np.int64)),
             }
         )
 
@@ -9489,10 +9491,9 @@ def cbf_open_orders_lineitems(sf_dir: str, broadcast_max: int = 4_000_000):
 
     def cbf_partial(t: pa.Table) -> pa.Table:
         sk = spec.make()
-        keys = pc.cast(t["o_orderkey"], pa.string())
-        sk.add_batch(keys)
+        sk.add_batch(t["o_orderkey"])  # hashed as decimal strings
         fin = pc.equal(t["o_orderstatus"], "F")
-        sk.remove_batch(pc.cast(t.filter(fin)["o_orderkey"], pa.string()))
+        sk.remove_batch(t.filter(fin)["o_orderkey"])
         return pa.table(
             {
                 "cbf": pa.array([pack_partial(sk.to_bytes())], pa.large_binary()),

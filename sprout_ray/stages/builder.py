@@ -5,9 +5,10 @@ every build is "one partial per block, then merge", and there is exactly
 one physical plan for it:
 
 - the **leaf** (:func:`update_block`): per block and per spec, drop the
-  column's nulls and feed it to the sketch through :func:`update_chunked`,
-  whose length-bucketed chunks keep every padded key matrix under the
-  murmur3 byte budget; :func:`multi_sketch_build` packs each block's
+  column's nulls and feed it to the sketch through :func:`update_chunked`
+  in fixed row chunks (every key hash goes through ``murmur3.hash_keys``,
+  which keeps each padded key matrix under the byte budget);
+  :func:`multi_sketch_build` packs each block's
   sketches into ONE row of serialized partials (:func:`pack_partial`), so
   partial count == block count, not row count;
 - the **reduce** (:func:`tree_reduce`): a streaming fan-in tree of Ray tasks
@@ -31,6 +32,7 @@ from functools import reduce
 import pyarrow as pa
 import ray
 
+from ..kernel.murmur3 import canonical_keys, hash_keys
 from ..kernel.sketch import SketchSpec, sketch_from_bytes
 
 _NUMERIC_KINDS = {"tdigest", "kll"}
@@ -42,23 +44,17 @@ _RAW_KINDS = {"fd", "moments"}
 def _update_input(kind: str, col: pa.ChunkedArray):
     """Column -> sketch update input.
 
-    Key sketches hash bytes; numeric columns are canonicalized via their
-    decimal string form, matching the reference demo's Sprintf("%d", i) keys
-    (reference cmd/main.go:40). Quantile sketches take float64.
+    Key sketches take the keys as ``murmur3.hash_keys`` hashes them:
+    numeric columns via their decimal string form, matching the reference
+    demo's Sprintf("%d", i) keys (reference cmd/main.go:40), so the sketches
+    that retain keys (mg, kmv) retain that form too. Quantile sketches take
+    float64.
     """
     if kind in _NUMERIC_KINDS:
         return col.cast(pa.float64()).to_numpy(zero_copy_only=False)
     if kind in _RAW_KINDS:
         return col
-    t = col.type
-    if not (
-        pa.types.is_string(t)
-        or pa.types.is_large_string(t)
-        or pa.types.is_binary(t)
-        or pa.types.is_large_binary(t)
-    ):
-        col = col.cast(pa.string())
-    return col
+    return canonical_keys(col)
 
 
 def pack_partial(buf: bytes) -> bytes:
@@ -93,26 +89,12 @@ UPDATE_CHUNK = 32_768
 
 def update_chunked(sk, kind: str, col) -> None:
     """Feed an Arrow column's non-null values to a sketch in
-    allocator-friendly chunks.
-
-    Key (string/binary) columns additionally split on the padded-matrix
-    byte budget: one multi-MB outlier key in a 32k-row chunk would densify
-    the whole chunk to its width (tens of GB); length-bucketed spans keep
-    every matrix under MAX_MATRIX_BYTES while preserving row order."""
-    from ..kernel.murmur3 import byte_lengths, length_bucketed_spans
-
+    allocator-friendly row chunks (the padded-matrix byte budget of key
+    sketches is ``murmur3.hash_keys``' own)."""
     if col.null_count:
         col = col.drop_null()
-    if kind in _NUMERIC_KINDS or kind in _RAW_KINDS:
-        # float64 (tdigest/kll) and column-native (fd/moments) inputs:
-        # no key canonicalization, no padded-matrix budget
-        for off in range(0, len(col), UPDATE_CHUNK):
-            sk.update_batch(_update_input(kind, col.slice(off, UPDATE_CHUNK)))
-        return
-    prepped = _update_input(kind, col)  # casts non-string types to string
-    lengths = byte_lengths(prepped)
-    for start, end in length_bucketed_spans(lengths, max_rows=UPDATE_CHUNK):
-        sk.update_batch(prepped.slice(start, end - start))
+    for off in range(0, len(col), UPDATE_CHUNK):
+        sk.update_batch(_update_input(kind, col.slice(off, UPDATE_CHUNK)))
 
 
 def update_block(sketches: dict, specs: dict, block: pa.Table) -> dict:
@@ -303,11 +285,10 @@ def build_grouped_salted(
     """
     import numpy as np
 
-    from ..kernel.murmur3 import murmur_hash_column
     from .agg import SketchAgg
 
     def add_salt(batch: pa.Table) -> pa.Table:
-        h = murmur_hash_column(batch.column(on), seed=7)
+        h = hash_keys(batch.column(on), (7,))[0]
         return batch.append_column(
             "_salt", pa.array((h % np.uint64(salt)).view(np.int64))
         )

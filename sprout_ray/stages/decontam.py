@@ -33,8 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import murmur_column
-from ..kernel.murmur3 import _nfmix
+from ..kernel.murmur3 import _nfmix, hash_keys
 from .dedup import pack_rows
 
 # independent token-hash seeds + odd polynomial multipliers (splitmix64 /
@@ -51,7 +50,7 @@ def word_gram_fingerprints(texts, n: int):
     ``string_split(text, ' ')``). Returns ``(doc_idx, g1, g2)``: int64 row
     indices into ``texts`` and the two uint64 fingerprint lanes, one row
     per (doc, distinct gram). Docs with fewer than ``n`` tokens contribute
-    nothing. One murmur pass per lane over the flattened token array, a
+    nothing. One two-seed murmur pass over the flattened token array, a
     sliding polynomial combine (no per-row Python), then a lexsort dedup.
     """
     if n < 1:
@@ -73,11 +72,7 @@ def word_gram_fingerprints(texts, n: int):
     if nw <= 0:
         return empty
 
-    # length-BUCKETED hashing (CLAUDE.md): one giant space-free token
-    # (base64 blob, minified JS) must not densify the padded key matrix
-    # for the whole batch's token population
-    th1 = murmur_column(flat, seed=_SEED1)
-    th2 = murmur_column(flat, seed=_SEED2)
+    th1, th2 = hash_keys(flat, (_SEED1, _SEED2))
     counts = np.diff(offsets)
     doc_of = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     # a window starting at s is a real gram iff it ends inside the same doc

@@ -26,7 +26,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..kernel.murmur3 import murmur3_64_batch, murmur3_64_padded
+from ..kernel.murmur3 import hash_keys, murmur3_64_padded_multi
 
 _MERSENNE = (1 << 61) - 1
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -89,19 +89,31 @@ def char_shingles(text: str, k: int = 5) -> list:
     return [text[i : i + k] for i in range(len(text) - k + 1)]
 
 
+_COLS16 = np.arange(16)[None, :]
+
+
+def _window_hashes(win16: np.ndarray, starts: np.ndarray, rlen: np.ndarray):
+    """murmur3-64 (seed 0) of sliding-window keys: key i is the first
+    ``rlen[i]`` bytes of ``win16[starts[i]]``, a 16-wide window view. The
+    raw rows carry no zero block past the key (unlike ``hash_keys``'
+    padded matrix), so every key must stay < 16 bytes."""
+    mat = win16[starts]  # fancy index -> contiguous copy
+    mat[_COLS16 >= rlen[:, None]] = 0  # zero past each key's end
+    return murmur3_64_padded_multi(mat, rlen, (0,))[0]
+
+
 def shingle_hashes(text: str, k: int = 5) -> np.ndarray:
-    """Unique murmur3-64 hashes of all char-k-shingles — vectorized via a
-    sliding-window view (one padded matrix, one hash pass; any k — the
-    pad_keys matrix carries a zero block past the longest shingle)."""
+    """Unique murmur3-64 hashes of all byte-k-shingles (k <= 15), or of the
+    whole text when it is shorter than k — one sliding-window matrix, one
+    hash pass."""
     b = text.encode()
-    if len(b) < k:
-        return murmur3_64_batch([b], 0) if b else np.empty(0, dtype=np.uint64)
-    arr = np.frombuffer(b, dtype=np.uint8)
-    win = np.lib.stride_tricks.sliding_window_view(arr, k)
-    mat = np.zeros((win.shape[0], 16), dtype=np.uint8)
-    mat[:, :k] = win
-    lengths = np.full(win.shape[0], k, dtype=np.int64)
-    return np.unique(murmur3_64_padded(mat, lengths, 0))
+    if not b:
+        return np.empty(0, dtype=np.uint64)
+    nwin = max(len(b) - k + 1, 1)
+    buf = np.frombuffer(b + b"\0" * 16, dtype=np.uint8)
+    win16 = np.lib.stride_tricks.sliding_window_view(buf, 16)
+    rlen = np.full(nwin, min(len(b), k), dtype=np.int64)
+    return np.unique(_window_hashes(win16, np.arange(nwin), rlen))
 
 
 class MinHasher:
@@ -170,7 +182,6 @@ class MinHasher:
         mersenne = np.uint64(_MERSENNE)
         s61 = np.uint64(61)
         rc = 8192
-        cols16 = np.arange(16)[None, :]
         scratch = getattr(self, "_scratch", None)
         if scratch is None or scratch[0].shape != (self.num_perm, rc):
             scratch = (
@@ -187,9 +198,7 @@ class MinHasher:
                 di = np.searchsorted(rowstarts, rows, side="right") - 1
                 starts = offs[di] + (rows - rowstarts[di])
                 rlen = np.minimum(lengths[di], self.k)
-                mat = win16[starts]  # fancy index -> contiguous copy
-                mat[cols16 >= rlen[:, None]] = 0  # zero past each key's end
-                hashes = murmur3_64_padded(mat, rlen, 0)
+                hashes = _window_hashes(win16, starts, rlen)
                 nn = r1 - r0
                 tt, ff = tbuf[:, :nn], fbuf[:, :nn]
                 np.multiply(a2, hashes[None, :], out=tt)
@@ -598,13 +607,11 @@ def _doc_gram_hashes(texts, n: int, distinct: bool = True):
     (document order, duplicates kept) with ``distinct=False`` (the
     winnowing consumer needs gram positions)."""
     if not 1 <= n <= 3:
-        # the raw sliding-window matrix below is exactly 16 bytes wide
-        # with NO extra zero block (unlike pad_keys), so keys must stay
-        # < 16 bytes: 4n <= 12. n=4 is exactly one full block and the
-        # tail gather indexes past the matrix (reproduced).
+        # the raw sliding-window matrix (_window_hashes) is exactly 16
+        # bytes wide with NO extra zero block, so keys must stay < 16
+        # bytes: 4n <= 12. n=4 is exactly one full block and the tail
+        # read indexes past the matrix (reproduced).
         raise ValueError("n must be in [1, 3] (4n bytes < one murmur block)")
-    from ..kernel.murmur3 import murmur3_64_padded
-
     bs = [(t or "").encode("utf-32-le") for t in texts]
     lengths = np.array([len(b) // 4 for b in bs], dtype=np.int64)  # chars
     wc = np.where(lengths == 0, 0, np.maximum(lengths - n + 1, 1))
@@ -615,7 +622,6 @@ def _doc_gram_hashes(texts, n: int, distinct: bool = True):
     rowstarts = np.concatenate([[0], np.cumsum(wc)])[:-1]
     buf = np.frombuffer(b"".join(bs) + b"\0" * 16, dtype=np.uint8)
     win16 = np.lib.stride_tricks.sliding_window_view(buf, 16)
-    cols16 = np.arange(16)[None, :]
     hashes = np.empty(total, dtype=np.uint64)
     di = np.empty(total, dtype=np.int64)
     for r0 in range(0, total, 65536):  # bound the (chunk, 16) key matrix
@@ -624,9 +630,7 @@ def _doc_gram_hashes(texts, n: int, distinct: bool = True):
         d = np.searchsorted(rowstarts, rows, side="right") - 1
         starts = offs[d] + (rows - rowstarts[d])
         rlen = 4 * np.minimum(lengths[d], n)  # bytes; whole text when len<n
-        mat = win16[4 * starts]
-        mat[cols16 >= rlen[:, None]] = 0
-        hashes[r0:r1] = murmur3_64_padded(mat, rlen, 0)
+        hashes[r0:r1] = _window_hashes(win16, 4 * starts, rlen)
         di[r0:r1] = d
     if not distinct:
         return hashes, di  # positional: document order, duplicates kept
@@ -1616,7 +1620,7 @@ def simhash_signatures(texts, seed: int = 0) -> np.ndarray:
     out = np.zeros(len(texts), dtype=np.uint64)
     if not tokens:
         return out
-    hs = murmur3_64_batch(tokens, seed)
+    hs = hash_keys(tokens, (seed,))[0]
     bits = ((hs[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(np.int32)
     contrib = 2 * bits - 1  # (T, 64) in {-1, +1}
     nonempty = np.nonzero(counts > 0)[0]
@@ -1794,11 +1798,9 @@ _INC_SEED1, _INC_SEED2 = 0x5EED0001, 0x5EED0002
 
 def _doc_fp_column(col) -> pa.Array:
     """Whole-doc 128-bit two-seed fingerprint as 16-byte large_binary
-    (length-bucketed murmur passes; the repo's exactness convention)."""
-    from ..functions.hashing import murmur_column
-
-    h1 = murmur_column(col, _INC_SEED1)
-    h2 = murmur_column(col, _INC_SEED2)
+    (one hash_keys traversal under both seeds; the repo's exactness
+    convention)."""
+    h1, h2 = hash_keys(col, (_INC_SEED1, _INC_SEED2))
     return pack_rows(np.column_stack([h1, h2]))
 
 

@@ -484,24 +484,13 @@ def salted_join(
     s64 = np.int64(salt)
     r_on = f"_sj_{on}_r"
 
-    def _key_hash(col) -> np.ndarray:
-        t = col.type
-        if not (
-            pa.types.is_string(t)
-            or pa.types.is_large_string(t)
-            or pa.types.is_binary(t)
-            or pa.types.is_large_binary(t)
-        ):
-            col = col.cast(pa.string())  # decimal-string canon (agg convention)
-        return murmur_column(col, 0).view(np.int64)
-
     def prep_left(t: pa.Table) -> pa.Table:
-        h = _key_hash(t[on])
+        h = murmur_column(t[on], 0).view(np.int64)
         sub = np.arange(t.num_rows, dtype=np.int64) % s64
         return t.append_column("_sj_key", pa.array(h * s64 + sub, pa.int64()))
 
     def prep_right(t: pa.Table) -> pa.Table:
-        h = _key_hash(t[on])
+        h = murmur_column(t[on], 0).view(np.int64)
         parts = []
         for i in range(salt):
             parts.append(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
 import pyarrow as pa
 import ray
 
@@ -49,23 +48,7 @@ class BloomProbe:
         self.flag_column = flag_column
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        col = batch.column(self.on)
-        if not (
-            pa.types.is_string(col.type)
-            or pa.types.is_large_string(col.type)
-            or pa.types.is_binary(col.type)
-            or pa.types.is_large_binary(col.type)
-        ):
-            col = col.cast(pa.string())
-        # probe in length-bucketed spans so one huge key can't densify the
-        # whole batch's padded key matrix (see murmur3.length_bucketed_spans)
-        from ..kernel.murmur3 import byte_lengths, length_bucketed_spans
-
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        lengths = byte_lengths(col)
-        maybe = np.empty(len(col), dtype=bool)
-        for start, end in length_bucketed_spans(lengths):
-            maybe[start:end] = self.filter.contains_batch(col.slice(start, end - start))
+        maybe = self.filter.contains_batch(batch.column(self.on))
         if self.flag_column is not None:
             return batch.append_column(self.flag_column, pa.array(maybe))
         mask = maybe if self.mode == "maybe" else ~maybe

@@ -142,14 +142,9 @@ def assign_split(
 
     def add_split(t: pa.Table) -> pa.Table:
         if method == "hash":
-            col = t[key_col]
-            if not (pa.types.is_string(col.type) or pa.types.is_binary(col.type)
-                    or pa.types.is_large_string(col.type)
-                    or pa.types.is_large_binary(col.type)):
-                # canonical decimal-string key bytes: dtype-independent and
-                # stable across int32/int64 readers of the same data
-                col = pc.cast(col, pa.string())
-            b = murmur_column(col, seed) % np.uint64(buckets)
+            # non-string keys hash as their decimal string: dtype-independent
+            # and stable across int32/int64 readers of the same data
+            b = murmur_column(t[key_col], seed) % np.uint64(buckets)
             b = b.view(np.int64)  # values < buckets: view is exact
         else:
             keys = t[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -323,15 +318,7 @@ def sample_per_group(
         if t.num_rows == 0:
             return t
         if method == "hash":
-            col = t[id_col]
-            if not (
-                pa.types.is_string(col.type)
-                or pa.types.is_binary(col.type)
-                or pa.types.is_large_string(col.type)
-                or pa.types.is_large_binary(col.type)
-            ):
-                col = pc.cast(col, pa.string())
-            b = (murmur_column(col, seed) % np.uint64(buckets)).view(np.int64)
+            b = (murmur_column(t[id_col], seed) % np.uint64(buckets)).view(np.int64)
         else:
             ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
             if len(ids) and ids.min() < 0:

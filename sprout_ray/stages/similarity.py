@@ -740,12 +740,11 @@ def _bm25_match(flat, vh1s, vh2s, sorted_to_vocab):
     """Map token occurrences to vocabulary indices via two-seed 64-bit
     murmur (the repo's exactness convention; h1 uniqueness over the tiny
     query vocabulary is asserted at build time, h2 guards the probe)."""
-    from ..functions.hashing import murmur_column
+    from ..kernel.murmur3 import hash_keys
 
     if len(flat) == 0:
         return np.empty(0, np.int64), np.empty(0, bool)
-    h1 = murmur_column(flat, _BM25_S1)
-    h2 = murmur_column(flat, _BM25_S2)
+    h1, h2 = hash_keys(flat, (_BM25_S1, _BM25_S2))
     pos = np.searchsorted(vh1s, h1)
     pos_c = np.minimum(pos, len(vh1s) - 1)
     ok = (vh1s[pos_c] == h1) & (vh2s[pos_c] == h2)
@@ -788,7 +787,7 @@ def bm25_topk(
     import pandas as pd
     import ray
 
-    from ..functions.hashing import murmur_column
+    from ..kernel.murmur3 import hash_keys
 
     empty = pa.table(
         {
@@ -821,8 +820,7 @@ def bm25_topk(
     ).drop_duplicates()
     vocab = np.sort(qpairs["tok"].unique())
     V = len(vocab)
-    vh1 = murmur_column(pa.array(vocab, pa.string()), _BM25_S1)
-    vh2 = murmur_column(pa.array(vocab, pa.string()), _BM25_S2)
+    vh1, vh2 = hash_keys(pa.array(vocab, pa.string()), (_BM25_S1, _BM25_S2))
     if len(np.unique(vh1)) != V:  # pragma: no cover - 2^-64-scale event
         raise ValueError("bm25: 64-bit hash collision in query vocabulary")
     h1_order = np.argsort(vh1, kind="stable")

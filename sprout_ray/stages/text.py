@@ -204,7 +204,7 @@ def add_repetition_stats(batch: pa.Table, col: str = "text") -> pa.Table:
     token array + a lexsort — no per-row Python."""
     import numpy as np
 
-    from ..functions.hashing import murmur_column
+    from ..kernel.murmur3 import hash_keys
 
     texts = batch[col]
     if isinstance(texts, pa.ChunkedArray):
@@ -222,10 +222,7 @@ def add_repetition_stats(batch: pa.Table, col: str = "text") -> pa.Table:
     top = np.zeros(n_docs, np.int64)
     flat = toks.flatten()
     if len(flat):
-        # length-bucketed hashing (CLAUDE.md): a giant space-free token
-        # must not densify the whole batch's padded key matrix
-        h1 = murmur_column(flat, seed=0x7A3D)
-        h2 = murmur_column(flat, seed=0x1C95)
+        h1, h2 = hash_keys(flat, (0x7A3D, 0x1C95))
         doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
         order = np.lexsort((h2, h1, doc_of))
         d, a, b = doc_of[order], h1[order], h2[order]
@@ -354,7 +351,7 @@ def unigram_logprob_scores(
     import ray
 
     from ..stages.similarity import _BM25_S1, _BM25_S2, _bm25_match, _bm25_tokenize
-    from ..functions.hashing import murmur_column
+    from ..kernel.murmur3 import hash_keys
 
     tokens = ds.select_columns([text_col]).map_batches(
         lambda t: pa.table({"token": _bm25_tokenize(t, text_col)[0]}),
@@ -388,8 +385,7 @@ def unigram_logprob_scores(
         dtype=np.int64,
     )
     oov = int(math.floor(math.log(0.5 / n_total) * 1e8 + 0.5))
-    vh1 = murmur_column(vocab, _BM25_S1)
-    vh2 = murmur_column(vocab, _BM25_S2)
+    vh1, vh2 = hash_keys(vocab, (_BM25_S1, _BM25_S2))
     if len(np.unique(vh1)) != len(vocab):  # pragma: no cover - 2^-64 event
         raise ValueError("unigram: 64-bit hash collision in vocabulary")
     order = np.argsort(vh1, kind="stable")
@@ -407,8 +403,7 @@ def unigram_logprob_scores(
                 }
             )
         vh1s, vh2s, lps = ray.get(model_ref)
-        h1 = murmur_column(flat, _BM25_S1)
-        h2 = murmur_column(flat, _BM25_S2)
+        h1, h2 = hash_keys(flat, (_BM25_S1, _BM25_S2))
         pos_c = np.minimum(np.searchsorted(vh1s, h1), len(vh1s) - 1)
         ok = (vh1s[pos_c] == h1) & (vh2s[pos_c] == h2)
         occ_lp = np.where(ok, lps[pos_c], oov)
@@ -533,7 +528,7 @@ def add_token_entropy(batch: pa.Table, col: str = "text") -> pa.Table:
     token-free docs get n_tokens=0, clogc_micro=0, entropy=0."""
     import math
 
-    from ..functions.hashing import murmur_column
+    from ..kernel.murmur3 import hash_keys
 
     texts = batch[col]
     if isinstance(texts, pa.ChunkedArray):
@@ -550,8 +545,7 @@ def add_token_entropy(batch: pa.Table, col: str = "text") -> pa.Table:
     S = np.zeros(n_docs, np.int64)
     flat = toks.flatten()
     if len(flat):
-        h1 = murmur_column(flat, seed=0x7A3D)
-        h2 = murmur_column(flat, seed=0x1C95)
+        h1, h2 = hash_keys(flat, (0x7A3D, 0x1C95))
         doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
         order = np.lexsort((h2, h1, doc_of))
         d, a, b = doc_of[order], h1[order], h2[order]
@@ -650,7 +644,7 @@ def dsir_importance_scores(
 
     import ray
 
-    from ..functions.hashing import murmur_column
+    from ..kernel.murmur3 import hash_keys
     from ..stages.similarity import _BM25_S1, _BM25_S2
 
     def gram_hits(t: pa.Table) -> pa.Table:
@@ -709,8 +703,7 @@ def dsir_importance_scores(
     deltas = np.array(
         [lp_t.get(g, oov_t) - lp_q.get(g, oov_q) for g in union], np.int64
     )
-    uh1 = murmur_column(pa.array(union, pa.string()), _BM25_S1)
-    uh2 = murmur_column(pa.array(union, pa.string()), _BM25_S2)
+    uh1, uh2 = hash_keys(union, (_BM25_S1, _BM25_S2))
     if len(np.unique(uh1)) != len(union):  # pragma: no cover - 2^-64 event
         raise ValueError("dsir: 64-bit hash collision in union vocabulary")
     order = np.argsort(uh1, kind="stable")
@@ -723,8 +716,7 @@ def dsir_importance_scores(
             return empty
         ids = t[id_col].to_numpy(zero_copy_only=False)
         uh1s, uh2s, ds_ = ray.get(model_ref)
-        h1 = murmur_column(grams, _BM25_S1)
-        h2 = murmur_column(grams, _BM25_S2)
+        h1, h2 = hash_keys(grams, (_BM25_S1, _BM25_S2))
         pos = np.minimum(np.searchsorted(uh1s, h1), len(uh1s) - 1)
         ok = (uh1s[pos] == h1) & (uh2s[pos] == h2)
         occ = np.where(ok, ds_[pos], delta_oov)

@@ -322,3 +322,20 @@ class TestCountingBloomFilter:
         dense.add_batch([str(i).encode() for i in range(2000)])
         rt2 = CountingBloomFilter.from_bytes(dense.to_bytes())
         assert (rt2.counts == dense.counts).all() and rt2.count == 2000
+
+
+def test_int_keys_hash_as_decimal_strings():
+    """An int key is its decimal string (the build path's convention), not
+    int-many zero bytes; a Python int item and an int64 Arrow column agree."""
+    import pyarrow as pa
+
+    a, b, c = (BloomFilter(err_rate=0.01, capacity=100) for _ in range(3))
+    a.add(5)
+    b.add("5")
+    c.add_batch(pa.array([5]))
+    assert a.to_bytes() == b.to_bytes() == c.to_bytes()
+    assert a.contains("5") and a.contains(b"5") and a.contains(5)
+    assert not a.contains(b"\x00" * 5)
+    with pytest.raises(TypeError, match="float"):
+        a.add(1.5)
+    assert a.count == 1

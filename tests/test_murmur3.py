@@ -17,12 +17,26 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+import sprout_ray.kernel.murmur3 as m3
 from sprout_ray.kernel.murmur3 import (
     arrow_to_key_matrix,
+    hash_keys,
     murmur3_64,
-    murmur3_64_batch,
     murmur3_64_padded,
 )
+
+# the reference seed schedule 64 << (i+1), ten seeds wide
+SEEDS10 = [64 << (i + 1) for i in range(10)]
+# lengths around every block/tail boundary of the 16-byte murmur block
+EDGE_LENGTHS = [0, 1, 8, 9, 15, 16, 17, 31, 32, 33]
+
+
+def scalar(keys, seeds) -> np.ndarray:
+    """(len(seeds), n) oracle from the scalar port; None is the empty key."""
+    return np.array(
+        [[murmur3_64(k or b"", s) for k in keys] for s in seeds], dtype=np.uint64
+    )
+
 
 # mmh3.hash64('foo') == (-2129773440516405919, ...) -> unsigned h1 below
 MMH3_FOO_SEED0 = (-2129773440516405919) % (1 << 64)
@@ -63,11 +77,12 @@ def test_frozen_vectors_scalar():
 
 
 def test_frozen_vectors_vectorized():
-    for seed in (128, 256, 512):
-        keys = [k for (k, s) in FROZEN if s == seed]
-        out = murmur3_64_batch(keys, seed)
+    keys = [k for (k, s) in FROZEN if s == 128]
+    out = hash_keys(keys, (128, 256, 512))
+    for row, seed in zip(out, (128, 256, 512)):
         expect = np.array([FROZEN[(k, seed)] for k in keys], dtype=np.uint64)
-        assert (out == expect).all()
+        assert (row == expect).all()
+        assert (hash_keys(keys, [seed])[0] == expect).all()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 128, 256, 512, 2**31])
@@ -75,24 +90,38 @@ def test_scalar_vs_vectorized_random(seed):
     rng = random.Random(7)
     keys = [bytes(rng.randrange(256) for _ in range(rng.randrange(0, 130))) for _ in range(300)]
     keys += [b"", b"x"]
-    vec = murmur3_64_batch(keys, seed)
-    sca = np.array([murmur3_64(k, seed) for k in keys], dtype=np.uint64)
-    assert (vec == sca).all()
+    vec = hash_keys(keys, [seed])
+    assert vec.shape == (1, len(keys))
+    assert (vec == scalar(keys, [seed])).all()
+    # the multi-seed traversal agrees row by row
+    assert (hash_keys(keys, [seed] + SEEDS10) == scalar(keys, [seed] + SEEDS10)).all()
 
 
 @pytest.mark.parametrize(
-    "arr_type", [pa.string(), pa.large_string(), pa.binary(), pa.large_binary()]
+    "arr_type",
+    [
+        pa.string(),
+        pa.large_string(),
+        pa.binary(),
+        pa.large_binary(),
+        pa.dictionary(pa.int32(), pa.string()),
+    ],
 )
 def test_arrow_zero_copy_path(arr_type):
     vals = ["", "foo", "0", "a" * 15, "b" * 16, "c" * 17, "zed" * 40]
+    vals += ["k" * n for n in EDGE_LENGTHS] + [None]
     if "binary" in str(arr_type):
-        arr = pa.array([v.encode() for v in vals], type=arr_type)
+        arr = pa.array([v and v.encode() for v in vals], type=arr_type)
+    elif pa.types.is_dictionary(arr_type):
+        arr = pa.array(vals, pa.string()).dictionary_encode()
     else:
         arr = pa.array(vals, type=arr_type)
+    keys = [v and v.encode() for v in vals]
     mat, lengths = arrow_to_key_matrix(arr)
     out = murmur3_64_padded(mat, lengths, 128)
-    expect = np.array([murmur3_64(v.encode(), 128) for v in vals], dtype=np.uint64)
-    assert (out == expect).all()
+    assert (out == scalar(keys, [128])[0]).all()
+    assert (hash_keys(arr, [128]) == scalar(keys, [128])).all()
+    assert (hash_keys(arr, SEEDS10) == scalar(keys, SEEDS10)).all()
 
 
 def test_arrow_sliced_and_chunked():
@@ -109,6 +138,49 @@ def test_arrow_sliced_and_chunked():
     out = murmur3_64_padded(mat, lengths, 512)
     expect = np.array([murmur3_64(s, 512) for s in [b"yy", b"zz"]], dtype=np.uint64)
     assert (out == expect).all()
+    # hash_keys over chunked and offset-sliced arrays (nulls included)
+    vals = ["k" * n for n in EDGE_LENGTHS] + [None, "tail"]
+    keys = [v and v.encode() for v in vals]
+    chunked = pa.chunked_array([vals[:4], vals[4:9], [], vals[9:]])
+    assert (hash_keys(chunked, SEEDS10) == scalar(keys, SEEDS10)).all()
+    whole = pa.array(["pre", None] + vals, pa.large_string())
+    assert (hash_keys(whole.slice(2), SEEDS10) == scalar(keys, SEEDS10)).all()
+    assert (hash_keys(whole.slice(5, 4), [7]) == scalar(keys[3:7], [7])).all()
+    assert hash_keys(whole.slice(0, 0), SEEDS10).shape == (10, 0)
+
+
+def test_hash_keys_int_and_sequence_items():
+    """Non-string Arrow types and Python ints hash as their decimal string;
+    str and bytes-like items as their bytes; other items raise."""
+    ints = [0, 5, -12, 10**15, None]
+    want = scalar([None if v is None else str(v).encode() for v in ints], SEEDS10)
+    assert (hash_keys(pa.array(ints, pa.int64()), SEEDS10) == want).all()
+    assert (hash_keys(pa.chunked_array([ints[:2], ints[2:]]), SEEDS10) == want).all()
+    seq = [5, np.int64(-12), "5", b"5", bytearray(b"ab"), memoryview(b"cd")]
+    want = scalar([b"5", b"-12", b"5", b"5", b"ab", b"cd"], SEEDS10)
+    assert (hash_keys(seq, SEEDS10) == want).all()
+    assert hash_keys([], SEEDS10).shape == (10, 0)
+    for bad in (1.5, None, ("a",)):
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            hash_keys(["ok", bad], [0])
+
+
+def test_hash_keys_multi_mb_key():
+    """A 2 MB key among edge-length keys: one span under the default
+    budget, and split into its own span under a shrunk one."""
+    rng = random.Random(11)
+    big = rng.randbytes(2 * 1024 * 1024)
+    keys = [b"k" * n for n in EDGE_LENGTHS]
+    keys = keys[:5] + [big] + keys[5:]
+    want = scalar(keys, [0, 128])
+    assert (hash_keys(keys, [0, 128]) == want).all()
+    old = m3.MAX_MATRIX_BYTES
+    try:
+        m3.MAX_MATRIX_BYTES = 1 << 20
+        assert len(m3.length_bucketed_spans(m3.byte_lengths(pa.array(keys)))) == 3
+        assert (hash_keys(pa.array(keys, pa.binary()), [0, 128]) == want).all()
+    finally:
+        m3.MAX_MATRIX_BYTES = old
 
 
 def test_length_bucketed_spans_budget_and_order():
@@ -119,7 +191,12 @@ def test_length_bucketed_spans_budget_and_order():
     # one 8 MB outlier among 10k small keys: it must get (nearly) its own span
     lengths = np.full(10_001, 20, dtype=np.int64)
     lengths[5_000] = 8 * 1024 * 1024
-    spans = length_bucketed_spans(lengths, budget=64 * 1024 * 1024)
+    old = m3.MAX_MATRIX_BYTES
+    try:
+        m3.MAX_MATRIX_BYTES = 64 * 1024 * 1024
+        spans = length_bucketed_spans(lengths)
+    finally:
+        m3.MAX_MATRIX_BYTES = old
     # spans are order-preserving and partition the index range
     assert spans[0][0] == 0 and spans[-1][1] == 10_001
     for (a, b), (c, d) in zip(spans, spans[1:]):
@@ -161,40 +238,84 @@ def test_length_bucketed_hashing_matches_direct():
     assert np.array_equal(direct, spanned)
 
 
-@pytest.mark.parametrize("kind", ["hll", "bloom", "cms"])
-def test_sketchagg_block_respects_matrix_budget(monkeypatch, kind):
-    """SketchAgg's per-block update is the build leaf's update_chunked: one
-    ~100 kB key among 2k short ones must not widen the whole block's padded
-    key matrix (2k x 100 kB = 190 MB) past the byte budget. In-process, no
-    Ray workers."""
-    import sprout_ray.kernel.bloom as bloom_mod
-    import sprout_ray.kernel.murmur3 as m3
-    from sprout_ray.kernel import SketchSpec
+def _budget_cases():
+    from sprout_ray.kernel import (
+        BloomFilter,
+        CountMinSketch,
+        HyperLogLog,
+        KMVSketch,
+        ScalableBloomFilter,
+        SketchSpec,
+    )
+    from sprout_ray.kernel.ams import AMSF2Sketch
+    from sprout_ray.kernel.counting_bloom import CountingBloomFilter
     from sprout_ray.stages.agg import SketchAgg
-    from sprout_ray.stages.builder import update_chunked
 
-    budget = 1 << 20
-    spec = {
-        "hll": SketchSpec.of("hll", 12),
-        "bloom": SketchSpec.of("bloom", 0.01, 4_000),
-        "cms": SketchSpec.of("cms", 0.001, 0.01),
-    }[kind]
+    def built(sk):
+        sk.update_batch([f"key-{i}" for i in range(0, 4_000, 2)])
+        return sk
+
+    def agg(spec):
+        return lambda arr: SketchAgg(spec, on="k").aggregate_block(
+            pa.table({"k": arr})
+        ).to_bytes()
+
+    def updated(make):
+        def run(arr):
+            sk = make()
+            sk.update_batch(arr)
+            return sk.to_bytes()
+
+        return run
+
+    return {
+        "bloom_add": updated(lambda: BloomFilter(0.01, 4_000)),
+        "bloom_contains": lambda arr: built(BloomFilter(0.01, 4_000)).contains_batch(arr),
+        "sbf_add": updated(lambda: ScalableBloomFilter(0.01, 500)),
+        "sbf_contains": lambda arr: built(ScalableBloomFilter(0.01, 500)).contains_batch(arr),
+        "cbf_add": updated(lambda: CountingBloomFilter(0.01, 4_000)),
+        "cbf_contains": lambda arr: built(CountingBloomFilter(0.01, 4_000)).contains_batch(arr),
+        "hll": updated(lambda: HyperLogLog(12)),
+        "cms_update": updated(lambda: CountMinSketch(0.001, 0.01)),
+        "cms_query": lambda arr: built(CountMinSketch(0.001, 0.01)).query_batch(arr),
+        "cms_collision_free": lambda arr: CountMinSketch(0.01, 0.01).collision_free(arr),
+        "ams": updated(lambda: AMSF2Sketch(256, 5)),
+        "kmv": updated(lambda: KMVSketch(64)),
+        "sketchagg_hll": agg(SketchSpec.of("hll", 12)),
+        "sketchagg_bloom": agg(SketchSpec.of("bloom", 0.01, 4_000)),
+        "sketchagg_cms": agg(SketchSpec.of("cms", 0.001, 0.01)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_budget_cases()))
+def test_hashing_respects_matrix_budget(monkeypatch, case):
+    """Every public hashing method — and SketchAgg's per-block update —
+    hashes through hash_keys, so one ~100 kB key among 2k short ones never
+    widens a padded key matrix (2k x 100 kB = 200 MB) past the byte budget,
+    and the result equals an unbudgeted build. In-process, no Ray workers."""
+    run = _budget_cases()[case]
     keys = [f"key-{i}" for i in range(2_000)]
     keys[1_000] = "x" * 100_000
-    table = pa.table({"k": keys})
+    arr = pa.array(keys)
+    with monkeypatch.context() as unbudgeted:
+        unbudgeted.setattr(m3, "MAX_MATRIX_BYTES", 1 << 40)
+        want = run(arr)  # the whole batch in one 200 MB matrix
 
+    budget = 1 << 20
     widths = []
-    orig = bloom_mod.arrow_to_key_matrix
+    orig = m3.arrow_to_key_matrix
 
-    def recording(arr):
-        mat, lengths = orig(arr)
+    def recording(a):
+        mat, lengths = orig(a)
         widths.append(mat.nbytes)
         return mat, lengths
 
-    monkeypatch.setattr(bloom_mod, "arrow_to_key_matrix", recording)
+    monkeypatch.setattr(m3, "arrow_to_key_matrix", recording)
     monkeypatch.setattr(m3, "MAX_MATRIX_BYTES", budget)
-    got = SketchAgg(spec, on="k").aggregate_block(table)
+    got = run(arr)
     assert widths and max(widths) <= budget
-    want = spec.make()
-    update_chunked(want, spec.kind, table["k"])
-    assert got.to_bytes() == want.to_bytes()
+    assert len(widths) >= 3  # the long key hashed in a span of its own
+    if isinstance(want, bytes):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)

@@ -159,6 +159,33 @@ def test_grouped_hll_matches_exact(corpus_ds):
     assert (rel <= 3 * 1.04 / np.sqrt(2**12) + 0.01).all()
 
 
+@pytest.mark.parametrize("kind", ["hll", "cms"])
+def test_grouped_salted_int_key(ray_session, kind):
+    """Salting hashes the sketched column through hash_keys, so an int64
+    ``on`` column (decimal-string keys) works and every group's sketch
+    equals the unsalted grouped build's bytes."""
+    import ray.data as rd
+
+    from sprout_ray.stages.builder import build_grouped, build_grouped_salted
+
+    spec = {"hll": SketchSpec.of("hll", 10), "cms": SketchSpec.of("cms", 0.01, 0.01)}[kind]
+    rng = np.random.default_rng(9)
+    tables = [
+        pa.table(
+            {
+                "g": pa.array(rng.integers(0, 3, 500), pa.int64()),
+                "v": pa.array(rng.integers(0, 200, 500), pa.int64()),
+            }
+        )
+        for _ in range(3)
+    ]
+    salted = build_grouped_salted(rd.from_arrow(tables), spec, on="v", key="g", salt=4)
+    plain = build_grouped(rd.from_arrow(tables), spec, on="v", key="g").take_all()
+    got = dict(zip(salted["g"].to_pylist(), salted["sketch"].to_pylist()))
+    want = {r["g"]: r["sketch"] for r in plain}
+    assert sorted(got) == [0, 1, 2] and got == want
+
+
 def test_multi_sketch_single_pass(corpus_ds):
     from sprout_ray.pipelines.flagship import multi_sketch_build, with_invariant
 

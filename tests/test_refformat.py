@@ -47,10 +47,9 @@ def test_bloom_file_is_raw_msb_first_bits(tmp_path):
     set_bits = int(np.unpackbits(raw).sum())
     assert 1 <= set_bits <= bf.k  # k probes, possibly colliding
     # recompute the probe positions independently and check each byte/mask
-    from sprout_ray.kernel.murmur3 import keys_to_matrix
+    from sprout_ray.kernel.murmur3 import hash_keys
 
-    mat, lengths = keys_to_matrix([b"solo"])
-    idx = bf._probe_indices(mat, lengths).ravel()
+    idx = bf._probe_indices(hash_keys([b"solo"], bf.seeds)).ravel()
     for i in idx:
         byte, mask = int(i) >> 3, 128 >> (int(i) & 7)
         assert raw[byte] & mask

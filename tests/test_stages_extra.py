@@ -231,13 +231,19 @@ class TestTextStages:
         assert ham(sa, sb) < ham(sa, sc)
 
     def test_shingle_hashes_match_batch(self):
-        from sprout_ray.kernel.murmur3 import murmur3_64_batch
+        from sprout_ray.kernel.murmur3 import murmur3_64
         from sprout_ray.stages.dedup import char_shingles, shingle_hashes
 
-        text = "hello world this is a test"
-        exp = np.unique(murmur3_64_batch(char_shingles(text, 5), 0))
-        got = shingle_hashes(text, 5)
-        assert (exp == got).all()
+        for text in ("hello world this is a test", "abc", "x"):
+            exp = np.unique(
+                np.array(
+                    [murmur3_64(s.encode(), 0) for s in char_shingles(text, 5)],
+                    dtype=np.uint64,
+                )
+            )
+            got = shingle_hashes(text, 5)
+            assert np.array_equal(exp, got)
+        assert shingle_hashes("", 5).size == 0
 
 
 class TestExactDedup:
