@@ -14,7 +14,7 @@ from .kmv import KMVSketch
 from .misragries import MisraGries
 from .murmur3 import hash_keys, murmur3_64
 from .scalable_bloom import GROWTH_LARGE, GROWTH_SMALL, ScalableBloomFilter
-from .sketch import Sketch, SketchSpec, register_sketch
+from .sketch import Sketch, SketchFormatError, SketchSpec, _bootstrap, register_sketch
 from .tdigest import TDigest
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "MisraGries",
     "ScalableBloomFilter",
     "Sketch",
+    "SketchFormatError",
     "SketchSpec",
     "TDigest",
     "derive_params",
@@ -38,3 +39,5 @@ __all__ = [
     "murmur3_64",
     "register_sketch",
 ]
+
+_bootstrap()  # register the built-in kinds (see sketch._REGISTRY)

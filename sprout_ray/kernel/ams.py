@@ -32,6 +32,7 @@ import json
 import numpy as np
 
 from .murmur3 import hash_keys
+from .sketch import read_meta
 
 
 class AMSF2Sketch:
@@ -107,11 +108,10 @@ class AMSF2Sketch:
 
     def merge_bytes(self, buf: bytes) -> None:
         """Merge a serialized partial via a read-only view (no materialize)."""
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
-        if meta["kind"] != "ams" or meta["w"] != self.w or meta["d"] != self.d:
+        meta, off = read_meta(buf, "ams")
+        if meta["w"] != self.w or meta["d"] != self.d:
             raise ValueError(f"partial spec mismatch: {meta}")
-        view = np.frombuffer(buf, dtype=np.int64, offset=4 + mlen).reshape(
+        view = np.frombuffer(buf, dtype=np.int64, offset=off).reshape(
             self.d, self.w
         )
         self.counters += view
@@ -119,12 +119,11 @@ class AMSF2Sketch:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "AMSF2Sketch":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
+        meta, off = read_meta(buf, "ams")
         sk = cls(w=meta["w"], d=meta["d"])
         sk.n = int(meta["n"])
         sk.counters = (
-            np.frombuffer(buf, dtype=np.int64, count=sk.d * sk.w, offset=4 + mlen)
+            np.frombuffer(buf, dtype=np.int64, count=sk.d * sk.w, offset=off)
             .reshape(sk.d, sk.w)
             .copy()
         )

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .murmur3 import hash_keys
+from .sketch import read_meta
 
 
 class BloomCapacityError(RuntimeError):
@@ -340,20 +341,18 @@ class BloomFilter:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "BloomFilter":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
-        assert meta["kind"] == "bloom", meta["kind"]
+        meta, off = read_meta(buf, "bloom")
         bf = cls(err_rate=meta["err_rate"], capacity=meta["capacity"])
         if meta.get("fmt") == "sparse":
             dt = np.uint32 if meta.get("dtype", "u4") == "u4" else np.uint64
-            idx = np.frombuffer(buf, dtype=dt, offset=4 + mlen)
+            idx = np.frombuffer(buf, dtype=dt, offset=off)
             if idx.size:
                 bf._pending = [
                     _u32_to_u64(idx) if dt is np.uint32 else idx.copy()
                 ]
                 bf._pending_n = idx.size
         else:
-            bf.bits = np.frombuffer(buf[4 + mlen :], dtype=np.uint8).copy()
+            bf.bits = np.frombuffer(buf[off:], dtype=np.uint8).copy()
             assert bf._bits.size == bf.bit_width
         bf.count = meta["count"]
         return bf
@@ -363,15 +362,14 @@ class BloomFilter:
         partial ORs straight from a read-only buffer view; a sparse partial
         scatters its index dump (a 34 MB filter otherwise costs a zero
         alloc + a copy per partial in the reduce fan-in)."""
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
-        if meta["kind"] != "bloom" or (
+        meta, off = read_meta(buf, "bloom")
+        if (
             meta["err_rate"] != self.err_rate or meta["capacity"] != self.capacity
         ):
             raise BloomMergeError(f"partial spec mismatch: {meta}")
         if meta.get("fmt") == "sparse":
             dt = np.uint32 if meta.get("dtype", "u4") == "u4" else np.uint64
-            idx = np.frombuffer(buf, dtype=dt, offset=4 + mlen)
+            idx = np.frombuffer(buf, dtype=dt, offset=off)
             if idx.size:
                 flat = _u32_to_u64(idx) if dt is np.uint32 else idx.copy()
                 if self._bits is None:
@@ -383,7 +381,7 @@ class BloomFilter:
                     byte_idx, masks = self._bit_addr(flat)
                     np.bitwise_or.at(self._bits, byte_idx, masks)
         else:
-            view = np.frombuffer(buf, dtype=np.uint8, offset=4 + mlen)
+            view = np.frombuffer(buf, dtype=np.uint8, offset=off)
             np.bitwise_or(self.bits, view, out=self.bits)
         self.count += meta["count"]
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .bloom import BloomCapacityError, derive_params
 from .murmur3 import hash_keys
+from .sketch import read_meta
 
 
 class CountingBloomFilter:
@@ -155,10 +156,9 @@ class CountingBloomFilter:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "CountingBloomFilter":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
+        meta, off = read_meta(buf, "cbf")
         sk = cls(err_rate=meta["err_rate"], capacity=meta["capacity"])
-        payload = buf[4 + mlen :]
+        payload = buf[off:]
         if meta["sparse"]:
             n = len(payload) // 12
             idx = np.frombuffer(payload[: n * 8], dtype=np.int64)

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .murmur3 import hash_keys
+from .sketch import read_meta
 
 
 class CountMinSketch:
@@ -123,13 +124,10 @@ class CountMinSketch:
 
     def merge_bytes(self, buf: bytes) -> None:
         """Merge a serialized partial via a read-only view (no materialize)."""
-        import json as _json
-
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = _json.loads(buf[4 : 4 + mlen].decode())
-        if meta["kind"] != "cms" or meta["eps"] != self.eps or meta["delta"] != self.delta:
+        meta, off = read_meta(buf, "cms")
+        if meta["eps"] != self.eps or meta["delta"] != self.delta:
             raise ValueError(f"partial spec mismatch: {meta}")
-        view = np.frombuffer(buf, dtype=np.uint64, offset=4 + mlen).reshape(
+        view = np.frombuffer(buf, dtype=np.uint64, offset=off).reshape(
             self.d, self.w
         )
         self.table += view
@@ -137,11 +135,10 @@ class CountMinSketch:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "CountMinSketch":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
+        meta, off = read_meta(buf, "cms")
         c = cls(eps=meta["eps"], delta=meta["delta"])
         c.table = (
-            np.frombuffer(buf[4 + mlen :], dtype=np.uint64)
+            np.frombuffer(buf[off:], dtype=np.uint64)
             .reshape(c.d, c.w)
             .copy()
         )

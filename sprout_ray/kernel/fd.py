@@ -33,6 +33,8 @@ import json
 
 import numpy as np
 
+from .sketch import read_meta
+
 
 def _rows_matrix(values, dtype=np.float64) -> np.ndarray:
     """Accept a 2D numpy array, a sequence of vectors, or an Arrow
@@ -200,12 +202,11 @@ class FrequentDirections:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "FrequentDirections":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
+        meta, off = read_meta(buf, "fd")
         sk = cls(l=meta["l"], d=meta["d"])
         shape = tuple(meta["shape"])
         sk.rows = (
-            np.frombuffer(buf[4 + mlen :], dtype=np.float64).reshape(shape).copy()
+            np.frombuffer(buf[off:], dtype=np.float64).reshape(shape).copy()
             if shape[0] * (shape[1] if len(shape) > 1 else 0)
             else np.empty(shape, dtype=np.float64)
         )

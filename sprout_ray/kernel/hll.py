@@ -31,6 +31,7 @@ import math
 import numpy as np
 
 from .murmur3 import hash_keys
+from .sketch import read_meta
 
 # densify when nnz * 9 > m: in-memory sparse costs ~9 B/register touched
 # (uint64 idx + uint8 rank) vs m bytes dense
@@ -171,13 +172,11 @@ class HyperLogLog:
     def merge_bytes(self, buf: bytes) -> None:
         """Merge a serialized partial via a read-only view (no materialize
         of a second sketch object)."""
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
-        if meta["kind"] != "hll" or meta["p"] != self.p:
+        meta, off = read_meta(buf, "hll")
+        if meta["p"] != self.p:
             raise ValueError(f"partial spec mismatch: {meta}")
         if meta.get("mode") == "sparse":
             nnz = meta["nnz"]
-            off = 4 + mlen
             idx = np.frombuffer(buf, dtype=np.int32, count=nnz, offset=off)
             rank = np.frombuffer(
                 buf, dtype=np.uint8, count=nnz, offset=off + 4 * nnz
@@ -189,25 +188,23 @@ class HyperLogLog:
             else:
                 self._sparse_absorb(idx64, rank.copy())
             return
-        view = np.frombuffer(buf, dtype=np.uint8, offset=4 + mlen)
+        view = np.frombuffer(buf, dtype=np.uint8, offset=off)
         self._densify()
         np.maximum(self._dense, view, out=self._dense)
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "HyperLogLog":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
+        meta, off = read_meta(buf, "hll")
         h = cls(p=meta["p"])
         if meta.get("mode") == "sparse":
             nnz = meta["nnz"]
-            off = 4 + mlen
             idx = np.frombuffer(buf, dtype=np.int32, count=nnz, offset=off)
             h._sp_idx = idx.astype(np.int64).view(np.uint64)
             h._sp_rank = np.frombuffer(
                 buf, dtype=np.uint8, count=nnz, offset=off + 4 * nnz
             ).copy()
             return h
-        h._dense = np.frombuffer(buf[4 + mlen :], dtype=np.uint8).copy()
+        h._dense = np.frombuffer(buf[off:], dtype=np.uint8).copy()
         return h
 
 

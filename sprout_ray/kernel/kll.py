@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from .sketch import read_meta
+
 _C = 2.0 / 3.0
 _MIN_CAP = 8
 
@@ -143,12 +145,10 @@ class KLLSketch:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "KLLSketch":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
+        meta, off = read_meta(buf, "kll")
         s = cls(k=meta["k"], seed=meta["seed"])
         s.n = meta["n"]
         s.levels = []
-        off = 4 + mlen
         for size in meta["sizes"]:
             s.levels.append(
                 np.frombuffer(buf[off : off + 8 * size], dtype=np.float64).copy()

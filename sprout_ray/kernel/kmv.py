@@ -30,6 +30,8 @@ import json
 
 import numpy as np
 
+from .sketch import read_meta
+
 _TWO64 = float(2**64)
 
 
@@ -133,8 +135,7 @@ class KMVSketch:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "KMVSketch":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
+        meta, off = read_meta(buf, "kmv")
         if meta.get("v") != 2:
             raise ValueError(
                 f"unsupported KMV wire format v={meta.get('v', 1)} "
@@ -142,7 +143,6 @@ class KMVSketch:
                 "deserialize misaligned; rebuild the checkpoint)"
             )
         sk = cls(k=meta["k"])
-        off = 4 + mlen
         n = int.from_bytes(buf[off : off + 4], "little")
         off += 4
         sk.hashes = np.frombuffer(buf, dtype=np.uint64, count=n, offset=off).copy()

@@ -29,6 +29,8 @@ import json
 
 import numpy as np
 
+from .sketch import read_meta
+
 
 class MisraGries:
     __slots__ = ("m", "counts", "total", "err_bound")
@@ -140,8 +142,7 @@ class MisraGries:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "MisraGries":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
+        meta, off = read_meta(buf, "mg")
         if meta.get("v") != 2:
             raise ValueError(
                 f"unsupported MG wire format v={meta.get('v', 1)} "
@@ -151,7 +152,6 @@ class MisraGries:
         sk = cls(m=meta["m"])
         sk.total = meta["total"]
         sk.err_bound = meta["err_bound"]
-        off = 4 + mlen
         n = int.from_bytes(buf[off : off + 4], "little")
         off += 4
         lengths = np.frombuffer(buf, dtype=np.int32, count=n, offset=off)

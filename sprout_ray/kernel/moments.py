@@ -48,6 +48,8 @@ import json
 
 import numpy as np
 
+from .sketch import read_meta
+
 # |c| <= MAXC keeps c**2 (and every partial product below) int64-exact.
 MAXC = 2**31 - 1
 _MASK32 = np.int64(0xFFFFFFFF)
@@ -284,8 +286,7 @@ class MomentsSketch:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "MomentsSketch":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
+        meta, _ = read_meta(buf, "moments")
         sk = cls()
         sk.n = meta["n"]
         sk.s1, sk.s2, sk.s3, sk.s4 = meta["s1"], meta["s2"], meta["s3"], meta["s4"]

@@ -37,6 +37,7 @@ import numpy as np
 
 from .bloom import BloomFilter, BloomMergeError, BloomStats
 from .murmur3 import hash_keys
+from .sketch import read_meta
 
 GROWTH_SMALL = 2
 GROWTH_LARGE = 4
@@ -206,9 +207,7 @@ class ScalableBloomFilter:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "ScalableBloomFilter":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
-        assert meta["kind"] == "sbf", meta["kind"]
+        meta, off = read_meta(buf, "sbf")
         sbf = cls(
             err_rate=meta["err_rate"],
             initial_capacity=meta["initial_capacity"],
@@ -216,7 +215,6 @@ class ScalableBloomFilter:
         )
         while len(sbf.filters) < len(meta["counts"]):
             sbf._grow()
-        off = 4 + mlen
         for f, cnt, width in zip(sbf.filters, meta["counts"], meta["stage_widths"]):
             assert f.bit_width == width, (f.bit_width, width)
             f.bits = np.frombuffer(buf[off : off + width], dtype=np.uint8).copy()

@@ -19,6 +19,7 @@ partial in a distributed build has identical geometry and merges are legal
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, runtime_checkable
 
@@ -52,16 +53,42 @@ class SketchSpec:
         return _REGISTRY[self.kind][1](buf)
 
 
-# kind -> (constructor, deserializer); populated lazily to avoid import cycles
+# kind -> (constructor, deserializer); the kernel package's __init__ fills it
+# once every kernel module (each importing read_meta from here) has loaded
 _REGISTRY: dict[str, tuple[Callable, Callable]] = {}
+
+
+class SketchFormatError(ValueError):
+    """Serialized sketch bytes that are garbled or of another kind."""
+
+
+def read_meta(buf: bytes, kind: str | None = None) -> tuple[dict, int]:
+    """Parse a serialized sketch's header — a little-endian u32 length, then
+    that many bytes of JSON metadata carrying ``"kind"`` — into ``(meta,
+    payload_offset)``. Raises :class:`SketchFormatError` when the header is
+    unreadable or, given ``kind``, names another kind."""
+    try:
+        mlen = int.from_bytes(buf[:4], "little")
+        meta = json.loads(buf[4 : 4 + mlen].decode())
+        found = meta["kind"]
+    except (ValueError, TypeError, KeyError, IndexError) as e:
+        what = f"{kind!r} sketch" if kind else "sketch"
+        raise SketchFormatError(
+            f"expected a serialized {what}, found an unreadable header "
+            f"({type(e).__name__}: {e})"
+        ) from None
+    if kind is not None and found != kind:
+        raise SketchFormatError(
+            f"expected a serialized {kind!r} sketch, found kind {found!r}"
+        )
+    return meta, 4 + mlen
 
 
 def sketch_from_bytes(buf: bytes):
     """Deserialize any registered sketch by the kind tag in its header."""
-    import json
-
-    mlen = int.from_bytes(buf[:4], "little")
-    kind = json.loads(buf[4 : 4 + mlen].decode())["kind"]
+    kind = read_meta(buf)[0]["kind"]
+    if kind not in _REGISTRY:
+        raise SketchFormatError(f"unknown sketch kind {kind!r}")
     return _REGISTRY[kind][1](buf)
 
 
@@ -96,5 +123,3 @@ def _bootstrap() -> None:
     register_sketch("fd", FrequentDirections, FrequentDirections.from_bytes)
     register_sketch("cbf", CountingBloomFilter, CountingBloomFilter.from_bytes)
 
-
-_bootstrap()

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .sketch import read_meta
+
 _BUFFER_FACTOR = 5
 
 
@@ -168,11 +170,9 @@ class TDigest:
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "TDigest":
-        mlen = int.from_bytes(buf[:4], "little")
-        meta = json.loads(buf[4 : 4 + mlen].decode())
+        meta, off = read_meta(buf, "tdigest")
         td = cls(delta=meta["delta"])
         n = meta["n"]
-        off = 4 + mlen
         td.means = np.frombuffer(buf[off : off + 8 * n], dtype=np.float64).copy()
         off += 8 * n
         td.weights = np.frombuffer(buf[off : off + 8 * n], dtype=np.float64).copy()

@@ -102,10 +102,17 @@ def _window_hashes(win16: np.ndarray, starts: np.ndarray, rlen: np.ndarray):
     return murmur3_64_padded_multi(mat, rlen, (0,))[0]
 
 
+def _check_shingle_k(k: int) -> None:
+    # a shingle must fit one murmur tail block of the 16-wide window matrix
+    if not 1 <= k <= 15:
+        raise ValueError("k must be in [1, 15] (single murmur tail block)")
+
+
 def shingle_hashes(text: str, k: int = 5) -> np.ndarray:
     """Unique murmur3-64 hashes of all byte-k-shingles (k <= 15), or of the
     whole text when it is shorter than k — one sliding-window matrix, one
     hash pass."""
+    _check_shingle_k(k)
     b = text.encode()
     if not b:
         return np.empty(0, dtype=np.uint64)
@@ -129,8 +136,7 @@ class MinHasher:
     ``signature`` (list<uint64>)."""
 
     def __init__(self, num_perm: int = 128, k: int = 5, seed: int = 1, text_col: str = "text", id_col: str = "doc_id"):
-        if not 1 <= k <= 15:
-            raise ValueError("k must be in [1, 15] (single murmur tail block)")
+        _check_shingle_k(k)
         rng = np.random.default_rng(seed)
         self.a = rng.integers(1, _MERSENNE, num_perm, dtype=np.int64).astype(np.uint64)
         self.b = rng.integers(0, _MERSENNE, num_perm, dtype=np.int64).astype(np.uint64)
@@ -1182,29 +1188,6 @@ def ngram_jaccard_pairs_distributed(
         )
 
     return with_clique(both.map_batches(verify_joined, batch_format="pyarrow"))
-
-
-class _PairVerifier:
-    """Actor-pool verify stage: signature lookup fetched once per actor."""
-
-    def __init__(self, sig_ref, threshold: float):
-        import ray
-
-        self.sigs = ray.get(sig_ref)
-        self.threshold = threshold
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lid = batch["left_id"].to_pylist()
-        rid = batch["right_id"].to_pylist()
-        est = [estimate_jaccard(self.sigs[a], self.sigs[b]) for a, b in zip(lid, rid)]
-        out = pa.table(
-            {
-                "left_id": pa.array(lid, pa.int64()),
-                "right_id": pa.array(rid, pa.int64()),
-                "est_jaccard": pa.array(est, pa.float64()),
-            }
-        )
-        return out.filter(pc.greater_equal(out["est_jaccard"], self.threshold))
 
 
 def minhash_pairs_distributed(

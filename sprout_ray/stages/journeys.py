@@ -3,14 +3,14 @@ transition (Markov) counts, and ordered funnel stages.
 
 These are the classic product/event-warehouse operators a training-data or
 analytics pipeline runs over an append-only event log. All three follow the
-repo's established distributed-scan shapes:
+repo's established distributed-scan shapes; the last two run on the ordered
+window family's one plan, ``windows.sorted_blocks``:
 
 - ``retention_cohorts``: per-block pair dedupe -> one packed-key groupby
   (the ``hourly_active_users`` thinning shape) -> size-guarded cohort join.
 - ``transition_counts``: ONE range sort, per-block vectorized adjacency
   counts pre-aggregated to <= |types|^2 rows per block, native single-key
-  groupby; only O(blocks) boundary rows reach the driver (the ``gap_stats``
-  edge-stitch shape).
+  groupby; only O(blocks) boundary rows reach the driver.
 - ``funnel_stages``: ONE range sort, per-segment chain times via masked
   ``np.minimum.reduceat`` passes (k passes over the block, never per-row
   Python); boundary user segments carry a BOUNDED per-entry-stage summary
@@ -29,6 +29,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .windows import edge_kind, key_change, sorted_blocks
 
 _BIG = np.iinfo(np.int64).max
 _DAY_US = 86_400_000_000
@@ -146,22 +148,6 @@ def transition_counts(
 
     def block_parts(t: pa.Table) -> pa.Table:
         n = t.num_rows
-        empty = pa.table(
-            {
-                "pair": pa.array([], pa.string()),
-                "n": pa.array([], pa.int64()),
-                "_edge": pa.array([], pa.bool_()),
-                "_b0": pa.array([], pa.int64()),
-                "_b1": pa.array([], pa.int64()),
-                "_b2": pa.array([], pa.int64()),
-                "_fk": pa.array([], pa.int64()),
-                "_ft": pa.array([], pa.string()),
-                "_lk": pa.array([], pa.int64()),
-                "_lt": pa.array([], pa.string()),
-            }
-        )
-        if n == 0:
-            return empty
         keys = t[key].to_numpy(zero_copy_only=False)
         types = t[type_col].to_numpy(zero_copy_only=False)
         vocab, codes = np.unique(types, return_inverse=True)
@@ -172,71 +158,52 @@ def transition_counts(
         nz = np.flatnonzero(counts)
         # <= |local types|^2 pairs -> Python string build is off the hot path
         pair = [f"{vocab[i // v]}{sep}{vocab[i % v]}" for i in nz.tolist()]
-        us = pc.cast(t[ts_col], pa.int64())[0].as_py()
-        fid = t[id_col][0].as_py()
         count_rows = pa.table(
             {
                 "pair": pa.array(pair, pa.string()),
-                "n": pa.array(counts[nz], pa.int64()),
-                # explicit bool type: an inferred empty list is null-typed
-                # and breaks the concat when a block has no adjacencies
-                "_edge": pa.array([False] * len(nz), pa.bool_()),
-                "_b0": pa.array([0] * len(nz), pa.int64()),
-                "_b1": pa.array([0] * len(nz), pa.int64()),
-                "_b2": pa.array([0] * len(nz), pa.int64()),
-                "_fk": pa.array([0] * len(nz), pa.int64()),
-                "_ft": pa.array([""] * len(nz), pa.string()),
-                "_lk": pa.array([0] * len(nz), pa.int64()),
-                "_lt": pa.array([""] * len(nz), pa.string()),
+                "n": counts[nz],
+                "_kind": np.zeros(len(nz), np.int8),
             }
         )
+        # the block's one edge row: its first (key, ts, id, type) and its
+        # last (key, type), in the input's own Arrow types
         edge_row = pa.table(
             {
-                "pair": pa.array([""], pa.string()),
-                "n": pa.array([0], pa.int64()),
-                "_edge": pa.array([True]),
-                "_b0": pa.array([int(keys[0])], pa.int64()),
-                "_b1": pa.array([us], pa.int64()),
-                "_b2": pa.array([int(fid)], pa.int64()),
-                "_fk": pa.array([int(keys[0])], pa.int64()),
-                "_ft": pa.array([str(types[0])], pa.string()),
-                "_lk": pa.array([int(keys[-1])], pa.int64()),
-                "_lt": pa.array([str(types[-1])], pa.string()),
+                "_kind": pa.array([1], pa.int8()),
+                "_fk": t[key].slice(0, 1),
+                "_fts": t[ts_col].slice(0, 1),
+                "_fid": t[id_col].slice(0, 1),
+                "_ft": t[type_col].slice(0, 1),
+                "_lk": t[key].slice(n - 1, 1),
+                "_lt": t[type_col].slice(n - 1, 1),
             }
         )
-        return pa.concat_tables([count_rows, edge_row])
+        return pa.concat_tables([count_rows, edge_row], promote_options="default")
 
-    parts = (
-        ds.sort([key, ts_col, id_col])
-        .map_batches(
-            block_parts,
-            batch_format="pyarrow",
-            batch_size=None,  # whole sorted blocks -> one edge row each
-            zero_copy_batch=True,
-        )
-        .materialize()  # consumed twice (counts groupby + edge collect)
+    done, edges = sorted_blocks(
+        ds, [key, ts_col, id_col], block_parts, "transition_counts"
     )
     counts = (
-        parts.filter(expr="_edge == False")
-        .select_columns(["pair", "n"])
+        done.select_columns(["pair", "n"])
         .groupby("pair")
         .sum("n")
         .take_all()  # <= |types|^2 rows
     )
     agg = {r["pair"]: int(r["sum(n)"]) for r in counts}
-
-    edges = parts.filter(expr="_edge == True").take_all()  # O(blocks)
-    # blocks own disjoint (key, ts, id) ranges -> first-row tuple orders them
-    edges.sort(key=lambda r: (r["_b0"], r["_b1"], r["_b2"]))
-    for a, b in zip(edges, edges[1:]):
-        if a["_lk"] == b["_fk"]:
-            k = f"{a['_lt']}{sep}{b['_ft']}"
-            agg[k] = agg.get(k, 0) + 1
+    if edges is not None:
+        # blocks own disjoint (key, ts, id) ranges -> first-row tuple orders them
+        e = edges.sort_by(
+            [("_fk", "ascending"), ("_fts", "ascending"), ("_fid", "ascending")]
+        ).to_pylist()
+        for a, b in zip(e, e[1:]):
+            if a["_lk"] == b["_fk"]:
+                k = f"{a['_lt']}{sep}{b['_ft']}"
+                agg[k] = agg.get(k, 0) + 1
     prev_next = sorted(agg)
     out = pa.table(
         {
-            "prev_type": pa.array([p.split(sep)[0] for p in prev_next]),
-            "next_type": pa.array([p.split(sep)[1] for p in prev_next]),
+            "prev_type": pa.array([p.split(sep)[0] for p in prev_next], pa.string()),
+            "next_type": pa.array([p.split(sep)[1] for p in prev_next], pa.string()),
             "n": pa.array([agg[p] for p in prev_next], pa.int64()),
         }
     )
@@ -278,18 +245,6 @@ def funnel_stages(
     stage_arr = np.array(stages)
 
     def block_parts(t: pa.Table) -> pa.Table:
-        cols = {
-            key: pa.array([], pa.int64()),
-            "_first_us": pa.array([], pa.int64()),
-            "_first_id": pa.array([], pa.int64()),
-            "_edge": pa.array([], pa.bool_()),
-        }
-        for i in range(k):
-            for j in range(i, k):
-                cols[f"_c{i}_{j}"] = pa.array([], pa.int64())
-                cols[f"_s{i}_{j}"] = pa.array([], pa.int64())
-        if t.num_rows == 0:
-            return pa.table(cols)
         keys = t[key].to_numpy(zero_copy_only=False)
         ts_us = pc.cast(t[ts_col], pa.int64()).to_numpy(zero_copy_only=False)
         types = t[type_col].to_numpy(zero_copy_only=False)
@@ -299,8 +254,7 @@ def funnel_stages(
         if not (sorted_stages[np.clip(pos, 0, k - 1)] == types).all():
             raise ValueError("funnel_stages: non-stage event type in block")
         code = order[pos]  # stage index per row (position in `stages`)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        change = np.concatenate([[True], keys[1:] != keys[:-1]])
+        change = key_change(keys)
         starts = np.flatnonzero(change)
         seg_id = np.cumsum(change) - 1
         # chain[i][j]: earliest completion time of stage j entering the
@@ -326,18 +280,16 @@ def funnel_stages(
                 chain[(i, j)] = tj
                 strict[(i, j)] = tjs
                 prev, prev_s = tj, tjs
-        s_key = keys[starts]
-        edge = (s_key == keys[0]) | (s_key == keys[-1])
         out = {
-            key: pa.array(s_key),
-            "_first_us": pa.array(ts_us[starts]),
-            "_first_id": pa.array(ids[starts]),
-            "_edge": pa.array(edge),
+            key: t[key].take(starts),
+            "_first_us": first_ts,
+            "_first_id": t[id_col].take(starts),
+            "_kind": edge_kind(keys[starts], keys),
         }
         for i in range(k):
             for j in range(i, k):
-                out[f"_c{i}_{j}"] = pa.array(chain[(i, j)])
-                out[f"_s{i}_{j}"] = pa.array(strict[(i, j)])
+                out[f"_c{i}_{j}"] = chain[(i, j)]
+                out[f"_s{i}_{j}"] = strict[(i, j)]
         return pa.table(out)
 
     stage_set = pa.array(list(stages), pa.string())
@@ -346,22 +298,15 @@ def funnel_stages(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    parts = (
-        filtered.sort([key, ts_col, id_col])
-        .map_batches(
-            block_parts,
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        )
-        .materialize()
+    done, edges = sorted_blocks(
+        filtered, [key, ts_col, id_col], block_parts, "funnel_stages"
     )
 
     def finalize_interior(t: pa.Table) -> pa.Table:
         stage = np.zeros(t.num_rows, dtype=np.int64)
         for j in range(k):
-            done = t[f"_c0_{j}"].to_numpy(zero_copy_only=False) != _BIG
-            stage = np.where(done, j + 1, stage)
+            reached = t[f"_c0_{j}"].to_numpy(zero_copy_only=False) != _BIG
+            stage = np.where(reached, j + 1, stage)
         m = stage >= 1
         return pa.table(
             {
@@ -370,16 +315,16 @@ def funnel_stages(
             }
         )
 
-    interior = parts.filter(expr="_edge == False").map_batches(
-        finalize_interior, batch_format="pyarrow"
-    )
-    edges = parts.filter(expr="_edge == True").take_all()  # O(blocks)
-    if not edges:
+    interior = done.map_batches(finalize_interior, batch_format="pyarrow")
+    if edges is None:
         return interior.sort(key)
     # within a user, global (ts, id) sort order makes each block-segment's
     # first row lexicographically ordered -> (first_us, first_id) orders
     # the user's segments even across exact-ts boundaries
-    edges.sort(key=lambda r: (r[key], r["_first_us"], r["_first_id"]))
+    key_type = edges.schema.field(key).type
+    edges = edges.sort_by(
+        [(key, "ascending"), ("_first_us", "ascending"), ("_first_id", "ascending")]
+    ).to_pylist()  # O(blocks)
     rows_k, rows_s = [], []
     cur, s, tdone = None, 0, None
 
@@ -416,7 +361,6 @@ def funnel_stages(
                 assert tj > tdone, "funnel fold: non-monotonic chain time"
                 s, tdone = j + 1, tj
     flush()
-    key_type = parts.schema().base_schema.field(key).type
     edge_tbl = pa.table(
         {
             key: pa.array(rows_k, key_type),

@@ -3,25 +3,38 @@
 Ray Data is a batch engine with no native event-time windows/watermarks
 (absent in the reference too — SURVEY.md §2.5); windows are expressed as:
 
-- tumbling windows: a vectorized window-id column (epoch // size) + a plain
-  groupby — embarrassingly parallel, one shuffle;
-- session windows: one global ``sort([key, ts, id])`` (range shuffle), then
-  a fully vectorized ``map_batches`` that finds gap boundaries with numpy
-  inside each sorted batch; sessions that could straddle a batch edge (only
-  those of each batch's FIRST and LAST key — everything between is provably
-  complete, because a key spanning two sorted blocks must be last of one and
-  first of the next) are stitched in one small driver pass. No per-group
-  Python: the engine's cost is one sort plus O(rows) numpy, and the driver
-  only ever sees O(batches x sessions-per-edge-key) stitch rows.
+- tumbling and hopping windows: a vectorized window-id column
+  (epoch // size) + one pre-aggregated groupby — embarrassingly parallel,
+  one shuffle;
+- ordered windows (sessions, LAG gaps, moving and time-weighted sums, and
+  the journey operators in ``journeys.py``): ONE physical plan,
+  :func:`sorted_blocks`. One global ``sort([key, ts, id])`` (range
+  shuffle), then one vectorized pass over each WHOLE sorted block, then a
+  small driver stitch of only the rows whose key can straddle a block edge.
+  Everything between a block's first and last key is provably complete,
+  because a key spanning two sorted blocks must be last of one and first
+  of the next. No per-group Python: the engine's cost is one sort plus
+  O(rows) numpy, and the driver only ever sees O(blocks) stitch rows.
 
-Both are DuckDB-oracle-checkable (GROUP BY floor(epoch/size); window
+A block function tags every row it emits with an int8 ``_kind``:
+
+- 0 — final: the row is part of the answer as it stands;
+- 1 — edge: the driver recomputes it from the collected edge rows;
+- 2 — final AND driver context: complete itself, but a later block's edge
+  rows reach back to it (the moving sums' carry rows).
+
+``cumulative_by_key`` is the two-pass variant (a per-block summary, then a
+carry-applying pass) for running sums emitted row-per-row.
+
+All are DuckDB-oracle-checkable (GROUP BY floor(epoch/size); window
 functions with lag + cumulative sum).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -63,6 +76,92 @@ def tumbling_counts(ds, key: str = "event_type", ts_col: str = "ts", size_s: int
     )
 
 
+def sorted_blocks(ds, sort_keys: list, block_fn, caller: str):
+    """The one physical plan of the ordered-window family -> ``(done, edges)``.
+
+    Runs ONE range sort by ``sort_keys``, then ``block_fn`` over each whole
+    sorted block (``batch_size=None``: whole blocks give the fewest edge
+    rows, O(blocks) in all), materialized once because the parts are read
+    twice. ``block_fn`` tags every row with the module's ``_kind``
+    convention. Returns the lazy Dataset of the ``_kind`` 0 and 2 rows
+    (``_kind`` dropped) and the ``_kind`` 1 and 2 rows collected as one
+    typed ``pa.Table`` — its columns keep the block function's Arrow types,
+    so no stitch rebuilds a key type — or None when no block emitted one.
+
+    Ray never hands ``map_batches`` an empty block, so a block function
+    needs no 0-row branch; a 0-row input runs it never and gives a
+    schema-less ``done`` and ``edges=None``.
+
+    NULL sort keys are refused by name: a NULL would become NaN in an
+    integer key's ``to_numpy`` and split into its own run under ``keys[1:]
+    != keys[:-1]``. The check runs inside each block task, because a map
+    stage ahead of the sort does not fuse with a split read
+    (``read_parquet(override_num_blocks=...)``) and costs a stage per
+    query. The one NULL no block function sees — a string key with more
+    than one block, on which Ray's sort partitioning raises ``TypeError``
+    comparing None — is named by a scan that only that failure pays for.
+    """
+
+    def refuse_nulls(t: pa.Table) -> pa.Table:
+        for c in sort_keys:
+            if t[c].null_count:
+                raise ValueError(f"{caller}: sort key {c!r} contains NULLs")
+        return t
+
+    @functools.wraps(block_fn)  # plans and stats keep the kernel's name
+    def checked_block(t: pa.Table) -> pa.Table:
+        return block_fn(refuse_nulls(t))
+
+    whole = dict(batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+    try:
+        parts = (
+            ds.sort(sort_keys)
+            .map_batches(checked_block, **whole)
+            .materialize()  # consumed twice (final rows + edge collect)
+        )
+    except TypeError:
+        ds.map_batches(refuse_nulls, **whole).materialize()
+        raise
+    done = parts.filter(expr="_kind != 1").drop_columns(["_kind"])
+    edges = [
+        t
+        for t in parts.filter(expr="_kind != 0").iter_batches(
+            batch_format="pyarrow", batch_size=None
+        )
+        if t.num_rows
+    ]
+    return done, pa.concat_tables(edges) if edges else None
+
+
+def key_change(keys: np.ndarray) -> np.ndarray:
+    """True where a sorted key column starts a new run."""
+    return np.concatenate([[True], keys[1:] != keys[:-1]])
+
+
+def rank_in_key(keys: np.ndarray) -> np.ndarray:
+    """0-based position of each row within its run of equal sorted keys."""
+    idx = np.arange(len(keys), dtype=np.int64)
+    return idx - np.maximum.accumulate(np.where(key_change(keys), idx, 0))
+
+
+def edge_kind(run_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``_kind`` of per-key-run rows: 1 for the block's first and last key
+    (the only ones that can continue in a neighbouring block), else 0."""
+    return ((run_keys == keys[0]) | (run_keys == keys[-1])).astype(np.int8)
+
+
+def _epoch_us(t: pa.Table, col: str) -> np.ndarray:
+    return pc.cast(t[col], pa.int64()).to_numpy(zero_copy_only=False)
+
+
+def _require_integer(ds, col: str, caller: str) -> None:
+    if not pa.types.is_integer(ds.schema().base_schema.field(col).type):
+        raise ValueError(
+            f"{caller}: {col!r} must be integer (convert float units to "
+            "cents/micros upstream)"
+        )
+
+
 def sessionize(ds, key: str = "user_id", ts_col: str = "ts", id_col: str = "event_id", gap_s: int = 1800):
     """Gap-based session windows per key — sort + vectorized boundaries.
 
@@ -72,114 +171,54 @@ def sessionize(ds, key: str = "user_id", ts_col: str = "ts", id_col: str = "even
     row per session: (key, session_id, n_events, start_us, end_us);
     ``session_id`` is the 0-based session index within the key.
 
-    Scale shape: ONE range shuffle (the sort), then numpy-only batch work.
-    Each sorted batch computes its sessions vectorized; only sessions
-    belonging to a batch's first or last key can be split across batches —
-    a key with events in two sorted blocks is necessarily the last key of
-    one and the first key of the next — so interior keys finalize (with
-    their session ids) inside the batch, and the tiny edge set
-    (O(batches) keys) is stitched + ranked on the driver."""
+    Scale shape (:func:`sorted_blocks`): each sorted block computes its
+    sessions vectorized; only sessions of a block's first or last key can
+    be split across blocks, so interior keys finalize (with their session
+    ids) inside the block, and the tiny edge set (O(blocks) keys) is
+    stitched + ranked on the driver."""
     import ray.data as rd
 
     gap_us = gap_s * _US
 
     def block_sessions(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        key_type = t.schema.field(key).type
-        if n == 0:
-            return _empty_sessions(key, key_type)
         keys = t[key].to_numpy(zero_copy_only=False)
-        ts_us = pc.cast(t[ts_col], pa.int64()).to_numpy(zero_copy_only=False)
-        key_change = np.concatenate([[True], keys[1:] != keys[:-1]])
+        ts_us = _epoch_us(t, ts_col)
         gap_break = np.concatenate([[True], (ts_us[1:] - ts_us[:-1]) > gap_us])
-        starts = np.flatnonzero(key_change | gap_break)
-        ends = np.append(starts[1:], n)
-        s_key = keys[starts]
-        # 0-based session index within key (sessions of a key are contiguous)
-        sess_idx = np.arange(len(starts), dtype=np.int64)
-        key_first = np.concatenate([[True], s_key[1:] != s_key[:-1]])
-        session_id = sess_idx - np.maximum.accumulate(
-            np.where(key_first, sess_idx, 0)
-        )
-        edge = (s_key == keys[0]) | (s_key == keys[-1])
+        starts = np.flatnonzero(key_change(keys) | gap_break)
+        ends = np.append(starts[1:], t.num_rows)
         return pa.table(
             {
-                key: pa.array(s_key, key_type),
-                "session_id": pa.array(session_id),
-                "n_events": pa.array((ends - starts).astype(np.int64)),
-                "start_us": pa.array(ts_us[starts]),
-                "end_us": pa.array(ts_us[ends - 1]),
-                "_edge": pa.array(edge),
+                key: t[key].take(starts),
+                # sessions of a key are contiguous
+                "session_id": rank_in_key(keys[starts]),
+                "n_events": ends - starts,
+                "start_us": ts_us[starts],
+                "end_us": ts_us[ends - 1],
+                "_kind": edge_kind(keys[starts], keys),
             }
         )
 
-    sessions = (
-        ds.sort([key, ts_col, id_col])
-        .map_batches(
-            block_sessions,
-            batch_format="pyarrow",
-            batch_size=None,  # whole sorted blocks -> fewest edge rows
-            zero_copy_batch=True,
-        )
-        .materialize()  # consumed twice (interior filter + edge collect)
-    )
-    interior = sessions.filter(
-        expr="_edge == False"
-    ).drop_columns(["_edge"])
-    edge_rows = sessions.filter(expr="_edge == True").drop_columns(["_edge"]).take_all()
-    if not edge_rows:
-        return interior
-    e = pd.DataFrame(edge_rows).sort_values([key, "start_us"], kind="stable")
-    k = e[key].to_numpy()
+    done, e = sorted_blocks(ds, [key, ts_col, id_col], block_sessions, "sessionize")
+    if e is None:
+        return done
+    e = e.sort_by([(key, "ascending"), ("start_us", "ascending")])
+    k = e[key].to_numpy(zero_copy_only=False)
     st = e["start_us"].to_numpy()
     en = e["end_us"].to_numpy()
     # chain-merge adjacent same-key partials whose gap closed across a block
     # edge (intervals per key are disjoint + ordered, so row-to-row suffices)
-    joined = np.concatenate(
-        [[False], (k[1:] == k[:-1]) & (st[1:] - en[:-1] <= gap_us)]
-    )
-    grp = np.cumsum(~joined) - 1
-    e = e.assign(_grp=grp)
-    stitched = (
-        e.groupby("_grp", sort=True)
-        .agg(
-            **{
-                key: (key, "first"),
-                "n_events": ("n_events", "sum"),
-                "start_us": ("start_us", "min"),
-                "end_us": ("end_us", "max"),
-            }
-        )
-        .reset_index(drop=True)
-    )
-    stitched["session_id"] = stitched.groupby(key, sort=False).cumcount()
-    # rebuild the key column with the ORIGINAL dtype (block_sessions
-    # preserved it; inferring here would make e.g. an int32/dictionary key
-    # mismatch the interior schema and break the union)
-    key_type = sessions.schema().base_schema.field(key).type
-    out_tbl = pa.table(
+    joined = (k[1:] == k[:-1]) & (st[1:] - en[:-1] <= gap_us)
+    heads = np.flatnonzero(np.concatenate([[True], ~joined]))
+    stitched = pa.table(
         {
-            key: pa.array(stitched[key].to_numpy(), type=key_type),
-            "session_id": pa.array(stitched["session_id"].to_numpy(), pa.int64()),
-            "n_events": pa.array(stitched["n_events"].to_numpy(), pa.int64()),
-            "start_us": pa.array(stitched["start_us"].to_numpy(), pa.int64()),
-            "end_us": pa.array(stitched["end_us"].to_numpy(), pa.int64()),
+            key: e[key].take(heads),
+            "session_id": rank_in_key(k[heads]),
+            "n_events": np.add.reduceat(e["n_events"].to_numpy(), heads),
+            "start_us": st[heads],
+            "end_us": np.maximum.reduceat(en, heads),
         }
     )
-    return interior.union(rd.from_arrow(out_tbl))
-
-
-def _empty_sessions(key: str, key_type) -> pa.Table:
-    return pa.table(
-        {
-            key: pa.array([], key_type),
-            "session_id": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "start_us": pa.array([], pa.int64()),
-            "end_us": pa.array([], pa.int64()),
-            "_edge": pa.array([], pa.bool_()),
-        }
-    )
+    return done.union(rd.from_arrow(stitched))
 
 
 def hopping_counts(
@@ -250,7 +289,7 @@ def cumulative_by_key(
 
     Scale shape (two-pass distributed scan, the pack_sequences pattern):
     one range sort by (key, *order_cols), then pass 1 emits ONE summary
-    row per sorted block — the block's first/last key-run partial sums
+    row per sorted block — the block's last key-run partial sum and count
     plus the block's first-row sort tuple (O(blocks) driver rows). Only a
     block's FIRST key run can have history in earlier blocks (keys are
     contiguous after the sort), so the driver's carry loop produces one
@@ -270,11 +309,7 @@ def cumulative_by_key(
     """
     import ray
 
-    if not pa.types.is_integer(ds.schema().base_schema.field(val_col).type):
-        raise ValueError(
-            f"cumulative_by_key: {val_col!r} must be integer "
-            "(convert float units to cents/micros upstream)"
-        )
+    _require_integer(ds, val_col, "cumulative_by_key")
     sort_keys = [key] + list(order_cols)
     sorted_ds = ds.sort(sort_keys).materialize()  # consumed twice
 
@@ -288,21 +323,14 @@ def cumulative_by_key(
         return tuple(out)
 
     def summary(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"_n": pa.array([], pa.int64())})
         keys = t[key].to_numpy(zero_copy_only=False)
         if t[val_col].null_count:
             raise ValueError(f"cumulative_by_key: {val_col!r} contains nulls")
         vals = t[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
         brk = np.flatnonzero(keys[1:] != keys[:-1])
-        f_end = int(brk[0]) + 1 if brk.size else t.num_rows
         l_start = int(brk[-1]) + 1 if brk.size else 0
-        cols = {"_n": pa.array([t.num_rows], pa.int64())}
-        for i, v in enumerate(_first_tuple(t)):
-            cols[f"_b{i}"] = pa.array([v])
+        cols = {f"_b{i}": pa.array([v]) for i, v in enumerate(_first_tuple(t))}
         cols["_single"] = pa.array([not brk.size])
-        cols["_fsum"] = pa.array([int(vals[:f_end].sum())], pa.int64())
-        cols["_fcnt"] = pa.array([f_end], pa.int64())
         lk = t[key].slice(t.num_rows - 1, 1)
         if pa.types.is_temporal(lk.type):
             # canonicalize like _first_tuple so the carry-key comparison
@@ -317,7 +345,6 @@ def cumulative_by_key(
         summary, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     ).take_all()  # O(blocks) rows — the only driver materialization
     nb = len(sort_keys)
-    parts = [p for p in parts if "_fsum" in p and p["_fsum"] is not None]
     # blocks own disjoint ranges of the sort tuple -> the first-row tuple
     # orders them (canonicalized: temporal already int64)
     parts.sort(key=lambda p: tuple(p[f"_b{i}"] for i in range(nb)))
@@ -341,9 +368,6 @@ def cumulative_by_key(
     bases_ref = ray.put(bases)
 
     def add_cum(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            t = t.append_column(sum_col, pa.array([], pa.int64()))
-            return t.append_column(count_col, pa.array([], pa.int64()))
         base = ray.get(bases_ref).get(_first_tuple(t))
         if base is None:
             raise RuntimeError(
@@ -371,7 +395,6 @@ def cumulative_by_key(
         add_cum, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
     )
 
-
 def gap_stats(ds, key: str = "user_id", ts_col: str = "ts", id_col: str = "event_id"):
     """Per-key inter-event gap statistics — the distributed LAG window:
     ``date_diff(lag(ts) OVER (PARTITION BY key ORDER BY ts, id), ts)``
@@ -379,129 +402,83 @@ def gap_stats(ds, key: str = "user_id", ts_col: str = "ts", id_col: str = "event
     single event emit 0/0 (the oracle's coalesce pin); gaps depend only
     on the sorted ts sequence, so ties are tiebreak-free.
 
-    Scale shape (the sessionize pattern): ONE range shuffle (sort by
-    key, ts, id), then per-block numpy segment reductions via
-    ``reduceat`` — per-key partials with first/last timestamps. Interior
-    keys (not a block's first or last) finalize in-block; only the
-    O(batches) edge partials reach the driver, where same-key runs
-    chain-merge with their block-boundary gaps folded into sum and max.
+    Scale shape: :func:`_pair_fold` — per-block ``reduceat`` partials with
+    first/last timestamps; only the O(blocks) edge partials reach the
+    driver, where same-key runs chain-merge with their block-boundary gaps
+    folded into sum and max.
+    """
+    return _pair_fold(
+        ds, key, ts_col, id_col, None, "gap_stats",
+        lambda gap_us, _: {
+            "sum_gap_us": (gap_us, np.add),
+            "max_gap_us": (gap_us, np.maximum),
+        },
+    )
+
+
+def _pair_fold(ds, key, ts_col, id_col, val_col, caller, terms):
+    """Per-key fold over the adjacent event pairs of each key's (ts, id)
+    stream plus the event count — the body of ``gap_stats`` and
+    ``time_weighted_sum``.
+
+    ``terms(gap_us, prev_c)`` maps each output column to ``(values, op)``
+    for pairs with gaps ``gap_us`` whose EARLIER event holds ``prev_c``
+    (``val_col``'s value; 0 without one); ``op`` is ``np.add`` or
+    ``np.maximum``, and 0 is neutral for both because gaps within a
+    (key, ts)-sorted stream are >= 0. Each sorted block folds its in-block
+    pairs per key with one ``reduceat`` and carries the key's (first_us,
+    last_us, last value); the driver chain-merges the same-key edge
+    partials, folding in each block boundary's pair — whose earlier event
+    is the PREVIOUS partial's last.
     """
     import ray.data as rd
 
-    cols = [key, "n_events", "sum_gap_us", "max_gap_us"]
-
-    def _empty() -> pa.Table:
-        kt = ds.schema().base_schema.field(key).type
-        return pa.table(
-            {
-                key: pa.array([], kt),
-                "n_events": pa.array([], pa.int64()),
-                "sum_gap_us": pa.array([], pa.int64()),
-                "max_gap_us": pa.array([], pa.int64()),
-                "first_us": pa.array([], pa.int64()),
-                "last_us": pa.array([], pa.int64()),
-                "_edge": pa.array([], pa.bool_()),
-            }
-        )
-
     def block_parts(t: pa.Table) -> pa.Table:
         n = t.num_rows
-        if n == 0:
-            return _empty()
-        key_type = t.schema.field(key).type
         keys = t[key].to_numpy(zero_copy_only=False)
-        ts_us = pc.cast(t[ts_col], pa.int64()).to_numpy(zero_copy_only=False)
-        key_change = np.concatenate([[True], keys[1:] != keys[:-1]])
-        starts = np.flatnonzero(key_change)
+        ts_us = _epoch_us(t, ts_col)
+        c = (
+            t[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
+            if val_col else np.zeros(n, np.int64)
+        )
+        starts = np.flatnonzero(key_change(keys))
         ends = np.append(starts[1:], n)
-        gaps = np.diff(ts_us)  # slot i = gap between row i and i+1
         valid = keys[1:] == keys[:-1]  # cross-key slots masked out
-        # pad one trailing neutral slot so reduceat segments
-        # [starts[i], starts[i+1]) cover every key's gap run in bounds
-        gsum = np.concatenate([np.where(valid, gaps, 0), [0]])
-        gmax = np.concatenate([np.where(valid, gaps, -1), [-1]])
-        sum_gap = np.add.reduceat(gsum, starts)
-        max_gap = np.maximum.reduceat(gmax, starts)  # -1 == "no gap yet"
-        s_key = keys[starts]
-        edge = (s_key == keys[0]) | (s_key == keys[-1])
-        return pa.table(
-            {
-                key: pa.array(s_key, key_type),
-                "n_events": pa.array((ends - starts).astype(np.int64)),
-                "sum_gap_us": pa.array(sum_gap.astype(np.int64)),
-                "max_gap_us": pa.array(max_gap.astype(np.int64)),
-                "first_us": pa.array(ts_us[starts]),
-                "last_us": pa.array(ts_us[ends - 1]),
-                "_edge": pa.array(edge),
-            }
+        out = {key: t[key].take(starts), "n_events": ends - starts}
+        for name, (x, op) in terms(np.diff(ts_us), c[:-1]).items():
+            # pad one trailing neutral slot so reduceat segments
+            # [starts[i], starts[i+1]) cover every key's pair run in bounds
+            out[name] = op.reduceat(np.append(np.where(valid, x, 0), 0), starts)
+        out.update(
+            first_us=ts_us[starts],
+            last_us=ts_us[ends - 1],
+            last_c=c[ends - 1],
+            _kind=edge_kind(keys[starts], keys),
         )
+        return pa.table(out)
 
-    parts = (
-        ds.sort([key, ts_col, id_col])
-        .map_batches(
-            block_parts,
-            batch_format="pyarrow",
-            batch_size=None,  # whole sorted blocks -> fewest edge rows
-            zero_copy_batch=True,
-        )
-        .materialize()  # consumed twice (interior filter + edge collect)
+    done, e = sorted_blocks(ds, [key, ts_col, id_col], block_parts, caller)
+    done = done.drop_columns(["first_us", "last_us", "last_c"])
+    if e is None:
+        return done
+    e = e.sort_by([(key, "ascending"), ("first_us", "ascending")])
+    k = e[key].to_numpy(zero_copy_only=False)
+    same = k[1:] == k[:-1]
+    heads = np.flatnonzero(key_change(k))
+    boundary = terms(
+        e["first_us"].to_numpy()[1:] - e["last_us"].to_numpy()[:-1],
+        e["last_c"].to_numpy()[:-1],
     )
-
-    def finalize_interior(t: pa.Table) -> pa.Table:
-        mg = t["max_gap_us"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                key: t[key],
-                "n_events": t["n_events"],
-                "sum_gap_us": t["sum_gap_us"],
-                "max_gap_us": pa.array(np.maximum(mg, 0)),
-            }
-        )
-
-    interior = (
-        parts.filter(expr="_edge == False")
-        .map_batches(finalize_interior, batch_format="pyarrow")
-    )
-    edge_rows = parts.filter(expr="_edge == True").take_all()
-    if not edge_rows:
-        return interior
-    e = pd.DataFrame(edge_rows).sort_values(
-        [key, "first_us"], kind="stable"
-    )
-    k = e[key].to_numpy()
-    same = np.concatenate([[False], k[1:] == k[:-1]])
-    bgap = np.concatenate(
-        [[0], e["first_us"].to_numpy()[1:] - e["last_us"].to_numpy()[:-1]]
-    )
-    e = e.assign(
-        _bg=np.where(same, bgap, 0), _bgm=np.where(same, bgap, -1)
-    )
-    g = (
-        e.groupby(key, sort=True)
-        .agg(
-            n_events=("n_events", "sum"),
-            _sg=("sum_gap_us", "sum"),
-            _bgs=("_bg", "sum"),
-            _m1=("max_gap_us", "max"),
-            _m2=("_bgm", "max"),
-        )
-        .reset_index()
-    )
-    key_type = parts.schema().base_schema.field(key).type
-    out_tbl = pa.table(
-        {
-            key: pa.array(g[key].to_numpy(), type=key_type),
-            "n_events": pa.array(g["n_events"].to_numpy(), pa.int64()),
-            "sum_gap_us": pa.array(
-                (g["_sg"] + g["_bgs"]).to_numpy(), pa.int64()
-            ),
-            "max_gap_us": pa.array(
-                np.maximum(np.maximum(g["_m1"], g["_m2"]), 0).to_numpy(),
-                pa.int64(),
-            ),
-        }
-    )
-    return interior.union(rd.from_arrow(out_tbl)).select_columns(cols)
+    out = {
+        key: e[key].take(heads),
+        "n_events": np.add.reduceat(e["n_events"].to_numpy(), heads),
+    }
+    for name, (b, op) in boundary.items():
+        # each partial folds in the boundary pair that joins it to the
+        # previous same-key partial, then the key's partials fold together
+        rows = op(e[name].to_numpy(), np.append(0, np.where(same, b, 0)))
+        out[name] = op.reduceat(rows, heads)
+    return done.union(rd.from_arrow(pa.table(out)))
 
 
 def moving_sum_by_key(
@@ -525,107 +502,21 @@ def moving_sum_by_key(
     guarantee every true predecessor of a needy row is itself needy or
     in some block's carry, so the driver fixes the O(blocks x frame)
     needy set from the collected union and unions it back."""
-    import ray.data as rd
 
-    if not pa.types.is_integer(ds.schema().base_schema.field(val_col).type):
-        raise ValueError(
-            f"moving_sum_by_key: {val_col!r} must be integer "
-            "(convert units upstream)"
-        )
-
-    out_cols = [key, id_col, "mov_sum", "mov_n"]
-
-    def block_windows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        key_type = t.schema.field(key).type
-        id_type = t.schema.field(id_col).type
-        if n == 0:
-            return pa.table(
-                {
-                    key: pa.array([], key_type),
-                    id_col: pa.array([], id_type),
-                    "_ts": pa.array([], pa.int64()),
-                    "_c": pa.array([], pa.int64()),
-                    "mov_sum": pa.array([], pa.int64()),
-                    "mov_n": pa.array([], pa.int64()),
-                    "_kind": pa.array([], pa.int8()),  # 0 ok, 1 needy, 2 carry
-                }
-            )
-        keys = t[key].to_numpy(zero_copy_only=False)
-        c = t[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        ts_us = pc.cast(t[ts_col], pa.int64()).to_numpy(zero_copy_only=False)
+    def rows_frame(keys, ts_us, c, where):
+        n = len(keys)
         idx = np.arange(n)
-        key_change = np.concatenate([[True], keys[1:] != keys[:-1]])
-        seg_start = np.maximum.accumulate(np.where(key_change, idx, 0))
+        back = np.minimum(rank_in_key(keys), frame)  # window rows before i
         cs = np.concatenate([[0], np.cumsum(c)])  # cs[i+1] = sum c[0..i]
-        win_start = np.maximum(seg_start, idx - frame)
-        mov = cs[idx + 1] - cs[win_start]
-        mov_n = idx - win_start + 1
-        pos_in_seg = idx - seg_start
-        needy = (keys == keys[0]) & (pos_in_seg < frame)
+        needy = (keys == keys[0]) & (idx < frame)
         # last <= frame rows of the block's LAST key segment: the only
         # rows a later block's needy head can reach back to
-        carry = idx >= max(int(seg_start[-1]), n - frame)
-        kind = np.zeros(n, np.int8)
-        kind[needy] = 1
-        kind[carry & ~needy] = 2  # a row can be both in tiny blocks: needy wins
-        return pa.table(
-            {
-                key: pa.array(keys, key_type),
-                id_col: t[id_col],
-                "_ts": pa.array(ts_us),
-                "_c": pa.array(c),
-                "mov_sum": pa.array(mov),
-                "mov_n": pa.array(mov_n.astype(np.int64)),
-                "_kind": pa.array(kind),
-            }
-        )
+        carry = (keys == keys[-1]) & (idx >= n - frame)
+        return cs[idx + 1] - cs[idx - back], back + 1, needy, carry
 
-    parts = (
-        ds.sort([key, ts_col, id_col])
-        .map_batches(
-            block_windows,
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        )
-        .materialize()
+    return _moving_sum(
+        ds, key, ts_col, id_col, val_col, "moving_sum_by_key", rows_frame
     )
-    done = parts.filter(expr="_kind != 1").map_batches(
-        lambda t: t.select(out_cols), batch_format="pyarrow"
-    )
-    # needy heads + every carry row (carries also already emitted above as
-    # complete rows — they serve only as predecessor context here)
-    edge = parts.filter(expr="_kind != 0").take_all()
-    if not edge:
-        return done
-    import pandas as pd
-
-    e = pd.DataFrame(edge).sort_values(
-        [key, "_ts", id_col], kind="stable"
-    ).reset_index(drop=True)
-    k = e[key].to_numpy()
-    cvals = e["_c"].to_numpy()
-    kinds = e["_kind"].to_numpy()
-    seg = np.concatenate([[True], k[1:] != k[:-1]])
-    idx = np.arange(len(e))
-    seg_start = np.maximum.accumulate(np.where(seg, idx, 0))
-    cs = np.concatenate([[0], np.cumsum(cvals)])
-    win_start = np.maximum(seg_start, idx - frame)
-    mov = cs[idx + 1] - cs[win_start]
-    mov_n = (idx - win_start + 1).astype(np.int64)
-    needy_mask = kinds == 1
-    key_type = parts.schema().base_schema.field(key).type
-    id_type = parts.schema().base_schema.field(id_col).type
-    fixed = pa.table(
-        {
-            key: pa.array(e[key].to_numpy()[needy_mask], key_type),
-            id_col: pa.array(e[id_col].to_numpy()[needy_mask], id_type),
-            "mov_sum": pa.array(mov[needy_mask]),
-            "mov_n": pa.array(mov_n[needy_mask]),
-        }
-    )
-    return done.union(rd.from_arrow(fixed)).select_columns(out_cols)
 
 
 def moving_time_sum_by_key(
@@ -662,121 +553,84 @@ def moving_time_sum_by_key(
     chain through carries) leave the block. The partitioning assumption
     — events per key per span is bounded — is the one every range-window
     engine makes; the driver fix is O(blocks x rows-in-span)."""
-    import ray.data as rd
-
-    if not pa.types.is_integer(ds.schema().base_schema.field(val_col).type):
-        raise ValueError(
-            f"moving_time_sum_by_key: {val_col!r} must be integer "
-            "(convert units upstream)"
-        )
     span = np.int64(span_us)
-    out_cols = [key, id_col, "mov_sum", "mov_n"]
 
-    def _reject_ties(keys, ts_us, where: str) -> None:
-        if len(ts_us) > 1:
-            same = (keys[1:] == keys[:-1]) & (ts_us[1:] == ts_us[:-1])
-            if same.any():
-                raise ValueError(
-                    f"moving_time_sum_by_key: duplicate (key, ts) pair "
-                    f"({where}) — RANGE peer semantics need a unique "
-                    "(key, ts) ordering; dedupe or add a tiebreaker "
-                    "upstream"
-                )
-
-    def _windows(keys, ts_us, c):
-        """(mov, n) over a (key, ts)-sorted span via one searchsorted."""
-        n = len(keys)
-        idx = np.arange(n)
-        key_change = np.concatenate([[True], keys[1:] != keys[:-1]])
-        seg_id = np.cumsum(key_change) - 1
+    def time_frame(keys, ts_us, c, where):
+        if ((keys[1:] == keys[:-1]) & (ts_us[1:] == ts_us[:-1])).any():
+            raise ValueError(
+                f"moving_time_sum_by_key: duplicate (key, ts) pair "
+                f"({where}) — RANGE peer semantics need a unique "
+                "(key, ts) ordering; dedupe or add a tiebreaker "
+                "upstream"
+            )
+        idx = np.arange(len(keys))
+        seg_id = np.cumsum(key_change(keys)) - 1
         # ts is sorted only WITHIN segments — the offset stride must clear
         # the block's full ts range plus the span on both sides
-        big = np.int64(
-            (int(ts_us.max()) - int(ts_us.min())) + 2 * int(span) + 1
-        ) if n else np.int64(1)
+        big = np.int64(int(ts_us.max()) - int(ts_us.min()) + 2 * int(span) + 1)
         tglob = ts_us + seg_id.astype(np.int64) * big
         lo = np.searchsorted(tglob, tglob - span, side="left")
         cs = np.concatenate([[0], np.cumsum(c)])
-        return cs[idx + 1] - cs[lo], (idx - lo + 1).astype(np.int64)
+        needy = (keys == keys[0]) & (ts_us - span < ts_us[0])
+        carry = (keys == keys[-1]) & (ts_us >= ts_us[-1] - span)
+        return cs[idx + 1] - cs[lo], (idx - lo + 1).astype(np.int64), needy, carry
+
+    return _moving_sum(
+        ds, key, ts_col, id_col, val_col, "moving_time_sum_by_key", time_frame
+    )
+
+
+def _moving_sum(ds, key, ts_col, id_col, val_col, caller, frame_fn):
+    """Body of the two moving sums. ``frame_fn(keys, ts_us, c, where)``
+    returns ``(mov_sum, mov_n, needy, carry)`` over a (key, ts, id)-sorted
+    span (``where`` names the span in error messages). Each block emits
+    every row; needy rows (``_kind`` 1) are recomputed by the driver with
+    the same ``frame_fn`` over the sorted union of every block's needy and
+    carry (``_kind`` 2) rows, and carries also stay final as they are."""
+    import ray.data as rd
+
+    _require_integer(ds, val_col, caller)
 
     def block_windows(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        key_type = t.schema.field(key).type
-        id_type = t.schema.field(id_col).type
-        if n == 0:
-            return pa.table(
-                {
-                    key: pa.array([], key_type),
-                    id_col: pa.array([], id_type),
-                    "_ts": pa.array([], pa.int64()),
-                    "_c": pa.array([], pa.int64()),
-                    "mov_sum": pa.array([], pa.int64()),
-                    "mov_n": pa.array([], pa.int64()),
-                    "_kind": pa.array([], pa.int8()),  # 0 ok, 1 needy, 2 carry
-                }
-            )
         keys = t[key].to_numpy(zero_copy_only=False)
         c = t[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        ts_us = pc.cast(t[ts_col], pa.int64()).to_numpy(zero_copy_only=False)
-        _reject_ties(keys, ts_us, "within a block")
-        mov, mov_n = _windows(keys, ts_us, c)
-        idx = np.arange(n)
-        key_change = np.concatenate([[True], keys[1:] != keys[:-1]])
-        seg_start = np.maximum.accumulate(np.where(key_change, idx, 0))
-        needy = (keys == keys[0]) & (ts_us - span < ts_us[0])
-        carry = (idx >= int(seg_start[-1])) & (ts_us >= ts_us[-1] - span)
-        kind = np.zeros(n, np.int8)
-        kind[needy] = 1
-        kind[carry & ~needy] = 2
+        ts_us = _epoch_us(t, ts_col)
+        mov, mov_n, needy, carry = frame_fn(keys, ts_us, c, "within a block")
+        # a row can be both in tiny blocks: needy wins
+        kind = np.where(needy, 1, np.where(carry, 2, 0)).astype(np.int8)
         return pa.table(
             {
-                key: pa.array(keys, key_type),
+                key: t[key],
                 id_col: t[id_col],
-                "_ts": pa.array(ts_us),
-                "_c": pa.array(c),
-                "mov_sum": pa.array(mov),
-                "mov_n": pa.array(mov_n),
-                "_kind": pa.array(kind),
+                "_ts": ts_us,
+                "_c": c,
+                "mov_sum": mov,
+                "mov_n": mov_n,
+                "_kind": kind,
             }
         )
 
-    parts = (
-        ds.sort([key, ts_col, id_col])
-        .map_batches(
-            block_windows,
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        )
-        .materialize()
-    )
-    done = parts.filter(expr="_kind != 1").map_batches(
-        lambda t: t.select(out_cols), batch_format="pyarrow"
-    )
-    edge = parts.filter(expr="_kind != 0").take_all()
-    if not edge:
+    done, e = sorted_blocks(ds, [key, ts_col, id_col], block_windows, caller)
+    done = done.drop_columns(["_ts", "_c"])
+    if e is None:
         return done
-    import pandas as pd
-
-    e = pd.DataFrame(edge).sort_values(
-        [key, "_ts", id_col], kind="stable"
-    ).reset_index(drop=True)
-    k = e[key].to_numpy()
-    ts_us = e["_ts"].to_numpy()
-    _reject_ties(k, ts_us, "straddling a block edge")
-    mov, mov_n = _windows(k, ts_us, e["_c"].to_numpy())
-    needy_mask = e["_kind"].to_numpy() == 1
-    key_type = parts.schema().base_schema.field(key).type
-    id_type = parts.schema().base_schema.field(id_col).type
+    e = e.sort_by([(key, "ascending"), ("_ts", "ascending"), (id_col, "ascending")])
+    mov, mov_n, _, _ = frame_fn(
+        e[key].to_numpy(zero_copy_only=False),
+        e["_ts"].to_numpy(),
+        e["_c"].to_numpy(),
+        "straddling a block edge",
+    )
+    needy = e["_kind"].to_numpy() == 1
     fixed = pa.table(
         {
-            key: pa.array(e[key].to_numpy()[needy_mask], key_type),
-            id_col: pa.array(e[id_col].to_numpy()[needy_mask], id_type),
-            "mov_sum": pa.array(mov[needy_mask]),
-            "mov_n": pa.array(mov_n[needy_mask]),
+            key: e[key].filter(needy),
+            id_col: e[id_col].filter(needy),
+            "mov_sum": mov[needy],
+            "mov_n": mov_n[needy],
         }
     )
-    return done.union(rd.from_arrow(fixed)).select_columns(out_cols)
+    return done.union(rd.from_arrow(fixed))
 
 
 def time_weighted_sum(
@@ -792,119 +646,18 @@ def time_weighted_sum(
     ties are pinned by the (ts, id) sort in BOTH engines (a zero gap's
     position changes which value absorbs the next span).
 
-    Scale shape (the gap_stats pattern): ONE range shuffle, per-block
+    Scale shape (the gap_stats body, :func:`_pair_fold`): per-block
     reduceat partials carrying (first_us, last_us, last value); only
-    O(batches) edge partials reach the driver, where same-key runs
+    O(blocks) edge partials reach the driver, where same-key runs
     chain-merge — each block boundary contributes the PREVIOUS
     partial's last value times the boundary gap."""
-    import ray.data as rd
+    _require_integer(ds, val_col, "time_weighted_sum")
 
-    if not pa.types.is_integer(ds.schema().base_schema.field(val_col).type):
-        raise ValueError(
-            f"time_weighted_sum: {val_col!r} must be integer"
-        )
-    cols = [key, "n_events", "sum_gap_s", "weighted_val_s"]
+    def terms(gap_us, prev_c):
+        gap_s = gap_us // _US
+        return {"sum_gap_s": (gap_s, np.add), "weighted_val_s": (prev_c * gap_s, np.add)}
 
-    def _empty() -> pa.Table:
-        kt = ds.schema().base_schema.field(key).type
-        return pa.table(
-            {
-                key: pa.array([], kt),
-                "n_events": pa.array([], pa.int64()),
-                "sum_gap_s": pa.array([], pa.int64()),
-                "weighted_val_s": pa.array([], pa.int64()),
-                "first_us": pa.array([], pa.int64()),
-                "last_us": pa.array([], pa.int64()),
-                "last_c": pa.array([], pa.int64()),
-                "_edge": pa.array([], pa.bool_()),
-            }
-        )
-
-    def block_parts(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return _empty()
-        key_type = t.schema.field(key).type
-        keys = t[key].to_numpy(zero_copy_only=False)
-        ts_us = pc.cast(t[ts_col], pa.int64()).to_numpy(zero_copy_only=False)
-        c = t[val_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        key_change = np.concatenate([[True], keys[1:] != keys[:-1]])
-        starts = np.flatnonzero(key_change)
-        ends = np.append(starts[1:], n)
-        valid = keys[1:] == keys[:-1]
-        gaps_s = np.where(valid, np.diff(ts_us) // _US, 0)
-        contrib = c[:-1] * gaps_s
-        gpad = np.concatenate([gaps_s, [0]])
-        wpad = np.concatenate([contrib, [0]])
-        sum_gap = np.add.reduceat(gpad, starts)
-        wsum = np.add.reduceat(wpad, starts)
-        s_key = keys[starts]
-        edge = (s_key == keys[0]) | (s_key == keys[-1])
-        return pa.table(
-            {
-                key: pa.array(s_key, key_type),
-                "n_events": pa.array((ends - starts).astype(np.int64)),
-                "sum_gap_s": pa.array(sum_gap.astype(np.int64)),
-                "weighted_val_s": pa.array(wsum.astype(np.int64)),
-                "first_us": pa.array(ts_us[starts]),
-                "last_us": pa.array(ts_us[ends - 1]),
-                "last_c": pa.array(c[ends - 1]),
-                "_edge": pa.array(edge),
-            }
-        )
-
-    parts = (
-        ds.sort([key, ts_col, id_col])
-        .map_batches(
-            block_parts,
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        )
-        .materialize()
-    )
-    interior = parts.filter(expr="_edge == False").map_batches(
-        lambda t: t.select(cols), batch_format="pyarrow"
-    )
-    edge_rows = parts.filter(expr="_edge == True").take_all()
-    if not edge_rows:
-        return interior
-    e = pd.DataFrame(edge_rows).sort_values(
-        [key, "first_us"], kind="stable"
-    )
-    k = e[key].to_numpy()
-    same = np.concatenate([[False], k[1:] == k[:-1]])
-    fu = e["first_us"].to_numpy()
-    lu = e["last_us"].to_numpy()
-    lc = e["last_c"].to_numpy()
-    bg = np.concatenate([[0], (fu[1:] - lu[:-1]) // _US])
-    bw = np.concatenate([[0], lc[:-1] * bg[1:]])
-    e = e.assign(
-        _bg=np.where(same, bg, 0), _bw=np.where(same, bw, 0)
-    )
-    g = (
-        e.groupby(key, sort=True)
-        .agg(
-            n_events=("n_events", "sum"),
-            _sg=("sum_gap_s", "sum"),
-            _bgs=("_bg", "sum"),
-            _w=("weighted_val_s", "sum"),
-            _bws=("_bw", "sum"),
-        )
-        .reset_index()
-    )
-    key_type = parts.schema().base_schema.field(key).type
-    out_tbl = pa.table(
-        {
-            key: pa.array(g[key].to_numpy(), type=key_type),
-            "n_events": pa.array(g["n_events"].to_numpy(), pa.int64()),
-            "sum_gap_s": pa.array((g["_sg"] + g["_bgs"]).to_numpy(), pa.int64()),
-            "weighted_val_s": pa.array(
-                (g["_w"] + g["_bws"]).to_numpy(), pa.int64()
-            ),
-        }
-    )
-    return interior.union(rd.from_arrow(out_tbl)).select_columns(cols)
+    return _pair_fold(ds, key, ts_col, id_col, val_col, "time_weighted_sum", terms)
 
 
 def grouped_weighted_median(
@@ -930,11 +683,7 @@ def grouped_weighted_median(
     from ray.data.aggregate import Min
 
     for c in (val_col, weight_col):
-        if not pa.types.is_integer(ds.schema().base_schema.field(c).type):
-            raise ValueError(
-                f"grouped_weighted_median: {c!r} must be integer "
-                "(convert units upstream)"
-            )
+        _require_integer(ds, c, "grouped_weighted_median")
 
     def pre_agg(t: pa.Table) -> pa.Table:
         g = t.group_by([key, val_col]).aggregate([(weight_col, "sum")])

@@ -730,3 +730,33 @@ class TestHLLSparseMode:
             mask = win == r["w"]
             brute = self._dense(12, list(users[mask]))
             assert est == brute.estimate()
+
+
+_KINDS = ["ams", "bloom", "cbf", "cms", "fd", "hll", "kll", "kmv", "mg", "moments", "sbf", "tdigest"]
+
+
+class TestSketchBytesFormat:
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_foreign_and_garbled_bytes_refused_by_name(self, kind):
+        from sprout_ray.kernel.sketch import SketchFormatError, SketchSpec, sketch_from_bytes
+
+        spec = SketchSpec.of(kind)
+        own = spec.make()
+        blob = own.to_bytes()
+        assert sketch_from_bytes(blob).to_bytes() == blob
+        assert spec.from_bytes(blob).to_bytes() == blob
+        other = "bloom" if kind == "hll" else "hll"
+        foreign = SketchSpec.of(other).make().to_bytes()
+        garbled = (7).to_bytes(4, "little") + b"garbage"
+        loaders = [spec.from_bytes]
+        if hasattr(own, "merge_bytes"):
+            loaders.append(own.merge_bytes)
+        for load in loaders:
+            with pytest.raises(
+                SketchFormatError, match=f"expected a serialized '{kind}' sketch, found kind '{other}'"
+            ):
+                load(foreign)
+            with pytest.raises(SketchFormatError, match=f"'{kind}' sketch, found an unreadable header"):
+                load(garbled)
+        with pytest.raises(SketchFormatError, match="unreadable header"):
+            sketch_from_bytes(garbled)

@@ -245,6 +245,13 @@ class TestTextStages:
             assert np.array_equal(exp, got)
         assert shingle_hashes("", 5).size == 0
 
+    @pytest.mark.parametrize("k", [0, -1, 16, 20])
+    def test_shingle_hashes_rejects_k_out_of_range(self, k):
+        from sprout_ray.stages.dedup import shingle_hashes
+
+        with pytest.raises(ValueError, match=r"k must be in \[1, 15\]"):
+            shingle_hashes("a" * 40, k)
+
 
 class TestExactDedup:
     def test_first_per_key(self, ray_session):
@@ -1531,6 +1538,178 @@ class TestGapStats:
         assert out["n_events"].tolist() == [1, 2, 3]
         assert out["sum_gap_us"].tolist() == [0, 0, 2]
         assert out["max_gap_us"].tolist() == [0, 0, 2]
+
+
+class TestSessionize:
+    GAP_US = 1800 * 1_000_000
+    COLS = ["user_id", "session_id", "n_events", "start_us", "end_us"]
+
+    @classmethod
+    def _reference(cls, df):
+        import pandas as pd
+
+        s = df.sort_values(["user_id", "ts", "event_id"], kind="stable")
+        k = s["user_id"].to_numpy()
+        ts = s["ts"].to_numpy()
+        new = np.concatenate(
+            [[True], (k[1:] != k[:-1]) | (np.diff(ts) > cls.GAP_US)]
+        )
+        g = (
+            s.assign(_s=np.cumsum(new))
+            .groupby("_s", sort=True)
+            .agg(
+                user_id=("user_id", "first"),
+                n_events=("ts", "size"),
+                start_us=("ts", "min"),
+                end_us=("ts", "max"),
+            )
+            .reset_index(drop=True)
+        )
+        g["session_id"] = g.groupby("user_id").cumcount()
+        return pd.DataFrame(g[cls.COLS]).reset_index(drop=True)
+
+    @staticmethod
+    def _table(df):
+        """``df`` with int64 epoch-us ``ts`` as an events table (timestamp ts)."""
+        return pa.table(
+            {
+                "event_id": pa.array(df["event_id"], pa.int64()),
+                "user_id": pa.array(df["user_id"]),
+                "ts": pa.array(df["ts"], pa.int64()).cast(pa.timestamp("us")),
+            }
+        )
+
+    def _check(self, ds, df):
+        import pandas as pd
+
+        from sprout_ray.stages.windows import sessionize
+
+        out = sessionize(ds).to_pandas()
+        assert list(out.columns) == self.COLS
+        out = out.sort_values(["user_id", "session_id"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(out, self._reference(df), check_dtype=False)
+
+    @pytest.mark.parametrize("key_type", ["int64", "string"])
+    def test_randomized_multiblock_vs_pandas(self, ray_session, key_type):
+        """One hot user over at least 3 sorted blocks plus light users:
+        sessions straddle block edges, so the driver stitch (gap closed
+        across an edge, session ids re-ranked) is the path under test."""
+        import pandas as pd
+        import ray
+        import ray.data as rd
+
+        rng = np.random.default_rng(17)
+        hot = 12_000  # user 0: mean gap 1e9 us, ~16 % of gaps break
+        cold = 2_000  # users 1..4: mean gap 2.5e9 us, ~half break
+        df = pd.DataFrame(
+            {
+                "event_id": np.arange(hot + 4 * cold, dtype=np.int64),
+                "user_id": np.concatenate(
+                    [np.zeros(hot, np.int64), rng.integers(1, 5, 4 * cold)]
+                ),
+                "ts": np.concatenate(
+                    [
+                        rng.integers(0, hot * 10**9, hot),
+                        rng.integers(0, cold * 25 * 10**8, 4 * cold),
+                    ]
+                ).astype(np.int64),
+            }
+        ).sample(frac=1.0, random_state=3).reset_index(drop=True)
+        if key_type == "string":
+            df["user_id"] = df["user_id"].map(lambda u: f"u{u:02d}")
+        t = self._table(df)
+        ds = rd.from_arrow([t.slice(i, 2_500) for i in range(0, len(df), 2_500)])
+        sorted_ds = ds.sort(["user_id", "ts", "event_id"]).materialize()
+        hot_key = t["user_id"].sort()[0]
+        hot_blocks = sum(
+            bool(pa.compute.any(pa.compute.equal(b["user_id"], hot_key)).as_py())
+            for b in ray.get(sorted_ds.to_arrow_refs())
+            if b.num_rows
+        )
+        assert hot_blocks >= 3, "hot key must span at least 3 sorted blocks"
+        self._check(ds, df)
+
+    def test_more_partitions_than_rows(self, ray_session):
+        """16 sort partitions over 7 rows leave empty sorted blocks."""
+        import pandas as pd
+        import ray.data as rd
+
+        df = pd.DataFrame(
+            {
+                "event_id": np.arange(7, dtype=np.int64),
+                "user_id": np.array([1, 1, 1, 2, 2, 3, 1], np.int64),
+                "ts": np.array([0, 10**9, 10**10, 5, 6, 7, 10**10 + 1], np.int64),
+            }
+        )
+        ds = rd.from_arrow(self._table(df)).repartition(16)
+        sorted_ds = ds.sort(["user_id", "ts", "event_id"]).materialize()
+        assert sorted_ds.num_blocks() > len(df)
+        self._check(ds, df)
+
+
+# name -> (stages module, extra kwargs) for the sorted-block window family
+_WINDOW_FAMILY = {
+    "sessionize": ("windows", {}),
+    "gap_stats": ("windows", {}),
+    "moving_sum_by_key": ("windows", {"val_col": "cents"}),
+    "moving_time_sum_by_key": ("windows", {"val_col": "cents"}),
+    "time_weighted_sum": ("windows", {"val_col": "cents"}),
+    "transition_counts": ("journeys", {}),
+    "funnel_stages": ("journeys", {}),
+}
+
+
+def _run_family(name, ds):
+    import importlib
+
+    module, extra = _WINDOW_FAMILY[name]
+    fn = getattr(importlib.import_module(f"sprout_ray.stages.{module}"), name)
+    return fn(ds, key="user_id", ts_col="ts", id_col="event_id", **extra)
+
+
+def _events_table(user_ids, key_type=pa.int64()):
+    n = len(user_ids)
+    return pa.table(
+        {
+            "event_id": pa.array(np.arange(n), pa.int64()),
+            "user_id": pa.array(user_ids, key_type),
+            "ts": pa.array(np.arange(n) * 10**6, pa.int64()).cast(
+                pa.timestamp("us")
+            ),
+            "cents": pa.array(np.ones(n, np.int64)),
+            "event_type": pa.array(["view", "click"] * (n // 2) + ["view"] * (n % 2)),
+        }
+    )
+
+
+class TestSortedBlockFamily:
+    @pytest.mark.parametrize("name", _WINDOW_FAMILY)
+    def test_zero_row_input(self, ray_session, name):
+        """Ray never hands ``map_batches`` an empty block, so a 0-row input
+        runs no block function and yields an empty result."""
+        import ray.data as rd
+
+        out = _run_family(name, rd.from_arrow(_events_table([]))).materialize()
+        assert out.count() == 0
+        if name == "transition_counts":  # assembled on the driver, typed
+            assert out.schema().names == ["prev_type", "next_type", "n"]
+        else:
+            assert out.schema() is None
+
+    @pytest.mark.parametrize("key_type", [pa.int64(), pa.string()])
+    def test_null_sort_key_refused(self, ray_session, key_type):
+        """A NULL sort key is refused by name before the sort, for integer
+        keys (which would die casting NaN in a block) and string keys (which
+        would die in Ray's sort partitioning with more than one block)."""
+        import ray.data as rd
+
+        from sprout_ray.stages.windows import sessionize
+
+        a = ["1", "2", None, "3"] if key_type == pa.string() else [1, 2, None, 3]
+        b = ["4", None, "5"] if key_type == pa.string() else [4, None, 5]
+        ds = rd.from_arrow([_events_table(a, key_type), _events_table(b, key_type)])
+        with pytest.raises(Exception, match="sessionize: sort key 'user_id' contains NULLs"):
+            sessionize(ds).materialize()
 
 
 class TestSnapshotDiff:
