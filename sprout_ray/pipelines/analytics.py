@@ -649,7 +649,7 @@ def user_sessions(sf_dir: str):
     return sessionize(ds, key="user_id", gap_s=1800)
 
 
-def orders_semi_join(sf_dir: str, broadcast_max: int = 4_000_000):
+def orders_semi_join(sf_dir: str):
     """Bloom-pruned exact semi-join: lineitems of orders with totalprice>150k.
 
     The Bloom filter prunes the probe side (no false negatives); an exact
@@ -658,12 +658,12 @@ def orders_semi_join(sf_dir: str, broadcast_max: int = 4_000_000):
     (the reference's Get/cache-guard pattern at dataset scale,
     bloom.go:220-236).
 
-    SIZE GUARD (enforced, not advisory): up to ``broadcast_max`` build-side
-    keys the exact verify is a broadcast ``is_in`` per block; above that the
-    pruned survivors run a distributed hash semi-join against the
-    (unique-key) build side — the bloom prune still spares the join the
-    non-qualifying bulk."""
-    import ray
+    SIZE GUARD (enforced, not advisory): the exact verify is
+    ``id_set_filter`` — up to ``joins.DIM_BROADCAST_MAX`` build-side keys a
+    broadcast membership test per block; above that the pruned survivors
+    run a distributed hash semi-join against the (unique-key) build side —
+    the bloom prune still spares the join the non-qualifying bulk."""
+    from ..stages.dedup import id_set_filter
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
     hot = orders.map_batches(
@@ -676,29 +676,10 @@ def orders_semi_join(sf_dir: str, broadcast_max: int = 4_000_000):
     )
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
     pruned = probe_filter(li, bf, on="l_orderkey", mode="maybe", concurrency=2)
-    if n_hot <= broadcast_max:
-        from ..stages.dedup import _collect_table
-
-        key_ref = ray.put(
-            _collect_table(hot, pa.schema([("o_orderkey", pa.int64())]))[
-                "o_orderkey"
-            ].combine_chunks()
-        )
-
-        def verify(t: pa.Table) -> pa.Table:
-            ks = ray.get(key_ref)
-            return t.filter(pc.is_in(t["l_orderkey"], value_set=ks))
-
-        exact = pruned.map_batches(verify, batch_format="pyarrow")
-    else:
-        exact = pruned.join(
-            hot.map_batches(
-                lambda t: t.rename_columns(["l_orderkey"]), batch_format="pyarrow"
-            ),
-            join_type="inner",
-            num_partitions=max(2, n_hot // 2_000_000),
-            on=("l_orderkey",),
-        )
+    keys = hot.map_batches(
+        lambda t: t.rename_columns(["l_orderkey"]), batch_format="pyarrow"
+    )
+    exact = id_set_filter(keys, "l_orderkey", keep=True, n_ids=n_hot)(pruned)
     from ray.data.aggregate import Count, Sum
 
     def prep(t: pa.Table) -> pa.Table:
@@ -3706,9 +3687,9 @@ def pretrain_gate_ids(sf_dir: str):
     embedding (vec_id == doc_id; k=1 exact regime, cosine < 0.4 to every
     lower id). Each leg is the already-oracle-exact operator; the
     composition intersects id STREAMS through the size-guarded
-    id_set_filter (no driver materialization above broadcast_max), so the
-    whole gate keeps the 100 TB shape. Oracle-exact vs the conjunction of
-    the three SQL twins."""
+    id_set_filter (no driver materialization above the broadcast budget),
+    so the whole gate keeps the 100 TB shape. Oracle-exact vs the
+    conjunction of the three SQL twins."""
     from ..stages.cluster import semantic_dedup_survivors
     from ..stages.dedup import id_set_filter
     from ..stages.text import gopher_quality_flags
@@ -5358,14 +5339,15 @@ def fk_integrity_report(sf_dir: str):
     range-checked), ONE groupby-sum deduplicates across all edges at once,
     and a single map pass anti-probes each key against its edge's
     broadcast sorted parent array; the per-edge orphan row counts fold
-    through a final 4-row groupby. Parent sets above ``broadcast_max``
-    fall back to the per-edge size-guarded ``id_set_filter`` plan (same
-    result, distributed join)."""
+    through a final 4-row groupby. Parent sets above
+    ``joins.DIM_BROADCAST_MAX`` fall back to the per-edge size-guarded
+    ``id_set_filter`` plan (same result, distributed join)."""
     import ray
 
     from ray.data.aggregate import Sum
 
     from ..stages.dedup import id_set_filter
+    from ..stages.joins import DIM_BROADCAST_MAX
 
     # (edge_id, label, child, fk, parent, pk)
     edges = [
@@ -5374,7 +5356,6 @@ def fk_integrity_report(sf_dir: str):
         (2, "lineitem.l_partkey->part", "lineitem", "l_partkey", "part", "p_partkey"),
         (3, "lineitem.l_suppkey->supplier", "lineitem", "l_suppkey", "supplier", "s_suppkey"),
     ]
-    broadcast_max = 4_000_000
     parents = {}
     total_par = 0
     for eid, _, _, _, parent, pk in edges:
@@ -5385,7 +5366,7 @@ def fk_integrity_report(sf_dir: str):
         )
         parents[eid] = arr
         total_par += len(arr)
-    if total_par > broadcast_max:
+    if total_par > DIM_BROADCAST_MAX:
         # fall back to the per-edge distributed plan (parents too big to
         # broadcast): one id_set_filter anti-join per edge
         names, counts = [], []
@@ -7514,7 +7495,13 @@ def _q21_finish(cnt, sf_dir: str) -> pa.Table:
     )
 
 
-def q21_waiting_suppliers(sf_dir: str, driver_tier_max_rows: int = 20_000_000):
+# Up to this many lineitem rows Q21 folds its collected per-block partials
+# on the driver: the Ray groupby exchange costs ~5 s fixed on the ~600k-row
+# sf0.1 pair stream, the driver fold ~0.5 s.
+Q21_DRIVER_TIER_MAX_ROWS = 20_000_000
+
+
+def q21_waiting_suppliers(sf_dir: str):
     """TPC-H Q21 shape: suppliers who were the ONLY late shipper in a
     multi-supplier order (late = latest line ships > 60 days after the
     order date, the late_shipment_priority convention), top-10 by count.
@@ -7529,7 +7516,7 @@ def q21_waiting_suppliers(sf_dir: str, driver_tier_max_rows: int = 20_000_000):
     orders' late pairs count per supplier (|suppliers|-bounded) and the
     25-to-10k-row supplier name table broadcasts last.
 
-    Below ``driver_tier_max_rows`` lineitem rows (parquet metadata, no
+    Below ``Q21_DRIVER_TIER_MAX_ROWS`` lineitem rows (parquet metadata, no
     scan) the two global reductions run as ONE pyarrow group_by over the
     collected per-block partials instead — the leakage_safe_split /
     connected-components size-gated driver-tier convention.  The Ray
@@ -7568,7 +7555,7 @@ def q21_waiting_suppliers(sf_dir: str, driver_tier_max_rows: int = 20_000_000):
 
     late_us = 60 * 86_400 * 1_000_000
     n_lineitem = _read(sf_dir, "lineitem", ["l_orderkey"]).count()  # metadata
-    if n_lineitem <= driver_tier_max_rows:
+    if n_lineitem <= Q21_DRIVER_TIER_MAX_ROWS:
         part = pa.concat_tables(
             ray.get(
                 _read(
@@ -9466,7 +9453,7 @@ def fd_spectral_head(sf_dir: str, l: int = 48, max_exact_dim: int = 512):
     )
 
 
-def cbf_open_orders_lineitems(sf_dir: str, broadcast_max: int = 4_000_000):
+def cbf_open_orders_lineitems(sf_dir: str):
     """Counting-Bloom DELETE demo, oracle-exact: lineitems of orders that
     are NOT finalized (o_orderstatus <> 'F'), grouped by linestatus.
 
@@ -9478,11 +9465,10 @@ def cbf_open_orders_lineitems(sf_dir: str, broadcast_max: int = 4_000_000):
     order-free even when a block's removes outnumber its adds);
     ``validate()`` on the merged filter certifies the delete contract.
     Pruned survivors are exact-verified against the open-order key set
-    (broadcast ``is_in`` under ``broadcast_max``, the orders_semi_join
-    discipline), so the result is exactly the SQL anti-status semi-join."""
-    import ray
-
+    (``id_set_filter``, the orders_semi_join discipline), so the result is
+    exactly the SQL anti-status semi-join."""
     from ..stages.builder import pack_partial, tree_reduce
+    from ..stages.dedup import id_set_filter
     from ..stages.probe import probe_filter
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"])
@@ -9511,35 +9497,12 @@ def cbf_open_orders_lineitems(sf_dir: str, broadcast_max: int = 4_000_000):
     pruned = probe_filter(li, cbf, on="l_orderkey", mode="maybe", concurrency=2)
 
     open_keys = orders.map_batches(
-        lambda t: t.filter(pc.not_equal(t["o_orderstatus"], "F")).select(
-            ["o_orderkey"]
-        ),
+        lambda t: t.filter(pc.not_equal(t["o_orderstatus"], "F"))
+        .select(["o_orderkey"])
+        .rename_columns(["l_orderkey"]),
         batch_format="pyarrow",
     ).materialize()
-    n_open = open_keys.count()
-    if n_open <= broadcast_max:
-        from ..stages.dedup import _collect_table
-
-        key_ref = ray.put(
-            _collect_table(open_keys, pa.schema([("o_orderkey", pa.int64())]))[
-                "o_orderkey"
-            ].combine_chunks()
-        )
-
-        def verify(t: pa.Table) -> pa.Table:
-            ks = ray.get(key_ref)
-            return t.filter(pc.is_in(t["l_orderkey"], value_set=ks))
-
-        exact = pruned.map_batches(verify, batch_format="pyarrow")
-    else:  # pragma: no cover - bench scale stays under the budget
-        exact = pruned.join(
-            open_keys.map_batches(
-                lambda t: t.rename_columns(["l_orderkey"]), batch_format="pyarrow"
-            ),
-            on=("l_orderkey",),
-            join_type="inner",
-            num_partitions=16,
-        ).select_columns(["l_orderkey", "l_linestatus", "l_quantity"])
+    exact = id_set_filter(open_keys, "l_orderkey", keep=True)(pruned)
 
     qty = exact.map_batches(
         lambda t: pa.table(

@@ -9,15 +9,16 @@ membership filter and write one output directory per shard via
 ``sources.io.resumable_transform_write`` — a killed run resumes, skipping
 finished shards entirely.
 
-The winner membership filter is SIZE-GUARDED (mirroring
-``stages.dedup.exact_dedup``): up to ``broadcast_max`` winners the sorted id
-array is broadcast once (``ray.put``, read per actor) and every block
-filters locally; above that the winner ids stay a materialized Dataset in
-the object store and each shard runs a distributed hash SEMI-JOIN against
-them — the winner set is ~the distinct-document count, i.e. O(corpus), so
-an unconditional driver materialization could never survive 100 TB. Both
-paths sort each shard's survivors by id before writing, so output content
-is identical regardless of which path ran (asserted in tests/test_io.py).
+The winner membership filter is SIZE-GUARDED
+(``stages.dedup.id_set_filter``, as in ``exact_dedup``): up to
+``stages.joins.DIM_BROADCAST_MAX`` winners the sorted id array is broadcast
+once (``ray.put``, read per actor) and every block filters locally; above
+that the winner ids stay a materialized Dataset in the object store and each
+shard runs a distributed hash SEMI-JOIN against them — the winner set is
+~the distinct-document count, i.e. O(corpus), so an unconditional driver
+materialization could never survive 100 TB. Both paths sort each shard's
+survivors by id before writing, so output content is identical regardless of
+which path ran (asserted in tests/test_io.py).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ def curate_corpus(
     min_tokens: int = 30,
     max_punct: float = 0.3,
     files_per_partition: int = 1,
-    broadcast_max: int = 4_000_000,
     split_fractions: list | None = None,
     benchmark_files: list | None = None,
     decontam_n: int = 8,
@@ -78,10 +78,7 @@ def curate_corpus(
 
     # size-guarded semi-join of each shard against the winner ids (ids are
     # unique, so inner join == semi-join on the distributed path)
-    winner_filter = id_set_filter(
-        winners_ds, id_col, keep=True, n_ids=n_winners,
-        broadcast_max=broadcast_max,
-    )
+    winner_filter = id_set_filter(winners_ds, id_col, keep=True, n_ids=n_winners)
 
     n_bad = 0
     contam_filter = None
@@ -99,10 +96,7 @@ def curate_corpus(
         bad_ds = counts.select_columns([id_col]).materialize()
         n_bad = bad_ds.count()
         if n_bad:
-            contam_filter = id_set_filter(
-                bad_ds, id_col, keep=False, n_ids=n_bad,
-                broadcast_max=broadcast_max,
-            )
+            contam_filter = id_set_filter(bad_ds, id_col, keep=False, n_ids=n_bad)
 
     # the scorer actor pool must leave CPU headroom for the read/filter/
     # sort TASKS sharing the cluster — a pool as large as the cluster

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+import pyarrow as pa
 from ray.data.aggregate import AggregateFnV2, Max, Min, Sum
 from ray.data.block import Block, BlockAccessor
 
@@ -101,6 +102,11 @@ def grouped_reduce(
     first, then the aggregates in call order; the partial's rename relies
     on that order. The merge's ``alias_name`` names the output columns.
 
+    A NULL in a string or binary key raises a named ``ValueError``: Ray's
+    sort-shuffle cannot order ``None`` against ``str``/``bytes`` and would
+    die with a bare ``TypeError`` once the partials span two blocks.
+    NULL numeric keys group as one NULL key, as in SQL.
+
     The caller's column prep stays a ``map_batches`` just before this call;
     Ray fuses adjacent map stages, so prep and partial run in one task.
     Keys that are almost all unique gain nothing from the partial: there,
@@ -111,6 +117,13 @@ def grouped_reduce(
     names = keys + list(aggs)
 
     def partial(t):
+        for k in keys:
+            typ = t.schema.field(k).type
+            if t[k].null_count and (
+                pa.types.is_string(typ) or pa.types.is_large_string(typ)
+                or pa.types.is_binary(typ) or pa.types.is_large_binary(typ)
+            ):
+                raise ValueError(f"grouped_reduce: group key {k!r} contains NULLs")
         return t.group_by(keys).aggregate(spec).rename_columns(names)
 
     merges = [_MERGE[op](name, alias_name=name) for name, (_, op) in aggs.items()]

@@ -147,7 +147,6 @@ def contamination_counts(
     id_col: str = "doc_id",
     n: int = 8,
     err_rate: float = 1e-3,
-    broadcast_max: int | None = None,
 ):
     """Per-doc count of DISTINCT word-n-grams shared with the benchmark.
 
@@ -172,9 +171,7 @@ def contamination_counts(
     pruned = probe_filter(
         gram_stream(corpus_ds, text_col, id_col, n), bf, on="gram", mode="maybe"
     )
-    hits = broadcast_lookup_join(
-        pruned, bench, on="gram", right_count=nb, broadcast_max=broadcast_max
-    )
+    hits = broadcast_lookup_join(pruned, bench, on="gram", right_count=nb)
     # UNSORTED by design: most consumers (decontaminate, the curation
     # write path) use the counts as an id set — the oracle-facing query
     # sorts at its own edge
@@ -194,29 +191,24 @@ def decontaminate(
     n: int = 8,
     min_shared: int = 1,
     err_rate: float = 1e-3,
-    broadcast_max: int | None = None,
-    id_broadcast_max: int = 4_000_000,
 ):
     """Drop corpus docs sharing >= ``min_shared`` distinct n-grams with the
     benchmark; returns the clean corpus Dataset (all input columns).
 
     The contaminated-id set is usually tiny (it is bounded by the benchmark
-    overlap, not the corpus), so up to ``id_broadcast_max`` ids it is
-    broadcast and each batch drops locally; above that the corpus
+    overlap, not the corpus), so up to ``joins.DIM_BROADCAST_MAX`` ids it
+    is broadcast and each batch drops locally; above that the corpus
     left-outer-joins the id set and keeps the null (unmatched) rows
     (stages/dedup.id_set_filter — the shared size-guarded machinery)."""
     from .dedup import id_set_filter
 
     counts = contamination_counts(
-        corpus_ds, bench_ds, text_col, id_col, n, err_rate, broadcast_max
+        corpus_ds, bench_ds, text_col, id_col, n, err_rate
     )
     if min_shared > 1:
         counts = counts.filter(expr=f"shared_grams >= {min_shared}")
     bad_ids_ds = counts.select_columns([id_col]).materialize()
-    drop_bad = id_set_filter(
-        bad_ids_ds, id_col, keep=False, broadcast_max=id_broadcast_max
-    )
-    return drop_bad(corpus_ds)
+    return id_set_filter(bad_ids_ds, id_col, keep=False)(corpus_ds)
 
 
 def shared_gram_docs(
@@ -225,7 +217,6 @@ def shared_gram_docs(
     id_col: str = "doc_id",
     n: int = 6,
     min_docs: int = 2,
-    broadcast_max: int | None = None,
 ):
     """Self-corpus shared-n-gram flagging — the ExactSubstr dedup signal
     (Lee et al. 2022, "Deduplicating Training Data Makes Language Models
@@ -260,9 +251,7 @@ def shared_gram_docs(
         # schema-bearing pa.Table, not a Dataset: a 0-row Dataset drops
         # its schema on to_pandas() (exact_dup_pairs precedent)
         return out_schema.empty_table()
-    hits = broadcast_lookup_join(
-        gs, shared, on="gram", right_count=ns, broadcast_max=broadcast_max
-    )
+    hits = broadcast_lookup_join(gs, shared, on="gram", right_count=ns)
     return hits.groupby(id_col).count().map_batches(
         lambda t: pa.table(
             {id_col: t[id_col], "n_shared": t["count()"]}

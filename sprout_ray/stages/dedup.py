@@ -27,60 +27,32 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..kernel.murmur3 import hash_keys, murmur3_64_padded_multi
+from . import joins
 
 _MERSENNE = (1 << 61) - 1
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
-def exact_dedup(
-    ds,
-    key_col: str,
-    id_col: str,
-    keep_cols=None,
-    broadcast_max: int = 4_000_000,
-):
+def exact_dedup(ds, key_col: str, id_col: str, keep_cols=None):
     """Keep the first row (min id) per key. One groupby shuffle.
 
     At scale: only (key, id) pairs cross the exchange when key_col is a
     digest column; content stays columnar in place.
 
-    With ``keep_cols``, surviving rows are materialized two ways depending
-    on survivor count: up to ``broadcast_max`` survivors their ids are
-    broadcast once (``ray.put``) and every block filters locally — no second
-    shuffle of content. Beyond that, a distributed hash SEMI-JOIN of ``ds``
-    against the survivor ids runs instead (ids alone at 10^12 rows dwarf any
-    single node's memory, so the broadcast path cannot be the default)."""
+    With ``keep_cols``, surviving rows are materialized through
+    :func:`id_set_filter` against the survivor ids: broadcast while they
+    fit the broadcast budget — every block filters locally, no second
+    shuffle of content — and a distributed hash SEMI-JOIN above it (ids
+    alone at 10^12 rows dwarf any single node's memory, so the broadcast
+    path cannot be the only one)."""
     from ray.data.aggregate import Min
 
     keep = ds.groupby(key_col).aggregate(Min(id_col, alias_name=id_col))
     if keep_cols is None:
         return keep
-    import ray
-
     survivors = keep.select_columns([id_col]).materialize()
-    n = survivors.count()
-    if n <= broadcast_max:
-        id_type = survivors.schema().base_schema.field(id_col).type
-        ids_ref = ray.put(
-            _collect_table(survivors, pa.schema([(id_col, id_type)]))[id_col]
-        )
-
-        def keep_rows(batch: pa.Table) -> pa.Table:
-            ids = ray.get(ids_ref)
-            return batch.filter(pc.is_in(batch[id_col], value_set=ids))
-
-        return ds.map_batches(keep_rows, batch_format="pyarrow")
-
-    # distributed semi-join: survivor ids are unique, so inner join neither
-    # duplicates nor drops surviving rows; only (id) + kept columns shuffle
-    num_partitions = max(2, n // 4_000_000)
-    return ds.join(
-        survivors,
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=(id_col,),
-        right_suffix="_kept",
-    )
+    id_type = survivors.schema().base_schema.field(id_col).type
+    return id_set_filter(survivors, id_col, keep=True, key_type=id_type)(ds)
 
 
 def char_shingles(text: str, k: int = 5) -> list:
@@ -310,25 +282,15 @@ def unpack_rows(col, n_rows: int, dtype=np.uint64) -> np.ndarray:
     return np.ascontiguousarray(data[idx]).view(dtype)
 
 
-# Hot-key broadcast budget: the non-singleton bucket count grows with the
-# duplicate count, which is unbounded at corpus scale — above this many hot
-# keys the band rows semi-join the hot-key Dataset instead of broadcasting.
-HOT_BROADCAST_MAX = 2_000_000
-
-
-def hot_bucket_rows(rows_ds, count_ds=None, hot_max: int | None = None):
+def hot_bucket_rows(rows_ds, count_ds=None):
     """Filter ``rows_ds`` to rows whose ``bucket_key`` holds >= 2 members.
 
     Returns ``(filtered_ds_or_None, n_hot)`` (None when no bucket is hot).
     Counting runs over ``count_ds`` (a cheaper bucket_key-only projection)
-    when given. Up to ``hot_max`` hot keys the key list is broadcast once
-    (``ray.put`` + vectorized ``np.isin`` per block — rows never shuffle);
-    above that a distributed hash SEMI-JOIN of the rows against the hot-key
-    Dataset runs instead (hot keys are unique, so inner join = semi-join)."""
-    import ray
-
-    if hot_max is None:
-        hot_max = HOT_BROADCAST_MAX
+    when given. The hot keys filter the rows through :func:`id_set_filter`:
+    the non-singleton bucket count grows with the duplicate count, which
+    is unbounded at corpus scale, so above the broadcast budget the band
+    rows semi-join the hot-key Dataset instead of broadcasting it."""
     src = count_ds if count_ds is not None else rows_ds.select_columns(["bucket_key"])
     hot_ds = (
         src.groupby("bucket_key")
@@ -342,25 +304,7 @@ def hot_bucket_rows(rows_ds, count_ds=None, hot_max: int | None = None):
     n = hot_ds.count()
     if n == 0:
         return None, 0
-    if n <= hot_max:
-        hot = np.sort(
-            _collect_table(hot_ds, pa.schema([("bucket_key", pa.int64())]))[
-                "bucket_key"
-            ].to_numpy(zero_copy_only=False)
-        )
-        hot_ref = ray.put(hot)
-
-        def keep_hot(batch: pa.Table) -> pa.Table:
-            keys = batch["bucket_key"].to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(np.isin(keys, ray.get(hot_ref))))
-
-        return rows_ds.map_batches(keep_hot, batch_format="pyarrow"), n
-    parts = max(2, n // 2_000_000)
-    return (
-        rows_ds.join(hot_ds, join_type="inner", num_partitions=parts, on=("bucket_key",)),
-        n,
-    )
-
+    return id_set_filter(hot_ds, "bucket_key", keep=True, n_ids=n)(rows_ds), n
 
 
 def _collect_table(ds, schema: pa.Schema):
@@ -384,7 +328,6 @@ def id_set_filter(
     id_col: str,
     keep: bool,
     n_ids: int | None = None,
-    broadcast_max: int = 4_000_000,
     key_type: pa.DataType | None = None,
     num_partitions: int | None = None,
 ):
@@ -392,14 +335,15 @@ def id_set_filter(
     ``fn(ds) -> ds`` keeping (``keep=True``) or dropping (``keep=False``)
     rows whose ``id_col`` appears in ``ids_ds``.
 
-    Up to ``broadcast_max`` ids: the sorted id array is ``ray.put`` once
-    and every batch resolves map-side via searchsorted — zero shuffle.
-    Above it: a distributed hash join (inner for keep — ids are unique so
-    no row expansion; left_outer + null-filter for drop), partition count
-    clamped to id volume (``Dataset.join`` costs ~0.5-1 s FIXED per
-    partition actor — CLAUDE.md). The single home for this machinery:
-    the curation winner filter, curation decontamination,
-    ``decontam.decontaminate`` and ``incremental_dedup`` all route
+    Up to ``joins.DIM_BROADCAST_MAX`` ids: the sorted id array is
+    ``ray.put`` once and every batch resolves map-side via searchsorted —
+    zero shuffle. Above it: a distributed hash join (inner for keep — ids
+    are unique so no row expansion; left_outer + null-filter for drop),
+    partition count clamped to id volume (``Dataset.join`` costs ~0.5-1 s
+    FIXED per partition actor — CLAUDE.md). The single home for this
+    machinery: exact_dedup's survivor filter, the hot-bucket filter, the
+    curation winner and decontamination filters, ``decontam.decontaminate``,
+    ``incremental_dedup`` and the analytics exact verifies all route
     through it. ``key_type`` defaults to int64; binary/string key sets
     work too (numpy object-array sort/searchsorted on the broadcast
     path)."""
@@ -410,7 +354,7 @@ def id_set_filter(
     if n_ids is None:
         n_ids = ids_ds.count()
 
-    if n_ids <= broadcast_max:
+    if n_ids <= joins.DIM_BROADCAST_MAX:
         arr = np.sort(
             _collect_table(ids_ds, pa.schema([(id_col, key_type)]))[
                 id_col
@@ -537,16 +481,13 @@ def lsh_candidate_pairs(
     band_ds,
     id_col: str = "doc_id",
     max_bucket: int = 64,
-    hot: np.ndarray | None = None,
-    hot_max: int | None = None,
 ):
     """Candidate (left_id, right_id) pairs from LSH buckets with >= 2 docs.
 
     Flow: hot-bucket filter (:func:`hot_bucket_rows` — broadcast under the
     size budget, distributed semi-join above it) -> per-bucket pairwise
     expansion ONLY on hot buckets (bounded by ``max_bucket`` against
-    degenerate bands) -> pair dedup. A precomputed ``hot`` array opts into
-    the legacy unconditional broadcast (tests/callers that already hold it).
+    degenerate bands) -> pair dedup.
 
     The expansion group fn is pyarrow+numpy end to end (the fused n-gram
     bucket-verify shape) — no pandas conversion in the hot path."""
@@ -558,20 +499,9 @@ def lsh_candidate_pairs(
             "right_id": pa.array([], pa.int64()),
         }
     )
-    if hot is not None:
-        if hot.size == 0:
-            return ray.data.from_arrow(empty)
-        hot_ref = ray.put(hot)
-
-        def keep_hot(batch: pa.Table) -> pa.Table:
-            keys = batch["bucket_key"].to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(np.isin(keys, ray.get(hot_ref))))
-
-        hot_rows = band_ds.map_batches(keep_hot, batch_format="pyarrow")
-    else:
-        hot_rows, n_hot = hot_bucket_rows(band_ds, hot_max=hot_max)
-        if hot_rows is None:
-            return ray.data.from_arrow(empty)
+    hot_rows, n_hot = hot_bucket_rows(band_ds)
+    if hot_rows is None:
+        return ray.data.from_arrow(empty)
 
     def pairs(group: pa.Table) -> pa.Table:
         ids = np.unique(
@@ -702,6 +632,11 @@ def _gram_df_ranks(ds, text_col: str, n: int, max_grams: int = GRAM_RANK_MAX):
 # comfortable single broadcast; natural corpora at scale blow past this and
 # take the AllPairs prefix path instead.
 GRAM_BROADCAST_INCIDENCE_MAX = 32_000_000
+
+# The exact n-gram verify broadcasts its candidate docs' texts as one
+# id -> text dict, unpickled whole by every verify actor; above this many
+# candidate docs the texts hash-join onto the pairs instead.
+TEXT_BROADCAST_MAX_DOCS = 500_000
 
 
 def _doc_gram_payload_ref(ds, text_col: str, id_col: str, n: int):
@@ -950,10 +885,8 @@ def ngram_jaccard_pairs_distributed(
     threshold: float = 0.8,
     id_col: str = "doc_id",
     text_col: str = "text",
-    broadcast_max_ids: int = 500_000,
     max_bucket: int = 4096,
     freq_order: bool = True,
-    fused_incidence_max: int = GRAM_BROADCAST_INCIDENCE_MAX,
     metric: str = "jaccard",
 ):
     """EXACT all-pairs char-n-gram set-similarity >= threshold — AllPairs
@@ -981,7 +914,9 @@ def ngram_jaccard_pairs_distributed(
     doc per actor, no hashes, so the qualifying decision is
     float-identical to a SQL twin computing i/(|A|+|B|-i)). Only prefix
     rows shuffle; texts are fetched for the surviving candidate ids alone
-    — broadcast up to ``broadcast_max_ids``, distributed hash joins above.
+    — broadcast up to ``TEXT_BROADCAST_MAX_DOCS``, distributed hash joins
+    above. The fused matmul verify runs while the corpus's gram incidence
+    fits ``GRAM_BROADCAST_INCIDENCE_MAX``.
 
     The 64-bit gram hash is used only for candidate BLOCKING; a collision
     could merge two grams and shorten a prefix (P ~ g^2/2^65 per doc,
@@ -1068,7 +1003,7 @@ def ngram_jaccard_pairs_distributed(
         )
 
     keyed = ds.map_batches(prefix_stage, batch_format="pyarrow", zero_copy_batch=True)
-    if total_incidence is not None and total_incidence <= fused_incidence_max:
+    if total_incidence is not None and total_incidence <= GRAM_BROADCAST_INCIDENCE_MAX:
         # fused dense path: when every doc's gram-hash set fits ONE
         # broadcast, each hot bucket prunes candidates with a vectorized
         # intersection matmul instead of materializing its pair explosion
@@ -1104,7 +1039,7 @@ def ngram_jaccard_pairs_distributed(
         pa.schema([("id", pa.int64())]),
     )
     cand_ids = np.unique(id_tbl["id"].to_numpy(zero_copy_only=False)).tolist()
-    if len(cand_ids) <= broadcast_max_ids:
+    if len(cand_ids) <= TEXT_BROADCAST_MAX_DOCS:
         id_arr = pa.array(cand_ids, pa.int64())
         text_tbl = _collect_table(
             ds.map_batches(
@@ -1138,7 +1073,7 @@ def ngram_jaccard_pairs_distributed(
     # Partitions clamp to the candidate volume — 1 when the pair side is a
     # handful of rows (Dataset.join's HashShuffleAggregator ArrowInvalid on
     # hash-skewed tiny sides, see CLAUDE.md), growing for real volumes.
-    parts = max(1, len(cand_ids) // 2_000_000)
+    parts = max(1, len(cand_ids) // joins.JOIN_PARTITION_ROWS)
     docs = ds.select_columns([id_col, text_col])
     left = cand.select_columns(["left_id", "right_id"]).join(
         docs.map_batches(
@@ -1196,7 +1131,6 @@ def minhash_pairs_distributed(
     threshold: float = 0.8,
     id_col: str = "doc_id",
     max_bucket: int = 64,
-    hot_max: int | None = None,
 ):
     """Distributed LSH tail: bands -> hot buckets -> fused in-bucket
     pair-expansion + signature-Jaccard verify -> per-pair max.
@@ -1205,7 +1139,7 @@ def minhash_pairs_distributed(
     reach the Python per-group verify are members of buckets holding >= 2
     docs (the hot-bucket prefilter is a native count-aggregate over a
     bucket_key-only projection, and the hot-key broadcast is size-guarded —
-    above ``hot_max`` keys the band rows semi-join instead, see
+    above the broadcast budget the band rows semi-join instead, see
     :func:`hot_bucket_rows`); everything else is vectorized map_batches
     or native groupby. Per-pair traffic is O(hot rows x bands x sig_size).
 
@@ -1222,7 +1156,6 @@ def minhash_pairs_distributed(
     hot_rows, n_hot = hot_bucket_rows(
         minhash_bands(sig_m, bands=bands, id_col=id_col, include_signature=True),
         count_ds=key_ds.select_columns(["bucket_key"]),
-        hot_max=hot_max,
     )
     if hot_rows is None:
         return ray.data.from_arrow(_empty_pairs_table())
@@ -1260,22 +1193,17 @@ def minhash_dedup_pairs(
     bands: int = 16,
     threshold: float = 0.8,
     concurrency: int = 4,
-    driver_side: bool = False,
-    hot_max: int | None = None,
     max_bucket: int = 64,
 ):
     """Full near-dup pipeline: signatures (distributed actor pool) -> bands
     -> hot buckets -> in-bucket signature-Jaccard verify >= threshold.
     Returns a Dataset of (left_id, right_id, est_jaccard).
 
-    The DEFAULT tail is fully distributed (:func:`minhash_pairs_distributed`)
-    — signatures never materialize on the driver, so the pipeline keeps its
-    shape at 10^12 docs. ``driver_side=True`` opts into the single-node numpy
-    tail (one vectorized pass; fastest for corpora whose signature set
-    comfortably fits in driver memory). Both tails produce the same pair set
-    for buckets under ``max_bucket`` (asserted in tests)."""
-    import ray
-
+    The tail is fully distributed (:func:`minhash_pairs_distributed`) —
+    signatures never materialize on the driver, so the pipeline keeps its
+    shape at 10^12 docs. It produces the pair set of the single-node numpy
+    reference :func:`_minhash_pairs_numpy` for buckets under
+    ``max_bucket`` (asserted in tests)."""
     sig_ds = ds.map_batches(
         MinHasher,
         fn_constructor_kwargs={
@@ -1287,37 +1215,12 @@ def minhash_dedup_pairs(
         concurrency=concurrency,
         batch_size=512,
     )
-    if not driver_side:
-        return minhash_pairs_distributed(
-            sig_ds,
-            bands=bands,
-            threshold=threshold,
-            id_col=id_col,
-            hot_max=hot_max,
-            max_bucket=max_bucket,
-        )
-    sig_rows = sig_ds.take_all()
-    if not sig_rows:
-        return ray.data.from_arrow(_empty_pairs_table())
-    ids = np.array([r[id_col] for r in sig_rows], dtype=np.int64)
-    sigs = np.stack([np.asarray(r["signature"], dtype=np.uint64) for r in sig_rows])
-    li, ri = _candidate_pairs_numpy(sigs, bands, max_bucket=64)
-    if li.size == 0:
-        return ray.data.from_arrow(_empty_pairs_table())
-    est = (sigs[li] == sigs[ri]).mean(axis=1)
-    keep = est >= threshold
-    li, ri, est = li[keep], ri[keep], est[keep]
-    l_ids, r_ids = ids[li], ids[ri]
-    swap = l_ids > r_ids
-    l_ids[swap], r_ids[swap] = r_ids[swap], l_ids[swap]
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "left_id": pa.array(l_ids),
-                "right_id": pa.array(r_ids),
-                "est_jaccard": pa.array(est, type=pa.float64()),
-            }
-        )
+    return minhash_pairs_distributed(
+        sig_ds,
+        bands=bands,
+        threshold=threshold,
+        id_col=id_col,
+        max_bucket=max_bucket,
     )
 
 
@@ -1331,18 +1234,17 @@ def _empty_pairs_table() -> pa.Table:
     )
 
 
-def _candidate_pairs_numpy(
-    sigs: np.ndarray, bands: int, max_bucket: int = 64
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deduped candidate index pairs from LSH band collisions (vectorized:
-    sort each band's hashes, expand only runs of length >= 2)."""
-    n = sigs.shape[0]
-    bh = _band_hashes(sigs, bands)  # (n, bands)
+def _band_run_pairs(band_vals: np.ndarray, max_bucket: int):
+    """Deduped candidate row-index pairs ``(li, ri)``, ``li < ri``, of rows
+    that share a value in any column of the (n, bands) ``band_vals``
+    (vectorized: sort each band, expand only runs of length >= 2, the
+    first ``max_bucket`` members of a run by row)."""
+    n = band_vals.shape[0]
     left: list = []
     right: list = []
-    for b in range(bands):
-        order = np.argsort(bh[:, b], kind="stable")
-        vals = bh[order, b]
+    for b in range(band_vals.shape[1]):
+        order = np.argsort(band_vals[:, b], kind="stable")
+        vals = band_vals[order, b]
         run_starts = np.flatnonzero(np.concatenate([[True], vals[1:] != vals[:-1]]))
         run_ends = np.concatenate([run_starts[1:], [n]])
         for s, e in zip(run_starts, run_ends):
@@ -1361,6 +1263,34 @@ def _candidate_pairs_numpy(
     return (uniq >> np.uint64(32)).astype(np.int64), (
         uniq & np.uint64(0xFFFFFFFF)
     ).astype(np.int64)
+
+
+def _id_pair_table(ids, li, ri, value_col: str, values) -> pa.Table:
+    """(left_id, right_id, value_col) with each pair's ids in ascending order."""
+    l_ids, r_ids = ids[li], ids[ri]
+    swap = l_ids > r_ids
+    l_ids[swap], r_ids[swap] = r_ids[swap], l_ids[swap]
+    return pa.table(
+        {
+            "left_id": pa.array(l_ids, pa.int64()),
+            "right_id": pa.array(r_ids, pa.int64()),
+            value_col: pa.array(values),
+        }
+    )
+
+
+def _minhash_pairs_numpy(
+    ids: np.ndarray, sigs: np.ndarray, bands: int = 16, threshold: float = 0.8,
+    max_bucket: int = 64,
+) -> pa.Table:
+    """Single-node reference for :func:`minhash_pairs_distributed`: every
+    doc's (id, signature) row in driver memory, one vectorized pass."""
+    li, ri = _band_run_pairs(_band_hashes(sigs, bands), max_bucket)
+    est = (sigs[li] == sigs[ri]).mean(axis=1)
+    keep = est >= threshold
+    return _id_pair_table(
+        ids, li[keep], ri[keep], "est_jaccard", pa.array(est[keep], pa.float64())
+    )
 
 
 def connected_components(pairs_ds, ds_ids, id_col: str = "doc_id"):
@@ -1394,13 +1324,6 @@ def connected_components(pairs_ds, ds_ids, id_col: str = "doc_id"):
     return pd.DataFrame(
         {id_col: list(parent), "cluster": [find(i) for i in parent]}
     )
-
-
-# Edge sets at or under this many endpoint rows label on the driver (two
-# int64 arrays — ~64 MB at the cap) instead of paying the hash-join loop's
-# ~1-2 s fixed actor cost per round; the mirror of id_set_filter's
-# broadcast_max convention.
-_CC_DRIVER_MAX_ENDPOINTS = 4_000_000
 
 
 def connected_components_distributed(
@@ -1469,11 +1392,12 @@ def connected_components_distributed(
             .map_batches(own_cluster, batch_format="pyarrow")
         )
     n_edges = edges.count()
-    if n_edges <= _CC_DRIVER_MAX_ENDPOINTS:
+    if n_edges <= joins.DIM_BROADCAST_MAX:
         # small edge set (the usual dedup regime: pairs are rare): the
         # repo's broadcast-small-side convention — min-label iterate the
-        # edge list in numpy on the driver (O(E log n) total, no joins),
-        # then ONE shuffle-free map labels every node. The join loop below
+        # edge list in numpy on the driver (O(E log n) total, no joins;
+        # two int64 endpoint arrays, ~64 MB at the budget), then ONE
+        # shuffle-free map labels every node. The join loop below
         # costs ~1-2 s of fixed hash-join actor time PER ROUND regardless
         # of volume; above the budget it remains the scale path.
         et = _collect_table(
@@ -1625,12 +1549,21 @@ def _empty_hamming_table() -> pa.Table:
     )
 
 
+def _hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row Hamming distance (int64) between two uint64 arrays."""
+    x = a ^ b
+    return (
+        np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1)
+        .sum(axis=1)
+        .astype(np.int64)
+    )
+
+
 def simhash_pairs_distributed(
     sig_ds,
     max_hamming: int = 3,
     id_col: str = "doc_id",
     max_bucket: int = 256,
-    hot_max: int | None = None,
 ):
     """Distributed SimHash tail on the same bucket_key machinery as MinHash:
     4x16-bit band keys -> native hot-bucket count (size-guarded broadcast /
@@ -1659,7 +1592,7 @@ def simhash_pairs_distributed(
     sig_m = sig_ds.materialize()
     band_ds = sig_m.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
     hot_rows, n_hot = hot_bucket_rows(
-        band_ds, count_ds=band_ds.select_columns(["bucket_key"]), hot_max=hot_max
+        band_ds, count_ds=band_ds.select_columns(["bucket_key"])
     )
     if hot_rows is None:
         return ray.data.from_arrow(_empty_hamming_table())
@@ -1673,12 +1606,7 @@ def simhash_pairs_distributed(
         if n < 2:
             return _empty_hamming_table()
         li, ri = np.triu_indices(n, k=1)
-        x = sigs[li] ^ sigs[ri]
-        ham = (
-            np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1)
-            .sum(axis=1)
-            .astype(np.int64)
-        )
+        ham = _hamming64(sigs[li], sigs[ri])
         keep = ham <= max_hamming
         return pa.table(
             {
@@ -1706,74 +1634,40 @@ def simhash_signature_ds(ds, text_col: str = "text", id_col: str = "doc_id"):
     return ds.map_batches(sig_stage, batch_format="pyarrow")
 
 
-def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id", max_hamming: int = 3, max_bucket: int = 256, driver_side: bool = False, hot_max: int | None = None):
+def simhash_candidates(
+    ds,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    max_hamming: int = 3,
+    max_bucket: int = 256,
+):
     """SimHash near-dup: signature -> 4x16-bit band blocking -> Hamming verify.
 
     Two docs within Hamming distance 3 share at least one of the four 16-bit
     bands (pigeonhole), so band-equality blocking is lossless for
-    max_hamming <= 3. The DEFAULT tail is fully distributed
+    max_hamming <= 3. The tail is fully distributed
     (:func:`simhash_pairs_distributed` — hot-bucket prefilter + in-bucket
-    verify; signatures never land on the driver). ``driver_side=True`` opts
-    into the single-node numpy tail for tiny corpora.
+    verify; signatures never land on the driver); the single-node numpy
+    reference :func:`_simhash_pairs_numpy` gives the same pair set.
     Returns (left_id, right_id, hamming) pairs."""
-    import ray
-
     sig_ds = simhash_signature_ds(ds, text_col=text_col, id_col=id_col)
-    if not driver_side:
-        return simhash_pairs_distributed(
-            sig_ds, max_hamming=max_hamming, id_col=id_col, max_bucket=max_bucket,
-            hot_max=hot_max,
-        )
-    sig_rows = sig_ds.take_all()
-    empty = _empty_hamming_table()
-    if not sig_rows:
-        return ray.data.from_arrow(empty)
-    ids = np.array([r[id_col] for r in sig_rows], dtype=np.int64)
-    sigs = np.array([r["simhash"] for r in sig_rows], dtype=np.uint64)
-    n = len(ids)
-    left: list = []
-    right: list = []
-    for b in range(4):
-        band = (sigs >> np.uint64(16 * b)) & np.uint64(0xFFFF)
-        order = np.argsort(band, kind="stable")
-        vals = band[order]
-        run_starts = np.flatnonzero(np.concatenate([[True], vals[1:] != vals[:-1]]))
-        run_ends = np.concatenate([run_starts[1:], [n]])
-        for s, e in zip(run_starts, run_ends):
-            if e - s < 2:
-                continue
-            members = np.sort(order[s:e])[:max_bucket]
-            iu = np.triu_indices(len(members), k=1)
-            left.append(members[iu[0]])
-            right.append(members[iu[1]])
-    if not left:
-        return ray.data.from_arrow(empty)
-    li = np.concatenate(left)
-    ri = np.concatenate(right)
-    combined = li.astype(np.uint64) << np.uint64(32) | ri.astype(np.uint64)
-    uniq = np.unique(combined)
-    li = (uniq >> np.uint64(32)).astype(np.int64)
-    ri = (uniq & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    x = sigs[li] ^ sigs[ri]
-    ham = (
-        np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1)
-        .sum(axis=1)
-        .astype(np.int64)
+    return simhash_pairs_distributed(
+        sig_ds, max_hamming=max_hamming, id_col=id_col, max_bucket=max_bucket
     )
+
+
+def _simhash_pairs_numpy(
+    ids: np.ndarray, sigs: np.ndarray, max_hamming: int = 3, max_bucket: int = 256
+) -> pa.Table:
+    """Single-node reference for :func:`simhash_pairs_distributed`: every
+    doc's (id, simhash) in driver memory, one vectorized pass."""
+    bands = np.column_stack(
+        [(sigs >> np.uint64(16 * b)) & np.uint64(0xFFFF) for b in range(4)]
+    )
+    li, ri = _band_run_pairs(bands, max_bucket)
+    ham = _hamming64(sigs[li], sigs[ri])
     keep = ham <= max_hamming
-    li, ri, ham = li[keep], ri[keep], ham[keep]
-    l_ids, r_ids = ids[li], ids[ri]
-    swap = l_ids > r_ids
-    l_ids[swap], r_ids[swap] = r_ids[swap], l_ids[swap]
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "left_id": pa.array(l_ids),
-                "right_id": pa.array(r_ids),
-                "hamming": pa.array(ham),
-            }
-        )
-    )
+    return _id_pair_table(ids, li[keep], ri[keep], "hamming", ham[keep])
 
 
 _INC_SEED1, _INC_SEED2 = 0x5EED0001, 0x5EED0002
@@ -1815,7 +1709,6 @@ def incremental_dedup(
     text_col: str = "text",
     id_col: str = "doc_id",
     err_rate: float = 1e-3,
-    broadcast_max: int = 4_000_000,
 ):
     """Day-2 dedup: keep only the rows of ``new_ds`` whose ``text_col``
     does NOT already appear in ``old_ds`` — the reference's
@@ -1895,7 +1788,7 @@ def incremental_dedup(
         return definite_new
 
     fp_schema = pa.schema([("fp", pa.large_binary())])
-    if n_maybe <= broadcast_max:
+    if n_maybe <= joins.DIM_BROADCAST_MAX:
         # probe the BIG side with the SMALL side broadcast (no shuffle at
         # all): stream old_fp once against the sorted maybe-fp array to
         # find which maybe fps are truly seen, then drop those rows
@@ -1937,7 +1830,6 @@ def incremental_dedup(
             "fp",
             keep=False,
             n_ids=n_old,
-            broadcast_max=broadcast_max,
             key_type=pa.large_binary(),
             num_partitions=max(1, n_maybe // 4_000_000),
         )
@@ -2172,8 +2064,7 @@ def winnow_fingerprint_rows(ds, k: int = 3, w: int = 4,
 
 
 def winnow_shared_docs(ds, k: int = 3, w: int = 4, min_docs: int = 2,
-                       text_col: str = "text", id_col: str = "doc_id",
-                       broadcast_max: int | None = None):
+                       text_col: str = "text", id_col: str = "doc_id"):
     """Winnowed self-dedup signal: per doc, total fingerprints and how
     many are shared with >= ``min_docs - 1`` other docs — the
     ExactSubstr-style flagging tail over the 2/(w+1)-density winnow
@@ -2181,9 +2072,9 @@ def winnow_shared_docs(ds, k: int = 3, w: int = 4, min_docs: int = 2,
     neither the text nor the full gram stream ever shuffles).
 
     One fingerprint groupby finds shared fps; the shared SET rides back
-    size-guarded (broadcast searchsorted up to ``broadcast_max`` fps,
-    distributed left join with partitions clamped above); then ONE per-doc
-    aggregate emits (id_col, n_fps, n_shared) for every doc with >= 1
+    size-guarded (broadcast searchsorted up to ``joins.DIM_BROADCAST_MAX``
+    fps, distributed left join with partitions clamped above); then ONE
+    per-doc aggregate emits (id_col, n_fps, n_shared) for every doc with >= 1
     fingerprint."""
     import ray
 
@@ -2205,8 +2096,7 @@ def winnow_shared_docs(ds, k: int = 3, w: int = 4, min_docs: int = 2,
         keep_shared, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
     ns = shared.count()
-    budget = broadcast_max if broadcast_max is not None else 2_000_000
-    if ns <= budget:
+    if ns <= joins.DIM_BROADCAST_MAX:
         arr = np.sort(
             _collect_table(shared, pa.schema([("fp", pa.int64())]))[
                 "fp"
@@ -2235,7 +2125,7 @@ def winnow_shared_docs(ds, k: int = 3, w: int = 4, min_docs: int = 2,
         def flag(t: pa.Table) -> pa.Table:
             return t.append_column("hit", pa.array(np.ones(t.num_rows, np.int64)))
 
-        parts = max(1, ns // 2_000_000)
+        parts = max(1, ns // joins.JOIN_PARTITION_ROWS)
         joined = fps.join(
             shared.map_batches(flag, batch_format="pyarrow"),
             join_type="left_outer",

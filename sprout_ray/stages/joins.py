@@ -342,13 +342,23 @@ def windowed_range_count(
     return out.map_batches(coalesce, batch_format="pyarrow")
 
 
-# Broadcast-vs-hash join selection budget (rows). A 4M-row int64-keyed
-# dimension with a few narrow payload columns is ~100-200 MB in the object
-# store — comfortably a broadcast on any worker; beyond it the join must
+# The one broadcast budget (rows) for every plan that ships a sorted key
+# set or a dimension table to the workers: this join, ``id_set_filter``,
+# the hot-bucket and winnow fingerprint sets, the connected-components
+# driver tier and the analytics verifies all read it, at call time, as
+# ``joins.DIM_BROADCAST_MAX`` (tests force the other plan with
+# monkeypatch). A 4M-row int64-keyed dimension with a few narrow payload
+# columns is ~100-200 MB in the object store, a bare 4M int64 key set
+# 32 MB — comfortably a broadcast on any worker; beyond it the join must
 # shuffle. The standard small-side rule (Spark's broadcast-hash-join
 # threshold, here in rows because callers know row counts from parquet
 # metadata without a scan).
 DIM_BROADCAST_MAX = 4_000_000
+
+# Rows per hash-join partition when a plan shuffles: ``Dataset.join``
+# pays ~0.5-1 s fixed per partition actor, so partition counts follow the
+# data volume rather than the cluster size.
+JOIN_PARTITION_ROWS = 2_000_000
 
 
 def broadcast_lookup_join(
@@ -356,25 +366,23 @@ def broadcast_lookup_join(
     right,
     on: str,
     right_count: int | None = None,
-    broadcast_max: int | None = None,
-    partition_rows: int = 2_000_000,
     left_count: int | None = None,
     how: str = "inner",
 ):
     """Equi-join against a KEY-UNIQUE right side (dimension/lookup),
     with size-guarded physical plan selection.
 
-    Up to ``broadcast_max`` right rows (``right_count`` lets callers pass a
-    parquet-metadata count or a cheap upper bound — e.g. the pre-join row
-    count of a previously joined side — so the guard never forces an extra
-    execution), the right table is fetched once, key-sorted, ``ray.put``
-    once, and every left batch resolves map-side via ``np.searchsorted`` +
-    ``pa.Table.take`` — zero shuffle. ``how="inner"`` drops unmatched left
-    rows; ``how="left"`` keeps them with NULL payloads (the enrichment
-    shape — misses survive). Above the budget it is a distributed hash
-    join (inner / left_outer) with partition count clamped to row volume
-    (``Dataset.join`` costs ~0.5-1 s FIXED per partition actor —
-    CLAUDE.md).
+    Up to ``DIM_BROADCAST_MAX`` right rows (``right_count`` lets callers
+    pass a parquet-metadata count or a cheap upper bound — e.g. the
+    pre-join row count of a previously joined side — so the guard never
+    forces an extra execution), the right table is fetched once,
+    key-sorted, ``ray.put`` once, and every left batch resolves map-side
+    via ``np.searchsorted`` + ``pa.Table.take`` — zero shuffle.
+    ``how="inner"`` drops unmatched left rows; ``how="left"`` keeps them
+    with NULL payloads (the enrichment shape — misses survive). Above the
+    budget it is a distributed hash join (inner / left_outer) with
+    partition count clamped to row volume (``Dataset.join`` costs ~0.5-1 s
+    FIXED per partition actor — CLAUDE.md).
 
     The right side MUST be unique on ``on`` (asserted on the broadcast
     path); duplicate right keys would need the hash join's row expansion,
@@ -383,20 +391,12 @@ def broadcast_lookup_join(
 
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
-    if broadcast_max is None:
-        broadcast_max = DIM_BROADCAST_MAX  # resolved at call time (testable)
     if right_count is None:
         right_count = right.count()
-    if right_count <= broadcast_max:
-        # 0-row-block-safe collect (Ray can emit degenerate empty blocks
-        # whose schemas break a bare concat_tables)
-        schema = right.schema().base_schema
-        tbls = [
-            t.select(schema.names).cast(schema)
-            for t in ray.get(right.to_arrow_refs())
-            if t.num_rows
-        ]
-        tbl = pa.concat_tables(tbls) if tbls else schema.empty_table()
+    if right_count <= DIM_BROADCAST_MAX:
+        from .dedup import _collect_table
+
+        tbl = _collect_table(right, right.schema().base_schema)
         keys = tbl[on].to_numpy(zero_copy_only=False)
         order = np.argsort(keys, kind="stable")
         if keys.size > 1 and not (keys[order][1:] > keys[order][:-1]).all():
@@ -436,7 +436,7 @@ def broadcast_lookup_join(
     # partitions sized to the LARGER side: the probe stream's volume, not
     # just the build side's, determines per-partition-actor memory
     vol = max(int(right_count), int(left_count or 0))
-    parts = max(2, vol // partition_rows)
+    parts = max(2, vol // JOIN_PARTITION_ROWS)
     jt = "left_outer" if how == "left" else "inner"
     return left.join(right, join_type=jt, num_partitions=parts, on=(on,))
 
@@ -448,7 +448,6 @@ def salted_join(
     salt: int = 8,
     right_count: int | None = None,
     left_count: int | None = None,
-    partition_rows: int = 2_000_000,
 ):
     """Inner equi-join with HOT-KEY SALTING — the skew-absorbing plan for a
     fact stream whose join key is dominated by a few hot values (the regime
@@ -470,8 +469,6 @@ def salted_join(
     planted 90%-hot-key skew, int and string keys). Right-side uniqueness
     on ``on`` is the caller's contract (same as broadcast_lookup_join);
     payload column names must not collide with left's."""
-    import ray
-
     from ..functions.hashing import murmur_column
 
     if salt < 1:
@@ -507,7 +504,7 @@ def salted_join(
     if right_count is None:
         right_count = right.count()
     vol = max(int(right_count) * salt, int(left_count or 0))
-    parts = max(2, vol // partition_rows)
+    parts = max(2, vol // JOIN_PARTITION_ROWS)
     joined = lt.join(rt, join_type="inner", num_partitions=parts, on=("_sj_key",))
 
     def finish(t: pa.Table) -> pa.Table:

@@ -40,7 +40,6 @@ def retention_cohorts(
     ds,
     key: str = "user_id",
     ts_col: str = "ts",
-    broadcast_max: int | None = None,
 ):
     """Cohort retention: users grouped by their first active DAY (the
     cohort), counted at each later day offset they return.
@@ -52,8 +51,8 @@ def retention_cohorts(
     BEFORE any shuffle; the global distinct + per-user min-day ride the
     packed-int64 single-key groupby (``dedupe_pair_stream``); the cohort
     lookup goes through the size-guarded broadcast/hash join so a corpus
-    with more users than ``broadcast_max`` automatically takes the
-    distributed plan. The final rollup is over (cohort, offset) pairs —
+    with more users than ``joins.DIM_BROADCAST_MAX`` automatically takes
+    the distributed plan. The final rollup is over (cohort, offset) pairs —
     bounded by days^2, not data size.
     """
     from .dedup import dedupe_pair_stream
@@ -86,8 +85,7 @@ def retention_cohorts(
     cohorts = cohorts.map_batches(tidy_cohort, batch_format="pyarrow")
     # cohort side is <= n_pairs rows (exactly one per user)
     joined = broadcast_lookup_join(
-        pairs, cohorts, on="left_id", right_count=n_pairs,
-        broadcast_max=broadcast_max,
+        pairs, cohorts, on="left_id", right_count=n_pairs
     )
 
     def to_offsets(t: pa.Table) -> pa.Table:

@@ -39,7 +39,7 @@ class CosineTopK:
     """Actor-pool stage: per-block top-k cosine scores against broadcast queries.
 
     Emits (query_id, doc id, score) partial top-k rows per block; merge with
-    ``merge_topk`` on the driver."""
+    ``_merge_topk`` on the driver."""
 
     def __init__(self, queries_ref, k: int, emb_col: str = "embedding", id_col: str = "vec_id", dtype: str = "float32"):
         q = ray.get(queries_ref)
@@ -72,6 +72,22 @@ class CosineTopK:
         )
 
 
+def _merge_topk(partials, k: int, id_col: str):
+    """Driver merge of per-block top-k rows: per query the ``k`` best
+    scores, ties to the smaller id."""
+    import pandas as pd
+
+    df = pd.DataFrame(partials)
+    if df.empty:
+        return df
+    return (
+        df.sort_values(["query_id", "score", id_col], ascending=[True, False, True])
+        .groupby("query_id")
+        .head(k)
+        .reset_index(drop=True)
+    )
+
+
 def ann_topk(ds, queries: np.ndarray, k: int = 10, emb_col: str = "embedding", id_col: str = "vec_id", concurrency: int = 4, dtype: str = "float32"):
     """Brute-force exact cosine top-k (the correctness baseline for ANN)."""
     ref = ray.put(np.asarray(queries, dtype=np.dtype(dtype)))
@@ -87,17 +103,7 @@ def ann_topk(ds, queries: np.ndarray, k: int = 10, emb_col: str = "embedding", i
         batch_format="pyarrow",
         concurrency=concurrency,
     ).take_all()
-    import pandas as pd
-
-    df = pd.DataFrame(partials)
-    if df.empty:
-        return df
-    return (
-        df.sort_values(["query_id", "score", id_col], ascending=[True, False, True])
-        .groupby("query_id")
-        .head(k)
-        .reset_index(drop=True)
-    )
+    return _merge_topk(partials, k, id_col)
 
 
 class LinearScorer:
@@ -304,17 +310,7 @@ def ivf_topk(
         batch_format="pyarrow",
         concurrency=concurrency,
     ).take_all()
-    import pandas as pd
-
-    df = pd.DataFrame(partials)
-    if df.empty:
-        return df
-    return (
-        df.sort_values(["query_id", "score", id_col], ascending=[True, False, True])
-        .groupby("query_id")
-        .head(k)
-        .reset_index(drop=True)
-    )
+    return _merge_topk(partials, k, id_col)
 
 
 class _IVFTopK:
@@ -383,7 +379,6 @@ def embedding_near_dup_pairs(
     max_bucket: int = 256,
     seed: int = 7,
     dim: int | None = None,
-    hot_max: int | None = None,
 ):
     """Cosine >= threshold pairs via banded hyperplane-LSH blocking + a fused
     vectorized in-bucket verify (same distributed shape as the MinHash tail:
@@ -395,9 +390,10 @@ def embedding_near_dup_pairs(
     buckets, so a true pair is missed only if all bands disagree. The verify
     is one matmul + an upper-triangle threshold mask per hot bucket — no
     per-row Python — and ``max_bucket`` caps degenerate buckets. The hot
-    filter is size-guarded (broadcast under ``hot_max`` keys, distributed
-    semi-join above — see dedup.hot_bucket_rows), so the embedding payload
-    rides as packed large_binary, the one type Arrow's join carries."""
+    filter is size-guarded (broadcast under the broadcast budget,
+    distributed semi-join above — see dedup.hot_bucket_rows), so the
+    embedding payload rides as packed large_binary, the one type Arrow's
+    join carries."""
     from .dedup import _combined_key, hot_bucket_rows, pack_rows, unpack_rows
 
     if dim is None:
@@ -446,7 +442,6 @@ def embedding_near_dup_pairs(
             zero_copy_batch=True,
         ),
         count_ds=keys_only,
-        hot_max=hot_max,
     )
     if hot_rows is None:
         return ray.data.from_arrow(_empty_cosine_table())

@@ -114,23 +114,25 @@ class TestContamination:
         assert dict(zip(got["doc_id"], got["shared_grams"])) == want
         assert got["doc_id"].is_monotonic_increasing
 
-    def test_both_join_plans_identical(self, planted):
+    def test_both_join_plans_identical(self, planted, monkeypatch):
+        import sprout_ray.stages.joins as J
+
         corpus, bench, want = planted
         a = contamination_counts(corpus, bench, n=4).to_pandas()
-        b = contamination_counts(
-            corpus, bench, n=4, broadcast_max=0
-        ).to_pandas()
+        monkeypatch.setattr(J, "DIM_BROADCAST_MAX", 0)  # force the hash join
+        b = contamination_counts(corpus, bench, n=4).to_pandas()
         assert a.values.tolist() == b.values.tolist()
 
-    def test_decontaminate_both_paths(self, planted):
+    def test_decontaminate_both_paths(self, planted, monkeypatch):
+        import sprout_ray.stages.joins as J
+
         corpus, bench, want = planted
         clean = decontaminate(corpus, bench, n=4).to_pandas()
         assert sorted(clean["doc_id"]) == [
             i for i in range(10) if i not in want
         ]
-        clean2 = decontaminate(
-            corpus, bench, n=4, id_broadcast_max=0
-        ).to_pandas()
+        monkeypatch.setattr(J, "DIM_BROADCAST_MAX", 0)  # force the joins
+        clean2 = decontaminate(corpus, bench, n=4).to_pandas()
         assert sorted(clean2["doc_id"].tolist()) == sorted(
             clean["doc_id"].tolist()
         )
@@ -188,14 +190,16 @@ class TestIncrementalDedup:
         ).repartition(2)
         return old, new
 
-    def test_drops_seen_keeps_new_both_plans(self, shards):
+    def test_drops_seen_keeps_new_both_plans(self, shards, monkeypatch):
+        import sprout_ray.stages.joins as J
         from sprout_ray.stages.dedup import incremental_dedup
 
         old, new = shards
         a = incremental_dedup(new, old).to_pandas()
         assert sorted(a["doc_id"]) == list(range(100, 110))
         assert set(a.columns) == {"doc_id", "text"}
-        b = incremental_dedup(new, old, broadcast_max=0).to_pandas()
+        monkeypatch.setattr(J, "DIM_BROADCAST_MAX", 0)  # force the anti-join
+        b = incremental_dedup(new, old).to_pandas()
         assert sorted(b["doc_id"]) == sorted(a["doc_id"].tolist())
 
     def test_empty_old_passes_everything(self, shards, ray_session):

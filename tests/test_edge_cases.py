@@ -68,7 +68,7 @@ class TestEmpty:
 
 
 class TestPlantedSimilarity:
-    def test_embedding_near_dup_finds_planted(self, ray_session):
+    def test_embedding_near_dup_finds_planted(self, ray_session, monkeypatch):
         import ray.data as rd
 
         from sprout_ray.stages.similarity import embedding_near_dup_pairs
@@ -91,9 +91,13 @@ class TestPlantedSimilarity:
         got = set(zip(out["left_id"], out["right_id"]))
         assert (10, 50) in got and (20, 51) in got
         assert len(got) < 10  # random vectors don't flood the result
-        # hot_max=0 forces the distributed semi-join hot filter: same pairs
+        # DIM_BROADCAST_MAX=0 forces the distributed semi-join hot filter:
+        # same pairs
+        import sprout_ray.stages.joins as J
+
+        monkeypatch.setattr(J, "DIM_BROADCAST_MAX", 0)
         out2 = embedding_near_dup_pairs(
-            rd.from_arrow(t), threshold=0.95, hot_max=0
+            rd.from_arrow(t), threshold=0.95
         ).to_pandas()
         assert set(zip(out2["left_id"], out2["right_id"])) == got
 

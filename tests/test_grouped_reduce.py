@@ -150,3 +150,29 @@ def test_morton_key_refuses_non_integer(dtype):
         morton_key(bad, ok)
     with pytest.raises(ValueError, match="morton_key: y has non-integer dtype"):
         morton_key(ok, bad)
+
+
+def test_grouped_reduce_names_null_string_key():
+    """A NULL in a string key over two blocks used to die inside Ray's sort
+    with a bare TypeError ('<' between NoneType and str); the per-block
+    partial now names the key."""
+    import ray.data as rd
+
+    a = pa.table({"k": ["x", None], "v": pa.array([1, 2], pa.int64())})
+    b = pa.table({"k": ["y", "x"], "v": pa.array([3, 4], pa.int64())})
+    # Ray Data re-wraps the ValueError as RayTaskError(UserCodeException)
+    with pytest.raises(Exception, match="group key 'k' contains NULLs"):
+        grouped_reduce(rd.from_arrow([a, b]), "k", {"s": ("v", "sum")}).take_all()
+
+
+def test_grouped_reduce_null_integer_key_groups():
+    """A NULL integer key still works: it forms its own group."""
+    import ray.data as rd
+
+    a = pa.table({"k": pa.array([1, None], pa.int64()), "v": pa.array([1, 2], pa.int64())})
+    b = pa.table({"k": pa.array([None, 1], pa.int64()), "v": pa.array([3, 4], pa.int64())})
+    rows = grouped_reduce(rd.from_arrow([a, b]), "k", {"s": ("v", "sum")}).take_all()
+    assert sorted((r["k"] is None, r["k"], r["s"]) for r in rows) == [
+        (False, 1, 5),
+        (True, None, 5),
+    ]

@@ -91,7 +91,7 @@ def test_read_any_formats_build_identical_sketch(ray_session, tmp_path):
         assert (sk.registers == ref.registers).all(), p
 
 
-def test_curate_corpus_resumable_write(ray_session, tmp_path):
+def test_curate_corpus_resumable_write(ray_session, tmp_path, monkeypatch):
     """Write-side curation: output rows == the oracle-checked survivor set;
     a rerun resumes without rewriting."""
     import duckdb
@@ -128,10 +128,14 @@ def test_curate_corpus_resumable_write(ray_session, tmp_path):
     got_ids = sorted(got["doc_id"].to_pylist())
     assert got_ids == want["doc_id"].tolist()
 
-    # force the distributed semi-join winner path (broadcast_max=0): output
-    # content must be identical to the broadcast path's
+    # force the distributed semi-join winner path (DIM_BROADCAST_MAX=0):
+    # output content must be identical to the broadcast path's
+    import sprout_ray.stages.joins as J
+
     out2 = str(tmp_path / "curated_join")
-    m3 = curate_corpus([src], out2, broadcast_max=0)
+    with monkeypatch.context() as m:
+        m.setattr(J, "DIM_BROADCAST_MAX", 0)
+        m3 = curate_corpus([src], out2)
     assert m3["written"] == 1 and m3["winners"] == m1["winners"]
     got2 = pq_mod.read_table(
         sorted(g.glob(f"{out2}/part=*/**/*.parquet", recursive=True))
@@ -183,7 +187,7 @@ def test_curate_corpus_with_splits(ray_session, tmp_path):
     assert sorted(got3["doc_id"].to_pylist()) == sorted(got["doc_id"].tolist())
 
 
-def test_curate_corpus_with_decontamination(ray_session, tmp_path):
+def test_curate_corpus_with_decontamination(ray_session, tmp_path, monkeypatch):
     """Benchmark decontamination inside the write path: a planted
     benchmark-overlapping doc is dropped, identically via both id-filter
     plans, and the decontaminated run still resumes."""
@@ -223,11 +227,14 @@ def test_curate_corpus_with_decontamination(ray_session, tmp_path):
     assert dec_ids < plain_ids and len(dropped) <= m1["contaminated"]
 
     # both id-filter plans agree
+    import sprout_ray.stages.joins as J
+
     out_join = str(tmp_path / "dec_join")
-    m2 = curate_corpus(
-        [src], out_join, benchmark_files=[bench_path], decontam_n=4,
-        broadcast_max=0,
-    )
+    with monkeypatch.context() as m:
+        m.setattr(J, "DIM_BROADCAST_MAX", 0)
+        m2 = curate_corpus(
+            [src], out_join, benchmark_files=[bench_path], decontam_n=4
+        )
     assert read_ids(out_join) == dec_ids
 
     # resume still works with decontamination on

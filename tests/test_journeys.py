@@ -279,12 +279,14 @@ class TestFunnelStages:
         assert out.values.tolist() == [[0, 3]]
 
 
-def test_retention_both_join_paths_agree(ray_session):
-    """broadcast_max=0 forces the distributed hash-join cohort plan; the
-    result must be byte-identical to the broadcast plan."""
+def test_retention_both_join_paths_agree(ray_session, monkeypatch):
+    """DIM_BROADCAST_MAX=0 forces the distributed hash-join cohort plan;
+    the result must be byte-identical to the broadcast plan."""
+    import sprout_ray.stages.joins as J
     from sprout_ray.stages.journeys import retention_cohorts
 
     df = _events_df(n=8000, users=9, seed=21)
     a = retention_cohorts(_multiblock_ds(df)).to_pandas()
-    b = retention_cohorts(_multiblock_ds(df), broadcast_max=0).to_pandas()
+    monkeypatch.setattr(J, "DIM_BROADCAST_MAX", 0)
+    b = retention_cohorts(_multiblock_ds(df)).to_pandas()
     pd.testing.assert_frame_equal(a, b)

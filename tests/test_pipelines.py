@@ -37,16 +37,20 @@ def test_entry_contract():
     assert set(os_) <= set(qs)
 
 
-def test_orders_semi_join_guard_paths_agree():
+def test_orders_semi_join_guard_paths_agree(monkeypatch):
     """The enforced size guard: broadcast verify (default) and distributed
-    hash semi-join (broadcast_max=0) produce the identical exact result."""
+    hash semi-join (DIM_BROADCAST_MAX=0) produce the identical exact
+    result."""
+    import sprout_ray.stages.joins as J
+
     a = (
         _pd(A.orders_semi_join(SF))
         .sort_values("l_orderkey")
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(J, "DIM_BROADCAST_MAX", 0)  # force the hash verify
     b = (
-        _pd(A.orders_semi_join(SF, broadcast_max=0))[a.columns]
+        _pd(A.orders_semi_join(SF))[a.columns]
         .sort_values("l_orderkey")
         .reset_index(drop=True)
     )
@@ -409,13 +413,14 @@ def test_ngram_jaccard_pairs_vs_duckdb():
         )
 
 
-def test_ngram_jaccard_verify_paths_agree():
+def test_ngram_jaccard_verify_paths_agree(monkeypatch):
     """Broadcast and distributed-join verify tiers return identical pairs,
     including planted exact dups (J=1.0 must always survive the prefix
     filter)."""
     import ray.data as rd
     import pyarrow as pa
 
+    import sprout_ray.stages.dedup as D
     from sprout_ray.stages.dedup import ngram_jaccard_pairs_distributed
 
     base = _pd(rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"]))
@@ -427,12 +432,9 @@ def test_ngram_jaccard_verify_paths_agree():
         .sort_values(["left_id", "right_id"])
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(D, "TEXT_BROADCAST_MAX_DOCS", 0)  # join the texts
     b = (
-        _pd(
-            ngram_jaccard_pairs_distributed(
-                corpus, n=3, threshold=0.8, broadcast_max_ids=0
-            )
-        )[a.columns]
+        _pd(ngram_jaccard_pairs_distributed(corpus, n=3, threshold=0.8))[a.columns]
         .sort_values(["left_id", "right_id"])
         .reset_index(drop=True)
     )
@@ -657,7 +659,7 @@ def test_overlap_and_cardinality_self_evidence():
     assert int(hc.loc["lang", "exact"]) == exact_lang
 
 
-def test_ngram_jaccard_planted_edges_vs_duckdb(tmp_path):
+def test_ngram_jaccard_planted_edges_vs_duckdb(tmp_path, monkeypatch):
     """Planted edge cases — empty-empty clique (SQL's two-empties CASE gives
     J=1.0 but empties emit no prefix rows), len<n singleton sets, near-dups
     — match the DuckDB twin through BOTH verify tiers."""
@@ -666,6 +668,7 @@ def test_ngram_jaccard_planted_edges_vs_duckdb(tmp_path):
     import ray.data as rd
 
     import __ray_entry__ as E
+    import sprout_ray.stages.dedup as D
     from sprout_ray.stages.dedup import ngram_jaccard_pairs_distributed
 
     rows = pd.DataFrame(
@@ -690,10 +693,9 @@ def test_ngram_jaccard_planted_edges_vs_duckdb(tmp_path):
     assert len(want) == 7  # 3 empty-clique + short-dup + 3 near-dup rows
     ds = rd.read_parquet(path)
     for bmax in (500_000, 0):
+        monkeypatch.setattr(D, "TEXT_BROADCAST_MAX_DOCS", bmax)
         got = (
-            ngram_jaccard_pairs_distributed(
-                ds, n=3, threshold=0.8, broadcast_max_ids=bmax
-            )
+            ngram_jaccard_pairs_distributed(ds, n=3, threshold=0.8)
             .to_pandas()[["left_id", "right_id", "jaccard"]]
             .sort_values(["left_id", "right_id"])
             .reset_index(drop=True)
@@ -701,12 +703,13 @@ def test_ngram_jaccard_planted_edges_vs_duckdb(tmp_path):
         pd.testing.assert_frame_equal(got.astype(want.dtypes.to_dict()), want)
 
 
-def test_ngram_fused_and_allpairs_paths_agree():
+def test_ngram_fused_and_allpairs_paths_agree(monkeypatch):
     """The fused matmul bucket-verify (dense regime) and the AllPairs
     per-pair expansion return identical oracle-exact results."""
     import pyarrow as pa
     import ray.data as rd
 
+    import sprout_ray.stages.dedup as D
     from sprout_ray.stages.dedup import ngram_jaccard_pairs_distributed
 
     ds = rd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
@@ -716,12 +719,9 @@ def test_ngram_fused_and_allpairs_paths_agree():
         .sort_values(cols[:2])
         .reset_index(drop=True)
     )
+    monkeypatch.setattr(D, "GRAM_BROADCAST_INCIDENCE_MAX", 0)  # AllPairs path
     b = (
-        _pd(
-            ngram_jaccard_pairs_distributed(
-                ds, n=3, threshold=0.8, fused_incidence_max=0
-            )
-        )[cols]
+        _pd(ngram_jaccard_pairs_distributed(ds, n=3, threshold=0.8))[cols]
         .sort_values(cols[:2])
         .reset_index(drop=True)
     )
@@ -1014,7 +1014,7 @@ def test_dsir_empty_target_raises(tmp_path, ray_session):
         _pd(A.dsir_scores(str(tmp_path)))
 
 
-def test_ngram_containment_planted_vs_duckdb(tmp_path, ray_session):
+def test_ngram_containment_planted_vs_duckdb(tmp_path, ray_session, monkeypatch):
     """The defining containment case: a short doc whose grams all appear
     inside a much longer doc (Jaccard ~ |A|/|B|, containment 1.0) must
     qualify; through BOTH verify tiers; exact match with the DuckDB twin
@@ -1025,6 +1025,7 @@ def test_ngram_containment_planted_vs_duckdb(tmp_path, ray_session):
     import ray.data as rd
 
     import __ray_entry__ as E
+    import sprout_ray.stages.dedup as D
     from sprout_ray.stages.dedup import ngram_jaccard_pairs_distributed
 
     inner = "the quick brown fox jumps over the lazy dog"
@@ -1055,10 +1056,10 @@ def test_ngram_containment_planted_vs_duckdb(tmp_path, ray_session):
     ]
     ds = rd.read_parquet(path)
     for bmax in (500_000, 0):  # broadcast verify, then distributed-join verify
+        monkeypatch.setattr(D, "TEXT_BROADCAST_MAX_DOCS", bmax)
         got = (
             ngram_jaccard_pairs_distributed(
-                ds, n=3, threshold=0.95, metric="containment",
-                broadcast_max_ids=bmax,
+                ds, n=3, threshold=0.95, metric="containment"
             )
             .to_pandas()[["left_id", "right_id", "containment"]]
             .sort_values(["left_id", "right_id"])
@@ -1274,7 +1275,7 @@ def test_winnow_shared_coverage_and_density(tmp_path, ray_session):
     assert 0.2 <= density <= 0.6
 
 
-def test_winnow_shared_join_paths_agree(tmp_path, ray_session):
+def test_winnow_shared_join_paths_agree(tmp_path, ray_session, monkeypatch):
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -1293,7 +1294,10 @@ def test_winnow_shared_join_paths_agree(tmp_path, ray_session):
     pq.write_table(t, path)
     ds = rd.read_parquet(path)
     a = winnow_shared_docs(ds, k=3, w=4).to_pandas()
-    b = winnow_shared_docs(ds, k=3, w=4, broadcast_max=0).to_pandas()
+    import sprout_ray.stages.joins as J
+
+    monkeypatch.setattr(J, "DIM_BROADCAST_MAX", 0)  # force the hash join
+    b = winnow_shared_docs(ds, k=3, w=4).to_pandas()
     pd.testing.assert_frame_equal(a, b)
 
 

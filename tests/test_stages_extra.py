@@ -146,12 +146,22 @@ class TestDistributedLSHTwins:
         pairs = lsh_candidate_pairs(minhash_bands(sig, bands=8))
         assert pairs.count() == 0
 
-    def test_distributed_tail_matches_driver_tail(self, ray_session):
-        """The default (distributed) minhash/simhash tails must produce the
-        exact pair sets of the driver_side=True numpy tails."""
+    def test_distributed_tail_matches_driver_tail(self, ray_session, monkeypatch):
+        """The distributed minhash/simhash tails must produce the exact pair
+        sets of the single-node numpy reference tails, through both plans
+        of the hot-bucket filter (broadcast, and the semi-join forced by
+        DIM_BROADCAST_MAX=0)."""
         import ray.data as rd
 
-        from sprout_ray.stages.dedup import minhash_dedup_pairs, simhash_candidates
+        import sprout_ray.stages.joins as J
+        from sprout_ray.stages.dedup import (
+            MinHasher,
+            _minhash_pairs_numpy,
+            _simhash_pairs_numpy,
+            minhash_dedup_pairs,
+            simhash_candidates,
+            simhash_signature_ds,
+        )
 
         base = "shared corpus sentence about sketches and streams "
         texts = [base + f"unique tail {i} {'x' * (i % 7)}" for i in range(40)]
@@ -159,29 +169,30 @@ class TestDistributedLSHTwins:
         ds = rd.from_arrow(
             pa.table({"doc_id": list(range(len(texts))), "text": texts})
         )
-        for fn in (minhash_dedup_pairs, simhash_candidates):
-            dist = (
-                fn(ds).to_pandas()
-                .sort_values(["left_id", "right_id"])
-                .reset_index(drop=True)
-            )
-            drv = (
-                fn(ds, driver_side=True).to_pandas()
-                .sort_values(["left_id", "right_id"])
-                .reset_index(drop=True)
-            )
-            assert dist.shape == drv.shape, fn.__name__
-            assert (dist.values == drv.values).all(), fn.__name__
-            # hot_max=0 forces the distributed semi-join hot filter: the
-            # pair set must be identical to the broadcast path's
-            sj = (
-                fn(ds, hot_max=0).to_pandas()
-                .sort_values(["left_id", "right_id"])
-                .reset_index(drop=True)
-            )
-            assert sj.shape == drv.shape, fn.__name__
-            assert (sj.values == drv.values).all(), fn.__name__
-            got = set(zip(dist["left_id"], dist["right_id"]))
+        mh = ds.map_batches(MinHasher, batch_format="pyarrow", concurrency=1).to_pandas()
+        sh = simhash_signature_ds(ds).to_pandas()
+        refs = {
+            minhash_dedup_pairs: _minhash_pairs_numpy(
+                mh["doc_id"].to_numpy(np.int64),
+                np.stack(mh["signature"]).astype(np.uint64),
+            ),
+            simhash_candidates: _simhash_pairs_numpy(
+                sh["doc_id"].to_numpy(np.int64), sh["simhash"].to_numpy(np.uint64)
+            ),
+        }
+        budget = J.DIM_BROADCAST_MAX
+
+        def ordered(df):
+            return df.sort_values(["left_id", "right_id"]).reset_index(drop=True)
+
+        for fn, ref in refs.items():
+            drv = ordered(ref.to_pandas())
+            for bmax in (budget, 0):
+                monkeypatch.setattr(J, "DIM_BROADCAST_MAX", bmax)
+                dist = ordered(fn(ds).to_pandas())
+                assert dist.shape == drv.shape, (fn.__name__, bmax)
+                assert (dist.values == drv.values).all(), (fn.__name__, bmax)
+            got = set(zip(drv["left_id"], drv["right_id"]))
             assert (2, 40) in got and (9, 42) in got, fn.__name__
 
 
@@ -406,7 +417,9 @@ class TestSimilarityKernels:
             .sort_values("doc_id")
             .reset_index(drop=True)
         )
-        monkeypatch.setattr(D, "_CC_DRIVER_MAX_ENDPOINTS", 0)
+        import sprout_ray.stages.joins as J
+
+        monkeypatch.setattr(J, "DIM_BROADCAST_MAX", 0)
         b = (
             D.connected_components_distributed(pairs, nodes_ds=nodes)
             .to_pandas()
@@ -447,15 +460,15 @@ class TestExactDedupKeepCols:
         )
         return rd.from_arrow(t).repartition(3)
 
-    def test_broadcast_and_join_paths_agree(self, ray_session):
+    def test_broadcast_and_join_paths_agree(self, ray_session, monkeypatch):
+        import sprout_ray.stages.joins as J
         from sprout_ray.stages.dedup import exact_dedup
 
         ds = self._mk()
         expect = {0, 1, 3, 5, 7, 9}  # min doc_id per text
         bc = exact_dedup(ds, "text", "doc_id", keep_cols=["extra"]).to_pandas()
-        jn = exact_dedup(
-            ds, "text", "doc_id", keep_cols=["extra"], broadcast_max=0
-        ).to_pandas()
+        monkeypatch.setattr(J, "DIM_BROADCAST_MAX", 0)  # force the semi-join
+        jn = exact_dedup(ds, "text", "doc_id", keep_cols=["extra"]).to_pandas()
         assert set(bc["doc_id"]) == expect
         assert set(jn["doc_id"]) == expect
         # full surviving rows (not just ids) come back on both paths
@@ -535,10 +548,11 @@ class TestBroadcastLookupJoin:
     """broadcast_lookup_join == pandas inner merge on randomized inputs,
     through BOTH physical plans."""
 
-    def test_randomized_vs_pandas(self, ray_session):
+    def test_randomized_vs_pandas(self, ray_session, monkeypatch):
         import pandas as pd
         import ray.data as rd
 
+        import sprout_ray.stages.joins as J
         from sprout_ray.stages.joins import broadcast_lookup_join
 
         rng = np.random.default_rng(7)
@@ -559,8 +573,9 @@ class TestBroadcastLookupJoin:
             lds = rd.from_arrow(pa.Table.from_pandas(left, preserve_index=False))
             rds = rd.from_arrow(pa.Table.from_pandas(right, preserve_index=False))
             for bmax in (10_000, 0):  # broadcast tier / hash-join tier
+                monkeypatch.setattr(J, "DIM_BROADCAST_MAX", bmax)
                 got = (
-                    broadcast_lookup_join(lds, rds, on="k", broadcast_max=bmax)
+                    broadcast_lookup_join(lds, rds, on="k")
                     .to_pandas()[["k", "lv", "rv"]]
                     .sort_values(["k", "lv", "rv"])
                     .reset_index(drop=True)
@@ -575,10 +590,9 @@ class TestBroadcastLookupJoin:
                 .reset_index(drop=True)
             )
             for bmax in (10_000, 0):
+                monkeypatch.setattr(J, "DIM_BROADCAST_MAX", bmax)
                 got_l = (
-                    broadcast_lookup_join(
-                        lds, rds, on="k", broadcast_max=bmax, how="left"
-                    )
+                    broadcast_lookup_join(lds, rds, on="k", how="left")
                     .to_pandas()[["k", "lv", "rv"]]
                     .sort_values(["k", "lv"])
                     .reset_index(drop=True)

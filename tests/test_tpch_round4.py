@@ -150,11 +150,12 @@ def test_q2_matches_oracle_at_sf0001():
     ].astype("int64").tolist()
 
 
-def test_q21_driver_tier_matches_distributed():
+def test_q21_driver_tier_matches_distributed(monkeypatch):
     """Round-5 perf: the size-gated driver tier (pyarrow fold over
     collected per-block partials) must be row-identical to the
     distributed sort-shuffle plan at both testdata scales."""
     d = A.q21_waiting_suppliers(SF).to_pandas()
-    x = A.q21_waiting_suppliers(SF, driver_tier_max_rows=0).to_pandas()
+    monkeypatch.setattr(A, "Q21_DRIVER_TIER_MAX_ROWS", 0)
+    x = A.q21_waiting_suppliers(SF).to_pandas()
     assert d.equals(x)
     assert len(d) > 0
