@@ -506,24 +506,22 @@ def cmd_query(args) -> int:
     import pandas as pd
     import pyarrow as pa
 
-    import ray
     import ray.data
+
+    from .stages.agg import collect_table
 
     res = qs[args.name](args.sf)
     if isinstance(res, ray.data.Dataset):
-        tbl = pa.concat_tables(
-            [t for t in ray.get(res.to_arrow_refs()) if t.num_rows]
-        ) if res.count() else None
+        tbl = collect_table(res)  # one execution: no count() pass first
     elif isinstance(res, pd.DataFrame):
         tbl = pa.Table.from_pandas(res, preserve_index=False)
     else:
         tbl = res
-    n = tbl.num_rows if tbl is not None else 0
-    if args.out and tbl is not None:
+    if args.out and tbl.num_columns:
         import pyarrow.parquet as pq
 
         pq.write_table(tbl, args.out)
-    print(json.dumps({"query": args.name, "rows": int(n), "out": args.out}))
+    print(json.dumps({"query": args.name, "rows": tbl.num_rows, "out": args.out}))
     return 0
 
 

@@ -18,7 +18,7 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import add_sha256
 from ..kernel.sketch import SketchSpec
-from ..stages.agg import grouped_reduce
+from ..stages.agg import collect_table, grouped_reduce
 from ..stages.builder import build_grouped, build_sketch, multi_sketch_build
 from ..stages.probe import probe_filter
 
@@ -169,6 +169,86 @@ def _supplier_nations(sf_dir: str):
         zero_copy_batch=True,
     )
     return supp, _read(sf_dir, "supplier", ["s_suppkey"]).count()
+
+
+def _collect_dict(ds, key: str, value: str) -> dict:
+    """``{key: value}`` over a bounded Dataset, collected as one Arrow
+    table (no row dicts); ``{}`` when it is empty."""
+    t = collect_table(ds)
+    if not t.num_rows:
+        return {}
+    return dict(zip(t[key].to_pylist(), t[value].to_pylist()))
+
+
+def _dim_map(sf_dir: str, table: str, key: str, value: str) -> dict:
+    """``{key: value}`` of a small dimension table (nation, region)."""
+    return _collect_dict(_read(sf_dir, table, [key, value]), key, value)
+
+
+def _ids_keep(id_col: str, *ids):
+    """``id_set_filter`` keeping the rows whose ``id_col`` is in the union
+    of the BOUNDED int id arrays ``ids`` (winners, candidate pairs)."""
+    import ray.data as rd
+
+    from ..stages.dedup import id_set_filter
+
+    u = np.unique(np.concatenate([np.asarray(i, np.int64) for i in ids]))
+    return id_set_filter(
+        rd.from_arrow(pa.table({id_col: u})), id_col, keep=True, n_ids=u.size
+    )
+
+
+def _rows_by_key(sf_dir: str, table: str, schema: pa.Schema, ids) -> pa.Table:
+    """The ``schema`` columns of ``table`` for a few winner ``ids`` of its
+    unique int key (``schema``'s first column), in ``ids``' order: one
+    scan through ``_ids_keep``, so only the winners' rows reach the driver
+    (the dimension is SF-scaled; it is never collected whole)."""
+    key = schema.names[0]
+    ids = np.asarray(ids, np.int64)
+    t = collect_table(_ids_keep(key, ids)(_read(sf_dir, table, schema.names)), schema)
+    t = t.sort_by(key)
+    return t.take(pa.array(np.searchsorted(t[key].to_numpy(), ids), pa.int64()))
+
+
+def _partial_sums(ds, cols) -> pa.Table:
+    """One row: each int ``cols`` column summed over the per-block partial
+    rows of ``ds`` (O(blocks) rows reach the driver). The sums run on
+    Python ints, so an int64 overflow raises instead of wrapping."""
+    t = collect_table(ds, pa.schema({c: pa.int64() for c in cols}))
+    return pa.table({c: pa.array([sum(t[c].to_pylist())], pa.int64()) for c in cols})
+
+
+def _nation_names(sf_dir: str) -> np.ndarray:
+    """n_name by n_nationkey in a 32-slot object array: the 5-bit nation
+    pack of the grid queries (a key outside it raises)."""
+    names = np.empty(32, dtype=object)
+    for k, v in _dim_map(sf_dir, "nation", "n_nationkey", "n_name").items():
+        if not 0 <= k < 32:
+            raise ValueError("n_nationkey out of 5-bit pack range")
+        names[k] = v
+    return names
+
+
+def _region_nations(sf_dir: str, region: str) -> np.ndarray:
+    """Sorted int64 n_nationkey of the nations in the region named
+    ``region``."""
+    regions = _dim_map(sf_dir, "region", "r_regionkey", "r_name")
+    regs = {k for k, v in regions.items() if v == region}
+    nats = _dim_map(sf_dir, "nation", "n_nationkey", "n_regionkey")
+    return np.array(sorted(k for k, r in nats.items() if r in regs), np.int64)
+
+
+def _top_k(ds, k: int, val: str, tie: str, schema: pa.Schema) -> pa.Table:
+    """The ``k`` rows of ``ds`` with the largest ``val`` (smaller ``tie``
+    first on equal values), in that order, as a ``schema`` table: each
+    block keeps its own top k, so the driver collects O(blocks x k) rows."""
+
+    def top(t: pa.Table) -> pa.Table:
+        v = t[val].to_numpy(zero_copy_only=False)
+        order = np.lexsort((t[tie].to_numpy(zero_copy_only=False), -v))[:k]
+        return t.take(pa.array(order, pa.int64()))
+
+    return top(collect_table(ds.map_batches(top, batch_format="pyarrow"), schema))
 
 
 def q1_pricing_summary(sf_dir: str):
@@ -359,35 +439,40 @@ def hll_hourly_users(sf_dir: str):
             }
         )
 
-    est_rows = build_grouped(
-        ds.map_batches(win_col, batch_format="pyarrow", zero_copy_batch=True),
-        SketchSpec.of("hll", p),
-        on="user_id",
-        key="window",
-        finalizer=lambda s: float(s.estimate()),
-        alias="est_users",
-    ).take_all()  # bounded: one row per window
-    exact = {
-        r["window"]: r["n_users"] for r in hourly_active_users(sf_dir).take_all()
-    }
-    sigma3 = 3 * 1.04 / math.sqrt(2**p)
-    est_rows.sort(key=lambda r: r["window"])
-    win = [int(r["window"]) for r in est_rows]
-    est = [float(r["est_users"]) for r in est_rows]
-    ex = [int(exact[r["window"]]) for r in est_rows]
-    rel = [abs(e - x) / max(x, 1) for e, x in zip(est, ex)]
-    ok = [abs(e - x) <= max(sigma3 * x, 2.0) for e, x in zip(est, ex)]
+    est = collect_table(
+        build_grouped(
+            ds.map_batches(win_col, batch_format="pyarrow", zero_copy_batch=True),
+            SketchSpec.of("hll", p),
+            on="user_id",
+            key="window",
+            finalizer=lambda s: float(s.estimate()),
+            alias="est_users",
+        ),
+        pa.schema({"window": pa.int64(), "est_users": pa.float64()}),
+    ).sort_by("window")  # bounded: one row per window
+    exact = _collect_dict(hourly_active_users(sf_dir), "window", "n_users")
+    win = est["window"].to_numpy()
+    e = est["est_users"].to_numpy()
+    return _hll_window_evidence(win, e, [exact[w] for w in win.tolist()], p)
+
+
+def _hll_window_evidence(win, est, exact, p: int) -> pa.Table:
+    """Per-window HLL evidence table: the estimate (3 dp), the exact count,
+    rel_err (6 dp) and |est - n| <= max(3 sigma * n, 2) (the discrete
+    linear-counting floor: see hll_hourly_users)."""
+    e = np.asarray(est, np.float64)
+    x = np.asarray(exact, np.int64)
+    rel = np.abs(e - x) / np.maximum(x, 1)
     return pa.table(
         {
             "window": pa.array(win, pa.int64()),
-            "est_users": pa.array(
-                [float(np.floor(e * 1e3 + 0.5) / 1e3) for e in est], pa.float64()
+            "est_users": pa.array(np.floor(e * 1e3 + 0.5) / 1e3, pa.float64()),
+            "n_users": pa.array(x, pa.int64()),
+            "rel_err": pa.array(np.floor(rel * 1e6 + 0.5) / 1e6, pa.float64()),
+            "within_bound": pa.array(
+                np.abs(e - x) <= np.maximum(3 * 1.04 / math.sqrt(2**p) * x, 2.0),
+                pa.bool_(),
             ),
-            "n_users": pa.array(ex, pa.int64()),
-            "rel_err": pa.array(
-                [float(np.floor(r * 1e6 + 0.5) / 1e6) for r in rel], pa.float64()
-            ),
-            "within_bound": pa.array(ok, pa.bool_()),
         }
     )
 
@@ -410,7 +495,7 @@ def hll_hopping_users(sf_dir: str):
     from ..stages.builder import build_grouped
 
     p = 12
-    pane_s, hop_panes, span_panes = 900, 1, 4  # 15-min panes, 1h = 4 panes
+    pane_s, span_panes = 900, 4  # 15-min panes (the hop), 1h = 4 panes
     ds = _read(sf_dir, "events", ["ts", "user_id"])
 
     def pane_col(t: pa.Table) -> pa.Table:
@@ -423,30 +508,24 @@ def hll_hopping_users(sf_dir: str):
         )
 
     spec = SketchSpec.of("hll", p)
-    pane_rows = build_grouped(
-        ds.map_batches(pane_col, batch_format="pyarrow", zero_copy_batch=True),
-        spec,
-        on="user_id",
-        key="pane",
-        alias="sk",
-    ).take_all()  # bounded: one row per pane
-    panes = {int(r["pane"]): spec.from_bytes(r["sk"]) for r in pane_rows}
-    if not panes:
-        return pa.table(
-            {
-                "window": pa.array([], pa.int64()),
-                "est_users": pa.array([], pa.float64()),
-                "n_users": pa.array([], pa.int64()),
-                "rel_err": pa.array([], pa.float64()),
-                "within_bound": pa.array([], pa.bool_()),
-            }
-        )
-    lo, hi = min(panes), max(panes)
+    panes = {
+        q: spec.from_bytes(b)
+        for q, b in _collect_dict(
+            build_grouped(
+                ds.map_batches(pane_col, batch_format="pyarrow", zero_copy_batch=True),
+                spec,
+                on="user_id",
+                key="pane",
+                alias="sk",
+            ),
+            "pane",
+            "sk",
+        ).items()
+    }  # bounded: one row per pane
     est = {}
-    for start in range(lo - span_panes + 1, hi + 1, hop_panes):
+    # every hop start whose span holds at least one pane
+    for start in sorted({q - k for q in panes for k in range(span_panes)}):
         members = [panes[q] for q in range(start, start + span_panes) if q in panes]
-        if not members:
-            continue
         acc = HyperLogLog(p)
         for m in members:
             acc.merge(m)
@@ -468,31 +547,16 @@ def hll_hopping_users(sf_dir: str):
 
     pairs = ds.map_batches(hop_pairs, batch_format="pyarrow", zero_copy_batch=True)
     distinct = pairs.groupby(["window", "user_id"]).aggregate(Count(alias_name="_n"))
-    exact_rows = (
+    exact = _collect_dict(
         distinct.select_columns(["window"])
         .groupby("window")
-        .aggregate(Count(alias_name="n_users"))
-        .take_all()
+        .aggregate(Count(alias_name="n_users")),
+        "window",
+        "n_users",
     )
-    exact = {int(r["window"]): int(r["n_users"]) for r in exact_rows}
-    sigma3 = 3 * 1.04 / math.sqrt(2**p)
     wins = sorted(set(est) & set(exact))
-    e = [est[w] for w in wins]
-    x = [exact[w] for w in wins]
-    rel = [abs(a - b) / max(b, 1) for a, b in zip(e, x)]
-    ok = [abs(a - b) <= max(sigma3 * b, 2.0) for a, b in zip(e, x)]
-    return pa.table(
-        {
-            "window": pa.array(wins, pa.int64()),
-            "est_users": pa.array(
-                [float(np.floor(a * 1e3 + 0.5) / 1e3) for a in e], pa.float64()
-            ),
-            "n_users": pa.array(x, pa.int64()),
-            "rel_err": pa.array(
-                [float(np.floor(r * 1e6 + 0.5) / 1e6) for r in rel], pa.float64()
-            ),
-            "within_bound": pa.array(ok, pa.bool_()),
-        }
+    return _hll_window_evidence(
+        wins, [est[w] for w in wins], [exact[w] for w in wins], p
     )
 
 
@@ -524,15 +588,15 @@ def tdigest_hourly_value(sf_dir: str):
 
     wds = ds.map_batches(win_col, batch_format="pyarrow", zero_copy_batch=True)
     spec = SketchSpec.of("tdigest", 200.0)
-    rows = build_grouped(wds, spec, on="value", key="window", alias="sk").take_all()
-    est = {}
-    for r in rows:
-        sk = spec.from_bytes(r["sk"])
-        q50, q95 = (float(x) for x in sk.quantile([0.5, 0.95]))
-        est[int(r["window"])] = (q50, q95)
-    wins = np.array(sorted(est), dtype=np.int64)
-    p50 = np.array([est[w][0] for w in wins], dtype=np.float64)
-    p95 = np.array([est[w][1] for w in wins], dtype=np.float64)
+    sks = _collect_dict(
+        build_grouped(wds, spec, on="value", key="window", alias="sk"), "window", "sk"
+    )
+    wins = np.array(sorted(sks), dtype=np.int64)
+    q = np.array(
+        [spec.from_bytes(sks[w]).quantile([0.5, 0.95]) for w in wins.tolist()],
+        dtype=np.float64,
+    ).reshape(-1, 2)
+    p50, p95 = q[:, 0], q[:, 1]
 
     def ranks(t: pa.Table) -> pa.Table:
         w = t["window"].to_numpy(zero_copy_only=False)
@@ -546,15 +610,17 @@ def tdigest_hourly_value(sf_dir: str):
             }
         )
 
-    agg = grouped_reduce(
-        wds.map_batches(ranks, batch_format="pyarrow", zero_copy_batch=True),
-        "window",
-        {"n_le50": ("le50", "sum"), "n_le95": ("le95", "sum"), "n": (None, "count_all")},
-    ).take_all()  # bounded: one row per window
-    by_w = {int(r["window"]): r for r in agg}
-    n = np.array([by_w[int(w)]["n"] for w in wins], dtype=np.int64)
-    r50 = np.array([by_w[int(w)]["n_le50"] for w in wins]) / n
-    r95 = np.array([by_w[int(w)]["n_le95"] for w in wins]) / n
+    agg = collect_table(
+        grouped_reduce(
+            wds.map_batches(ranks, batch_format="pyarrow", zero_copy_batch=True),
+            "window",
+            {"n_le50": ("le50", "sum"), "n_le95": ("le95", "sum"), "n": (None, "count_all")},
+        ),
+        pa.schema({c: pa.int64() for c in ("window", "n_le50", "n_le95", "n")}),
+    ).sort_by("window")  # bounded: one row per window, the windows of wins
+    n = agg["n"].to_numpy()
+    r50 = agg["n_le50"].to_numpy() / n
+    r95 = agg["n_le95"].to_numpy() / n
     tol = 0.03 + 1.5 / n
     ok = (np.abs(r50 - 0.5) <= tol) & (np.abs(r95 - 0.95) <= tol)
 
@@ -629,8 +695,8 @@ def events_window_dedup(sf_dir: str):
         .groupby("window")
         .aggregate(Sum("n_part", alias_name="n_events"))
     )
-    u = {r["window"]: r["n_unique"] for r in uniq.take_all()}
-    r_ = {r["window"]: r["n_events"] for r in raw.take_all()}
+    u = _collect_dict(uniq, "window", "n_unique")
+    r_ = _collect_dict(raw, "window", "n_events")
     wins = sorted(u)
     return pa.table(
         {
@@ -721,18 +787,34 @@ def lang_sources_matrix(sf_dir: str):
     )
 
 
-def _dup_pair_ds(sf_dir: str):
-    """Exact-duplicate (left_id, right_id) pairs as a Dataset.
+_ID_PAIRS = pa.schema({"left_id": pa.int64(), "right_id": pa.int64()})
+
+
+def _same_fingerprint(pairs: pa.Table, fp: pa.Table, id_col: str) -> pa.Table:
+    """The rows of ``pairs`` whose two ids agree on every fingerprint
+    column of ``fp`` (one row per id: ``id_col`` plus the fingerprints)."""
+    fp = fp.sort_by(id_col)
+    ids = fp[id_col].to_numpy()
+    li = np.searchsorted(ids, pairs["left_id"].to_numpy())
+    ri = np.searchsorted(ids, pairs["right_id"].to_numpy())
+    same = np.ones(pairs.num_rows, dtype=bool)
+    for c in fp.column_names:
+        if c != id_col:
+            v = fp[c].to_numpy()
+            same &= v[li] == v[ri]
+    return pairs.filter(pa.array(same))
+
+
+def exact_dup_pairs(sf_dir: str) -> pa.Table:
+    """All exact-duplicate doc pairs (SQL twin: text self-join, id<id); a
+    schema-bearing table even when empty.
 
     Scale shape mirrors the LSH tail: docs shuffle as (int64 fingerprint,
     doc_id) only — content never moves. A native count-aggregate finds
     fingerprint buckets with >= 2 docs; pair expansion touches only those.
     Hash collisions (distinct texts, equal murmur3-64) are removed by
     requiring a SECOND independent fingerprint (seed 1) to also agree —
-    128 bits of agreement total, fetched only for the tiny candidate set."""
-    import ray
-    import ray.data as rd
-
+    128 bits of agreement total, fetched only for the candidate ids."""
     from ..kernel.murmur3 import hash_keys
     from ..stages.dedup import lsh_candidate_pairs
 
@@ -752,50 +834,16 @@ def _dup_pair_ds(sf_dir: str):
         key_rows, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()  # 24 B/row; consumed by hot-count, expansion and verify
     # hot-bucket filter is size-guarded inside (broadcast -> semi-join)
-    cand = lsh_candidate_pairs(keyed, max_bucket=4096).materialize()
-    if cand.count() == 0:
-        return rd.from_arrow(
-            pa.table(
-                {"left_id": pa.array([], pa.int64()), "right_id": pa.array([], pa.int64())}
-            )
+    cand = collect_table(lsh_candidate_pairs(keyed, max_bucket=4096), _ID_PAIRS)
+    if not cand.num_rows:
+        return cand
+    # collision verify: the candidates' h1 values only
+    h1 = collect_table(
+        _ids_keep("doc_id", cand["left_id"], cand["right_id"])(
+            keyed.select_columns(["doc_id", "h1"])
         )
-    # collision verify: candidate ids are few -> broadcast their h1 values
-    cand_ids = pa.array(
-        sorted(
-            {r["left_id"] for r in cand.select_columns(["left_id"]).take_all()}
-            | {r["right_id"] for r in cand.select_columns(["right_id"]).take_all()}
-        ),
-        pa.int64(),
     )
-    h1_rows = keyed.map_batches(
-        lambda t: t.filter(pc.is_in(t["doc_id"], value_set=cand_ids)).select(
-            ["doc_id", "h1"]
-        ),
-        batch_format="pyarrow",
-    ).take_all()
-    h1_ref = ray.put({r["doc_id"]: r["h1"] for r in h1_rows})
-
-    def verify(t: pa.Table) -> pa.Table:
-        h1 = ray.get(h1_ref)
-        left = t["left_id"].to_pylist()
-        right = t["right_id"].to_pylist()
-        keep = pa.array([h1[a] == h1[b] for a, b in zip(left, right)])
-        return t.select(["left_id", "right_id"]).filter(keep)
-
-    return cand.map_batches(verify, batch_format="pyarrow")
-
-
-def exact_dup_pairs(sf_dir: str):
-    """All exact-duplicate doc pairs (SQL twin: text self-join, id<id).
-
-    A 0-row Ray Dataset drops its schema on to_pandas, so the empty case
-    returns a schema-bearing Arrow table for the driver's column check."""
-    ds = _dup_pair_ds(sf_dir)
-    if ds.count() == 0:
-        return pa.table(
-            {"left_id": pa.array([], pa.int64()), "right_id": pa.array([], pa.int64())}
-        )
-    return ds
+    return _same_fingerprint(cand, h1, "doc_id")
 
 
 def exact_dup_clusters(sf_dir: str):
@@ -803,11 +851,14 @@ def exact_dup_clusters(sf_dir: str):
     exact-dup pair set (min doc_id as representative). Oracle twin:
     min(doc_id) OVER (PARTITION BY text) — identical because exact-dup
     pairs form a clique per distinct text."""
+    import ray.data as rd
+
     from ..stages.dedup import connected_components_distributed
 
-    pairs = _dup_pair_ds(sf_dir)
-    nodes = _read(sf_dir, "documents", ["doc_id"])
-    return connected_components_distributed(pairs, nodes_ds=nodes)
+    return connected_components_distributed(
+        rd.from_arrow(exact_dup_pairs(sf_dir)),
+        nodes_ds=_read(sf_dir, "documents", ["doc_id"]),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -947,12 +998,15 @@ def bloom_probe_prune(sf_dir: str):
     both = hashed.map_batches(flag(1), batch_format="pyarrow").union(
         foreign.map_batches(flag(0), batch_format="pyarrow")
     )
-    kept = grouped_reduce(
-        probe_filter(both, bf, on="sha256", mode="maybe", concurrency=2),
+    by_flag = _collect_dict(
+        grouped_reduce(
+            probe_filter(both, bf, on="sha256", mode="maybe", concurrency=2),
+            "is_member",
+            {"n": ("is_member", "count")},
+        ),
         "is_member",
-        {"n": ("is_member", "count")},
-    ).take_all()
-    by_flag = {r["is_member"]: r["n"] for r in kept}
+        "n",
+    )
     # in-band self-evidence: the two reference guarantees the driver's
     # rows-only record should carry — zero false negatives (bloom.go's
     # Contains contract) and measured FPR within the configured epsilon
@@ -1017,26 +1071,26 @@ def hll_by_lang(sf_dir: str):
     (3 * 1.04 / sqrt(2^p), the published HLL standard error) — so the
     driver's rows-only record carries the accuracy claim in-band."""
     ds = _read(sf_dir, "documents", ["lang", "source"])
-    est = build_grouped(
-        ds,
-        SketchSpec.of("hll", 14),
-        on="source",
-        key="lang",
-        finalizer=lambda s: float(s.estimate()),
-        alias="est_sources",
-    )
-    exact = {
-        r["lang"]: r["n_sources"]
-        for r in lang_sources_matrix(sf_dir).take_all()
-    }
-    df = est.to_pandas().sort_values("lang").reset_index(drop=True)
-    ex = np.array([exact[l] for l in df["lang"]], dtype=np.float64)
-    rel = np.abs(df["est_sources"].to_numpy() - ex) / np.maximum(ex, 1.0)
+    est = collect_table(
+        build_grouped(
+            ds,
+            SketchSpec.of("hll", 14),
+            on="source",
+            key="lang",
+            finalizer=lambda s: float(s.estimate()),
+            alias="est_sources",
+        ),
+        pa.schema({"lang": pa.string(), "est_sources": pa.float64()}),
+    ).sort_by("lang")
+    exact = _collect_dict(lang_sources_matrix(sf_dir), "lang", "n_sources")
+    ex = np.array([exact[l] for l in est["lang"].to_pylist()], dtype=np.int64)
+    rel = np.abs(est["est_sources"].to_numpy() - ex) / np.maximum(ex, 1.0)
     bound = 3.0 * 1.04 / math.sqrt(2**14)
-    df["exact_sources"] = ex.astype(np.int64)
-    df["rel_err"] = np.floor(rel * 1e6 + 0.5) / 1e6
-    df["within_bound"] = rel <= bound
-    return df
+    return (
+        est.append_column("exact_sources", pa.array(ex))
+        .append_column("rel_err", pa.array(np.floor(rel * 1e6 + 0.5) / 1e6))
+        .append_column("within_bound", pa.array(rel <= bound))
+    )
 
 
 def cms_heavy_hitters(sf_dir: str):
@@ -1047,16 +1101,17 @@ def cms_heavy_hitters(sf_dir: str):
     in-band so the driver's rows-only record shows them holding."""
     ds = _read(sf_dir, "events", ["event_type"])
     cms = build_sketch(ds, SketchSpec.of("cms", 0.001, 0.01), on="event_type")
-    exact_rows = ds.groupby("event_type").count().take_all()
-    exact = {r["event_type"]: r["count()"] for r in exact_rows}
-    types = sorted(exact)
-    n_total = sum(exact.values())
+    exact = collect_table(
+        _event_type_count_ds(sf_dir), pa.schema({"event_type": pa.string(), "n": pa.int64()})
+    ).sort_by("event_type")
+    ex = exact["n"].to_numpy()
+    n_total = int(ex.sum())
+    types = exact["event_type"].to_pylist()
     est = cms.query_batch([t.encode() for t in types]).astype(np.int64)
-    ex = np.array([exact[t] for t in types], dtype=np.int64)
     over = est - ex
     return pa.table(
         {
-            "event_type": pa.array(types, pa.string()),
+            "event_type": exact["event_type"],
             "est_n": pa.array(est),
             "exact_n": pa.array(ex),
             "overcount": pa.array(over),
@@ -1303,39 +1358,24 @@ def ngram_containment_pairs(sf_dir: str):
     from ..stages.dedup import ngram_jaccard_pairs_distributed
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = ngram_jaccard_pairs_distributed(
-        ds, n=3, threshold=0.95, metric="containment"
-    ).materialize()
-    if out.count() == 0:
-        return pa.table(
-            {
-                "left_id": pa.array([], pa.int64()),
-                "right_id": pa.array([], pa.int64()),
-                "containment": pa.array([], pa.float64()),
-            }
-        )
-    return out.sort(["left_id", "right_id"])
+    out = ngram_jaccard_pairs_distributed(ds, n=3, threshold=0.95, metric="containment")
+    return collect_table(
+        out, _ID_PAIRS.append(pa.field("containment", pa.float64()))
+    ).sort_by([("left_id", "ascending"), ("right_id", "ascending")])
 
 
 def ngram_jaccard_pairs(sf_dir: str):
     """EXACT char-3-gram Jaccard >= 0.8 duplicate pairs (AllPairs prefix
     filter; no LSH) — the n-gram-Jaccard member of the dedup family, with a
     full DuckDB twin (list_distinct 3-grams + list_intersect self-join).
-    A 0-row Dataset drops its schema on to_pandas, so the empty case
-    returns a schema-bearing Arrow table."""
+    A schema-bearing Arrow table even when empty."""
     from ..stages.dedup import ngram_jaccard_pairs_distributed
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = ngram_jaccard_pairs_distributed(ds, n=3, threshold=0.8).materialize()
-    if out.count() == 0:
-        return pa.table(
-            {
-                "left_id": pa.array([], pa.int64()),
-                "right_id": pa.array([], pa.int64()),
-                "jaccard": pa.array([], pa.float64()),
-            }
-        )
-    return out.sort(["left_id", "right_id"])
+    out = ngram_jaccard_pairs_distributed(ds, n=3, threshold=0.8)
+    return collect_table(
+        out, _ID_PAIRS.append(pa.field("jaccard", pa.float64()))
+    ).sort_by([("left_id", "ascending"), ("right_id", "ascending")])
 
 
 def kll_quantiles_exact(sf_dir: str):
@@ -1387,33 +1427,19 @@ def _evidence_gate(n_pairs: int, query: str, streaming_api: str,
 
 
 def _gather_column(
-    sf_dir: str, table: str, id_col: str, col: str, ids
+    sf_dir: str, table: str, id_col: str, col: str, pairs: pa.Table
 ) -> dict:
-    """``{id: value}`` for a BOUNDED id set (O(emitted pairs), never the
-    corpus): one filtered column-pruned scan, collected via arrow refs.
-    Shared by all three estimator evidence readouts (round-5 review:
-    embedding_neardup had its own copy of this gather)."""
-    import ray
-
-    id_list = sorted(set(int(i) for i in ids))
-    if not id_list:
+    """``{id: value}`` for the ids of a BOUNDED pair table (O(emitted
+    pairs), never the corpus): one column-pruned scan through
+    ``id_set_filter``. Shared by all three estimator evidence readouts."""
+    if not pairs.num_rows:
         return {}
-    ids_arr = pa.array(id_list, pa.int64())
-    ds = _read(sf_dir, table, [id_col, col])
-    tbl = pa.concat_tables(
-        ray.get(
-            ds.map_batches(
-                lambda t: t.filter(pc.is_in(t[id_col], value_set=ids_arr)),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            ).to_arrow_refs()
-        )
-    )
-    return dict(zip(tbl[id_col].to_pylist(), tbl[col].to_pylist()))
+    keep = _ids_keep(id_col, pairs["left_id"], pairs["right_id"])
+    return _collect_dict(keep(_read(sf_dir, table, [id_col, col])), id_col, col)
 
 
-def _gather_texts(sf_dir: str, ids) -> dict:
-    return _gather_column(sf_dir, "documents", "doc_id", "text", ids)
+def _gather_texts(sf_dir: str, pairs: pa.Table) -> dict:
+    return _gather_column(sf_dir, "documents", "doc_id", "text", pairs)
 
 
 def minhash_neardup(sf_dir: str):
@@ -1441,42 +1467,24 @@ def minhash_neardup(sf_dir: str):
     ).select_columns(["left_id", "right_id", "est_jaccard"]).materialize()
     _evidence_gate(pairs_ds.count(), "minhash_neardup",
                    "stages/dedup.minhash_dedup_pairs")
-    pairs = pairs_ds.to_pandas()
-    if pairs.empty:  # 0-row to_pandas drops the schema (CLAUDE.md gotcha)
-        return pa.table(
-            {
-                "left_id": pa.array([], pa.int64()),
-                "right_id": pa.array([], pa.int64()),
-                "est_jaccard": pa.array([], pa.float64()),
-                "exact_jaccard": pa.array([], pa.float64()),
-                "abs_err": pa.array([], pa.float64()),
-                "within_bound": pa.array([], pa.bool_()),
-            }
-        )
-    texts = _gather_texts(
-        sf_dir, list(pairs["left_id"]) + list(pairs["right_id"])
+    pairs = collect_table(
+        pairs_ds, _ID_PAIRS.append(pa.field("est_jaccard", pa.float64()))
     )
+    texts = _gather_texts(sf_dir, pairs)
     sets = {i: shingle_hashes(texts[i], 5) for i in texts}
     exact, err, ok = [], [], []
-    for l, r, est in zip(
-        pairs["left_id"], pairs["right_id"], pairs["est_jaccard"]
-    ):
-        a, b = sets[int(l)], sets[int(r)]
+    for l, r, est in zip(*(c.to_pylist() for c in pairs.columns)):
+        a, b = sets[l], sets[r]
         inter = np.intersect1d(a, b, assume_unique=True).size
         j = inter / max(a.size + b.size - inter, 1)
-        e = abs(float(est) - j)
+        e = abs(est - j)
         exact.append(j)
         err.append(e)
         ok.append(e <= 3.0 * math.sqrt(j * (1.0 - j) / num_perm) + 1.0 / num_perm)
-    return pa.table(
-        {
-            "left_id": pa.array(pairs["left_id"], pa.int64()),
-            "right_id": pa.array(pairs["right_id"], pa.int64()),
-            "est_jaccard": pa.array(pairs["est_jaccard"], pa.float64()),
-            "exact_jaccard": pa.array(exact, pa.float64()),
-            "abs_err": pa.array(err, pa.float64()),
-            "within_bound": pa.array(ok, pa.bool_()),
-        }
+    return (
+        pairs.append_column("exact_jaccard", pa.array(exact, pa.float64()))
+        .append_column("abs_err", pa.array(err, pa.float64()))
+        .append_column("within_bound", pa.array(ok, pa.bool_()))
     )
 
 
@@ -1496,30 +1504,17 @@ def simhash_neardup(sf_dir: str):
     pairs_ds = simhash_candidates(ds).materialize()
     _evidence_gate(pairs_ds.count(), "simhash_neardup",
                    "stages/dedup.simhash_candidates")
-    pairs = pairs_ds.to_pandas()
-    if pairs.empty:  # 0-row to_pandas drops the schema (CLAUDE.md gotcha)
-        return pa.table(
-            {
-                "left_id": pa.array([], pa.int64()),
-                "right_id": pa.array([], pa.int64()),
-                "hamming": pa.array([], pa.int64()),
-                "exact_cos": pa.array([], pa.float64()),
-                "est_angle_frac": pa.array([], pa.float64()),
-                "within_bound": pa.array([], pa.bool_()),
-            }
-        )
-    texts = _gather_texts(
-        sf_dir, list(pairs["left_id"]) + list(pairs["right_id"])
-    )
+    pairs = collect_table(pairs_ds, _ID_PAIRS.append(pa.field("hamming", pa.int64())))
+    texts = _gather_texts(sf_dir, pairs)
     vecs = {i: Counter(t.split() if t else []) for i, t in texts.items()}
     norms = {i: math.sqrt(sum(v * v for v in c.values())) for i, c in vecs.items()}
     exact, estf, ok = [], [], []
-    for l, r, h in zip(pairs["left_id"], pairs["right_id"], pairs["hamming"]):
-        a, b = vecs[int(l)], vecs[int(r)]
+    for l, r, h in zip(*(c.to_pylist() for c in pairs.columns)):
+        a, b = vecs[l], vecs[r]
         dot = sum(c * b[t] for t, c in a.items() if t in b)
-        cos = dot / max(norms[int(l)] * norms[int(r)], 1e-300)
+        cos = dot / max(norms[l] * norms[r], 1e-300)
         p_exact = math.acos(min(max(cos, -1.0), 1.0)) / math.pi
-        p_est = float(h) / 64.0
+        p_est = h / 64.0
         exact.append(cos)
         estf.append(p_est)
         ok.append(
@@ -1527,15 +1522,10 @@ def simhash_neardup(sf_dir: str):
             <= 3.0 * math.sqrt(max(p_exact * (1.0 - p_exact), 0.0) / 64.0)
             + 1.0 / 64.0
         )
-    return pa.table(
-        {
-            "left_id": pa.array(pairs["left_id"], pa.int64()),
-            "right_id": pa.array(pairs["right_id"], pa.int64()),
-            "hamming": pa.array(pairs["hamming"], pa.int64()),
-            "exact_cos": pa.array(exact, pa.float64()),
-            "est_angle_frac": pa.array(estf, pa.float64()),
-            "within_bound": pa.array(ok, pa.bool_()),
-        }
+    return (
+        pairs.append_column("exact_cos", pa.array(exact, pa.float64()))
+        .append_column("est_angle_frac", pa.array(estf, pa.float64()))
+        .append_column("within_bound", pa.array(ok, pa.bool_()))
     )
 
 
@@ -1558,68 +1548,33 @@ def _planted_dup_docs(sf_dir: str, n_plant: int = 100, offset: int = 1_000_000):
 def _verify_pairs_exact_text(pairs_ds, corpus_ds, id_col: str = "doc_id"):
     """Keep only candidate pairs whose texts agree on TWO independent
     murmur3-64 fingerprints (128 bits of agreement — the same text-equality
-    convention as _dup_pair_ds). Candidate sets here are O(planted dups),
-    so the fingerprint lookup is a tiny broadcast."""
-    import ray
-
+    convention as exact_dup_pairs). Candidate sets here are O(planted dups), so
+    they are collected, and only their ids' texts are hashed. Returns a
+    (left_id, right_id) table sorted by both ids."""
     from ..kernel.murmur3 import hash_keys
 
-    ids_tbl = pa.concat_tables(
-        [
-            t
-            for t in ray.get(
-                pairs_ds.select_columns(["left_id", "right_id"]).to_arrow_refs()
-            )
-            if t.num_rows
-        ]
-        or [pa.table({"left_id": pa.array([], pa.int64()),
-                      "right_id": pa.array([], pa.int64())})]
-    )
-    cand_ids = pa.array(
-        np.unique(
-            np.concatenate(
-                [
-                    ids_tbl["left_id"].to_numpy(zero_copy_only=False),
-                    ids_tbl["right_id"].to_numpy(zero_copy_only=False),
-                ]
-            )
-            if ids_tbl.num_rows
-            else np.empty(0, np.int64)
-        ).astype(np.int64, copy=False)
-    )
-    if len(cand_ids) == 0:
-        return pairs_ds
+    pairs = collect_table(pairs_ds, _ID_PAIRS)
+    if pairs.num_rows:
 
-    def fp_block(t: pa.Table) -> pa.Table:
+        def fp_block(t: pa.Table) -> pa.Table:
+            h0, h1 = hash_keys(t["text"], (0, 1))
+            return pa.table(
+                {
+                    id_col: t[id_col],
+                    "h0": pa.array(h0.view(np.int64)),
+                    "h1": pa.array(h1.view(np.int64)),
+                }
+            )
+
         # filter FIRST: hashing every corpus row to keep ~hundreds of
         # candidates did two full murmur passes over the whole corpus
-        sub = t.filter(pc.is_in(t[id_col], value_set=cand_ids))
-        h0, h1 = hash_keys(sub["text"], (0, 1))
-        return pa.table(
-            {
-                id_col: sub[id_col],
-                "h0": pa.array(h0.view(np.int64)),
-                "h1": pa.array(h1.view(np.int64)),
-            }
+        fp = collect_table(
+            _ids_keep(id_col, pairs["left_id"], pairs["right_id"])(corpus_ds).map_batches(
+                fp_block, batch_format="pyarrow"
+            )
         )
-
-    fp_rows = corpus_ds.map_batches(fp_block, batch_format="pyarrow").take_all()
-    fp_ref = ray.put({r[id_col]: (r["h0"], r["h1"]) for r in fp_rows})
-
-    def verify(t: pa.Table) -> pa.Table:
-        fp = ray.get(fp_ref)
-        left = t["left_id"].to_pylist()
-        right = t["right_id"].to_pylist()
-        keep = pa.array([fp[a] == fp[b] for a, b in zip(left, right)])
-        return t.filter(keep)
-
-    return pairs_ds.map_batches(verify, batch_format="pyarrow")
-
-
-def _empty_id_pairs() -> pa.Table:
-    return pa.table(
-        {"left_id": pa.array([], pa.int64()), "right_id": pa.array([], pa.int64())}
-    )
+        pairs = _same_fingerprint(pairs, fp, id_col)
+    return pairs.sort_by([("left_id", "ascending"), ("right_id", "ascending")])
 
 
 def minhash_neardup_exact(sf_dir: str):
@@ -1638,11 +1593,8 @@ def minhash_neardup_exact(sf_dir: str):
     # the SQL self-join keeps
     pairs = minhash_dedup_pairs(
         corpus, threshold=1.0, concurrency=_pool8(), max_bucket=100_000
-    ).select_columns(["left_id", "right_id"])
-    out = _verify_pairs_exact_text(pairs, corpus).sort(["left_id", "right_id"])
-    if out.count() == 0:
-        return _empty_id_pairs()
-    return out
+    )
+    return _verify_pairs_exact_text(pairs, corpus)
 
 
 def simhash_neardup_exact(sf_dir: str):
@@ -1658,11 +1610,8 @@ def simhash_neardup_exact(sf_dir: str):
     # must exceed the largest identical-simhash clique
     pairs = simhash_candidates(
         corpus, max_hamming=0, max_bucket=100_000
-    ).select_columns(["left_id", "right_id"])
-    out = _verify_pairs_exact_text(pairs, corpus).sort(["left_id", "right_id"])
-    if out.count() == 0:
-        return _empty_id_pairs()
-    return out
+    )
+    return _verify_pairs_exact_text(pairs, corpus)
 
 
 def embedding_neardup_planted(sf_dir: str):
@@ -1684,13 +1633,10 @@ def embedding_neardup_planted(sf_dir: str):
         batch_format="pyarrow",
     )
     corpus = ds.union(dup)
-    pairs = embedding_near_dup_pairs(
-        corpus, threshold=0.99, id_col="vec_id"
-    ).select_columns(["left_id", "right_id"])
-    out = pairs.sort(["left_id", "right_id"])
-    if out.count() == 0:
-        return _empty_id_pairs()
-    return out
+    pairs = embedding_near_dup_pairs(corpus, threshold=0.99, id_col="vec_id")
+    return collect_table(pairs, _ID_PAIRS).sort_by(
+        [("left_id", "ascending"), ("right_id", "ascending")]
+    )
 
 
 def clicks_last_purchase(sf_dir: str):
@@ -1762,16 +1708,11 @@ def revenue_by_nation(sf_dir: str):
     check so a non-FK-clean corpus errors instead of silently attributing
     revenue to the wrong nation. Money in integer centi-cents end to end
     (see q1_pricing_summary)."""
-    import ray
-
     from ..stages.joins import broadcast_lookup_join
 
-    nat_rows = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).take_all()
-    nkeys = np.array([r["n_nationkey"] for r in nat_rows], dtype=np.int64)
-    norder = np.argsort(nkeys)
-    nkeys = nkeys[norder]
-    nnames = np.array([r["n_name"] for r in nat_rows])[norder]
-    nat_ref = ray.put((nkeys, nnames))
+    nat_ref = _dim_lookup(
+        _read(sf_dir, "nation", ["n_nationkey", "n_name"]), "n_nationkey", ["n_name"]
+    )
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
         lambda t: t.rename_columns(["o_custkey", "c_nationkey"]),
@@ -1785,13 +1726,13 @@ def revenue_by_nation(sf_dir: str):
     )
 
     def attach_nation(t: pa.Table) -> pa.Table:
-        keys, names = ray.get(nat_ref)
-        nk = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(keys, nk), len(keys) - 1)
-        if not (keys[pos] == nk).all():
+        member, pos, (names,) = _dim_probe(
+            nat_ref, t["c_nationkey"].to_numpy(zero_copy_only=False)
+        )
+        if not member.all():
             raise ValueError("c_nationkey not present in nation table")
         return pa.table(
-            {"l_orderkey": t["o_orderkey"], "nation": pa.array(names[pos])}
+            {"l_orderkey": t["o_orderkey"], "nation": pa.array(names[pos], pa.string())}
         )
 
     ordersn = ordersn.map_batches(attach_nation, batch_format="pyarrow")
@@ -1888,12 +1829,8 @@ def customers_no_orders(sf_dir: str):
         batch_format="pyarrow",
     )
     out = definite.union(survivors).sort("c_custkey")
-    tbl = pa.Table.from_pandas(out.to_pandas(), preserve_index=False)
-    if tbl.num_rows == 0:  # keep schema on empty results (driver column check)
-        return pa.table(
-            {"c_custkey": pa.array([], pa.int64()), "c_name": pa.array([], pa.string())}
-        )
-    return tbl.select(["c_custkey", "c_name"])
+    # schema-bearing even when empty: a 0-row Dataset may have no columns
+    return collect_table(out, pa.schema({"c_custkey": pa.int64(), "c_name": pa.string()}))
 
 
 def embedding_neardup(sf_dir: str):
@@ -1918,39 +1855,21 @@ def embedding_neardup(sf_dir: str):
     pairs_ds = embedding_near_dup_pairs(ds, threshold=0.5).materialize()
     _evidence_gate(pairs_ds.count(), "embedding_neardup",
                    "stages/similarity.embedding_near_dup_pairs")
-    pairs = pairs_ds.to_pandas()
-    if pairs.empty:  # 0-row to_pandas drops the schema (CLAUDE.md gotcha)
-        return pa.table(
-            {
-                "left_id": pa.array([], pa.int64()),
-                "right_id": pa.array([], pa.int64()),
-                "cosine": pa.array([], pa.float64()),
-                "exact_cos64": pa.array([], pa.float64()),
-                "abs_err": pa.array([], pa.float64()),
-                "within_bound": pa.array([], pa.bool_()),
-            }
-        )
-    ids = sorted(set(pairs["left_id"]) | set(pairs["right_id"]))
-    raw = _gather_column(sf_dir, "embeddings", "vec_id", "embedding", ids)
+    pairs = collect_table(pairs_ds, _ID_PAIRS.append(pa.field("cosine", pa.float64())))
+    raw = _gather_column(sf_dir, "embeddings", "vec_id", "embedding", pairs)
     vecs = {}
     for vid, emb in raw.items():
         v = np.asarray(emb, dtype=np.float64)
         vecs[vid] = v / max(float(np.linalg.norm(v)), 1e-300)
-    exact, err, ok = [], [], []
-    for l, r, c in zip(pairs["left_id"], pairs["right_id"], pairs["cosine"]):
-        e64 = float(vecs[int(l)] @ vecs[int(r)])
-        exact.append(e64)
-        err.append(abs(float(c) - e64))
-        ok.append(abs(float(c) - e64) <= 5e-3)
-    return pa.table(
-        {
-            "left_id": pa.array(pairs["left_id"], pa.int64()),
-            "right_id": pa.array(pairs["right_id"], pa.int64()),
-            "cosine": pa.array(pairs["cosine"], pa.float64()),
-            "exact_cos64": pa.array(exact, pa.float64()),
-            "abs_err": pa.array(err, pa.float64()),
-            "within_bound": pa.array(ok, pa.bool_()),
-        }
+    exact = [
+        float(vecs[l] @ vecs[r])
+        for l, r in zip(pairs["left_id"].to_pylist(), pairs["right_id"].to_pylist())
+    ]
+    err = np.abs(pairs["cosine"].to_numpy() - np.array(exact, np.float64))
+    return (
+        pairs.append_column("exact_cos64", pa.array(exact, pa.float64()))
+        .append_column("abs_err", pa.array(err, pa.float64()))
+        .append_column("within_bound", pa.array(err <= 5e-3, pa.bool_()))
     )
 
 
@@ -1971,18 +1890,11 @@ def embedding_neardup_exact(sf_dir: str):
     def finish(t: pa.Table) -> pa.Table:
         return t.set_column(2, "score", _oround(t["score"], 6))
 
-    out = pairs.map_batches(finish, batch_format="pyarrow").sort(["id_a", "id_b"])
-    if out.count() == 0:
-        # 0-row Datasets drop their schema on to_pandas; the driver's column
-        # check needs a schema-bearing empty table (see exact_dup_pairs).
-        return pa.table(
-            {
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-                "score": pa.array([], pa.float64()),
-            }
-        )
-    return out
+    # schema-bearing even when empty: a 0-row Dataset may have no columns
+    return collect_table(
+        pairs.map_batches(finish, batch_format="pyarrow"),
+        pa.schema({"id_a": pa.int64(), "id_b": pa.int64(), "score": pa.float64()}),
+    ).sort_by([("id_a", "ascending"), ("id_b", "ascending")])
 
 
 def curation_survivors(sf_dir: str):
@@ -1993,7 +1905,7 @@ def curation_survivors(sf_dir: str):
     Scale shape: quality features are one vectorized actor-pool pass
     (stages/text.QualityScorer); dedup winners shuffle (text, doc_id) via a
     native groupby-min (at 10^12 docs swap text for the 128-bit fingerprint
-    pair, see _dup_pair_ds); survivors = hash join of the two id streams —
+    pair, see exact_dup_pairs); survivors = hash join of the two id streams —
     no content moves through the join. The quality threshold compares the
     ROUNDED (6dp, half-away) score on both engines so the gate is
     bit-deterministic."""
@@ -2122,17 +2034,10 @@ def langid_predictions(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
     out = ds.map_batches(LangId, batch_format="pyarrow", concurrency=2)
-    rows = grouped_reduce(
-        out, ["lang", "lang_pred"], {"n": ("lang", "count")}
-    ).take_all()
-    rows.sort(key=lambda r: (r["lang"], r["lang_pred"]))
-    return pa.table(
-        {
-            "lang": pa.array([r["lang"] for r in rows], pa.string()),
-            "lang_pred": pa.array([r["lang_pred"] for r in rows], pa.string()),
-            "n": pa.array([r["n"] for r in rows], pa.int64()),
-        }
-    )
+    return collect_table(
+        grouped_reduce(out, ["lang", "lang_pred"], {"n": ("lang", "count")}),
+        pa.schema({"lang": pa.string(), "lang_pred": pa.string(), "n": pa.int64()}),
+    ).sort_by([("lang", "ascending"), ("lang_pred", "ascending")])
 
 
 def doc_fingerprints(sf_dir: str):
@@ -2206,18 +2111,18 @@ def corpus_mix_quota(sf_dir: str):
 _SPLIT_FRACTIONS = [("train", 0.8), ("val", 0.1), ("test", 0.1)]
 
 
-def _split_counts(ds, key_col: str, method: str, buckets: int):
-    """assign_split -> per-block (split, lang) pre-agg -> native sum."""
+def _split_counts(ds, key_col: str, method: str, buckets: int) -> pa.Table:
+    """assign_split -> per-block (split, lang) pre-agg -> native sum,
+    sorted by (split, lang)."""
     from ..stages.sampling import assign_split
 
     tagged = assign_split(
         ds, key_col, _SPLIT_FRACTIONS, method=method, buckets=buckets
     )
-    rows = grouped_reduce(
-        tagged, ["split", "lang"], {"n": ("lang", "count")}
-    ).take_all()
-    rows.sort(key=lambda r: (r["split"], r["lang"]))
-    return rows
+    return collect_table(
+        grouped_reduce(tagged, ["split", "lang"], {"n": ("lang", "count")}),
+        pa.schema({"split": pa.string(), "lang": pa.string(), "n": pa.int64()}),
+    ).sort_by([("split", "ascending"), ("lang", "ascending")])
 
 
 def corpus_split_mod_exact(sf_dir: str):
@@ -2226,14 +2131,7 @@ def corpus_split_mod_exact(sf_dir: str):
     (method='mod' is the SQL-expressible bucketer). 0.8/0.1/0.1 on 10
     buckets quantizes exactly, so counts match CASE WHEN doc_id % 10 ..."""
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
-    rows = _split_counts(ds, "doc_id", method="mod", buckets=10)
-    return pa.table(
-        {
-            "split": pa.array([r["split"] for r in rows], pa.string()),
-            "lang": pa.array([r["lang"] for r in rows], pa.string()),
-            "n": pa.array([r["n"] for r in rows], pa.int64()),
-        }
-    )
+    return _split_counts(ds, "doc_id", method="mod", buckets=10)
 
 
 def corpus_split_hash(sf_dir: str):
@@ -2243,38 +2141,22 @@ def corpus_split_hash(sf_dir: str):
     + 1/buckets quantization slack), so the rows-only driver record
     carries the proportion claim in-band."""
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
-    rows = _split_counts(ds, "doc_id", method="hash", buckets=10_000)
-    frac = dict(_SPLIT_FRACTIONS)
-    total = sum(r["n"] for r in rows)
+    t = _split_counts(ds, "doc_id", method="hash", buckets=10_000)
+    split = t["split"].to_pylist()
+    n = t["n"].to_numpy()
+    total = int(n.sum())
     # the proportion claim is a per-SPLIT property (summed over langs)
     by_split: dict[str, int] = {}
-    for r in rows:
-        by_split[r["split"]] = by_split.get(r["split"], 0) + r["n"]
-    out = []
-    for r in rows:
-        exp = frac[r["split"]]
-        obs = by_split[r["split"]] / total
-        tol = 5.0 * math.sqrt(exp * (1 - exp) / total) + 1e-4
-        out.append(
-            {
-                "split": r["split"],
-                "lang": r["lang"],
-                "n": r["n"],
-                "expected_frac": exp,
-                "observed_frac": float(np.floor(obs * 1e6 + 0.5) / 1e6),
-                "within_tol": bool(abs(obs - exp) <= tol),
-            }
-        )
-    # explicit types: a 0-row result must still carry its schema (CLAUDE.md)
-    return pa.table(
-        {
-            "split": pa.array([o["split"] for o in out], pa.string()),
-            "lang": pa.array([o["lang"] for o in out], pa.string()),
-            "n": pa.array([o["n"] for o in out], pa.int64()),
-            "expected_frac": pa.array([o["expected_frac"] for o in out], pa.float64()),
-            "observed_frac": pa.array([o["observed_frac"] for o in out], pa.float64()),
-            "within_tol": pa.array([o["within_tol"] for o in out], pa.bool_()),
-        }
+    for s, k in zip(split, n.tolist()):
+        by_split[s] = by_split.get(s, 0) + k
+    frac = dict(_SPLIT_FRACTIONS)
+    exp = np.array([frac[s] for s in split], np.float64)
+    obs = np.array([by_split[s] / total for s in split], np.float64)
+    tol = 5.0 * np.sqrt(exp * (1 - exp) / total) + 1e-4
+    return (
+        t.append_column("expected_frac", pa.array(exp, pa.float64()))
+        .append_column("observed_frac", pa.array(np.floor(obs * 1e6 + 0.5) / 1e6))
+        .append_column("within_tol", pa.array(np.abs(obs - exp) <= tol, pa.bool_()))
     )
 
 
@@ -2297,15 +2179,10 @@ def token_df_top(sf_dir: str):
         .sum(["df", "tf"])
         .sort(key=["sum(df)", "token"], descending=[True, False])
         .limit(20)
-        .take_all()
     )
-    return pa.table(
-        {
-            "token": pa.array([r["token"] for r in top], pa.string()),
-            "df": pa.array([r["sum(df)"] for r in top], pa.int64()),
-            "tf": pa.array([r["sum(tf)"] for r in top], pa.int64()),
-        }
-    )
+    return collect_table(
+        top, pa.schema({"token": pa.string(), "sum(df)": pa.int64(), "sum(tf)": pa.int64()})
+    ).rename_columns(["token", "df", "tf"])
 
 
 def doc_top_term(sf_dir: str):
@@ -2395,13 +2272,13 @@ def kll_by_lang_exact(sf_dir: str):
     )
     labels = [("p25", 0.25), ("p50", 0.50), ("p75", 0.75)]
     out = {"lang": [], "q": [], "value": []}
-    for r in sorted(est.take_all(), key=lambda r: r["lang"]):
-        sk = sketch_from_bytes(r["kll"])
+    for lang, blob in sorted(_collect_dict(est, "lang", "kll").items()):
+        sk = sketch_from_bytes(blob)
         if sk.n >= k:
             raise RuntimeError("exact regime violated: k <= n_lang after build")
         vals = sk.quantile([q for _, q in labels])
         for (lab, _), v in zip(labels, vals):
-            out["lang"].append(r["lang"])
+            out["lang"].append(lang)
             out["q"].append(lab)
             out["value"].append(float(v))
     return pa.table(
@@ -2421,9 +2298,7 @@ def cms_event_type_exact(sf_dir: str):
     against plain GROUP BY counts, mirroring mg_event_type_exact."""
     ds = _read(sf_dir, "events", ["event_type"])
     cms = build_sketch(ds, SketchSpec.of("cms", 0.001, 0.01), on="event_type")
-    types = sorted(
-        r["event_type"] for r in ds.groupby("event_type").count().take_all()
-    )
+    types = _event_type_vocab(sf_dir).to_pylist()
     cert = cms.collision_free([t.encode() for t in types])
     if not cert.all():
         raise AssertionError(
@@ -2887,6 +2762,8 @@ def neardup_dedup_survivors(sf_dir: str):
     degenerate regime (threshold=1.0 over the planted-dup corpus) the
     surviving set provably equals the SQL keep-min-per-text twin, so the
     WHOLE composition — not just each stage — is oracle-checked."""
+    import ray.data as rd
+
     from ..stages.dedup import (
         connected_components_distributed,
         minhash_dedup_pairs,
@@ -2895,8 +2772,8 @@ def neardup_dedup_survivors(sf_dir: str):
     corpus = _planted_dup_docs(sf_dir)
     pairs = minhash_dedup_pairs(
         corpus, threshold=1.0, concurrency=_pool8(), max_bucket=100_000
-    ).select_columns(["left_id", "right_id"])
-    verified = _verify_pairs_exact_text(pairs, corpus)
+    )
+    verified = rd.from_arrow(_verify_pairs_exact_text(pairs, corpus))
     clusters = connected_components_distributed(
         verified, nodes_ds=corpus.select_columns(["doc_id"])
     )
@@ -3203,36 +3080,51 @@ def ams_f2_skew(sf_dir: str):
     return pa.Table.from_pylist(rows).sort_by("col")
 
 
-def _type_cents_histogram(ev):
-    """Per-(event_type, value-cents) count histogram of an events Dataset,
-    as a pandas frame with columns k (type), v (cents, int64), cnt.
+def _pair_counts(ds, a: str, b: str):
+    """Per-(a, b) row counts of ``ds`` as a pandas frame with columns k
+    (a), v (b in its string form) and cnt.
 
-    ONE corpus scan: per-block packed-kv count partials (pyarrow
-    group_by, key-then-aggregate column order per CLAUDE.md) -> native
-    groupby sum; only the thinned partials shuffle and the collected
-    result is dimension-bounded (|types| x |distinct cents|). Shared by
-    value_rank_by_type / value_mad_by_type."""
+    ONE corpus scan: per-block count partials on one packed "a\\x1fb"
+    string key (a multi-column Ray groupby is slow on pair streams)
+    -> grouped_reduce; only the thinned partials shuffle and the collected
+    result is dimension-bounded (|a| x |b|)."""
 
-    import pandas as pd
-
-    def packed_kv(t: pa.Table) -> pa.Table:
-        cents = pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64())
+    def packed(t: pa.Table) -> pa.Table:
         return pa.table(
-            {
-                "kv": pc.binary_join_element_wise(
-                    t["event_type"], pc.cast(cents, pa.string()), "\x1f"
-                )
-            }
+            {"kv": pc.binary_join_element_wise(t[a], pc.cast(t[b], pa.string()), "\x1f")}
         )
 
-    rows = grouped_reduce(
-        ev.map_batches(packed_kv, batch_format="pyarrow", zero_copy_batch=True),
-        "kv",
-        {"cnt": ("kv", "count")},
-    ).take_all()  # bounded: |types| x |distinct cents|
-    df = pd.DataFrame(rows, columns=["kv", "cnt"])
-    kv = df["kv"].str.split("\x1f", expand=True)
-    return df.assign(k=kv[0], v=kv[1].astype(np.int64))
+    t = collect_table(
+        grouped_reduce(
+            ds.map_batches(packed, batch_format="pyarrow", zero_copy_batch=True),
+            "kv",
+            {"cnt": ("kv", "count")},
+        ),
+        pa.schema({"kv": pa.string(), "cnt": pa.int64()}),
+    )
+    kv = pc.split_pattern(t["kv"], "\x1f")
+    return pa.table(
+        {"k": pc.list_element(kv, 0), "v": pc.list_element(kv, 1), "cnt": t["cnt"]}
+    ).to_pandas()
+
+
+def _type_cents_histogram(ev):
+    """Per-(event_type, value-cents) count histogram of an events Dataset,
+    as a pandas frame with columns k (type), v (cents, int64), cnt —
+    dimension-bounded (|types| x |distinct cents|). Shared by
+    value_rank_by_type / value_mad_by_type."""
+    cents = ev.map_batches(
+        lambda t: pa.table(
+            {
+                "event_type": t["event_type"],
+                "cents": pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64()),
+            }
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    df = _pair_counts(cents, "event_type", "cents")
+    return df.assign(v=df["v"].astype(np.int64))
 
 
 def value_rank_by_type(sf_dir: str):
@@ -3392,26 +3284,10 @@ def top3_sources_per_lang(sf_dir: str):
     table is dimension-bounded (|langs| x |sources|), so the final rank
     happens on the driver like the other grouped readouts
     (corpus_split_mod_exact, kll_by_lang_exact)."""
-    ds = _read(sf_dir, "documents", ["lang", "source"])
-
-    import pandas as pd
-
-    rows = grouped_reduce(
-        ds.map_batches(
-            lambda t: pa.table(
-                {"kv": pc.binary_join_element_wise(t["lang"], t["source"], "\x1f")}
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        "kv",
-        {"n": ("kv", "count")},
-    ).take_all()  # bounded: |langs| x |sources|
-    df = pd.DataFrame(rows, columns=["kv", "n"])
-    kv = df["kv"].str.split("\x1f", expand=True)
-    df = df.assign(lang=kv[0], source=kv[1]).sort_values(
-        ["lang", "n", "source"], ascending=[True, False, True]
-    )
+    df = _pair_counts(
+        _read(sf_dir, "documents", ["lang", "source"]), "lang", "source"
+    ).rename(columns={"k": "lang", "v": "source", "cnt": "n"})
+    df = df.sort_values(["lang", "n", "source"], ascending=[True, False, True])
     df["rank"] = df.groupby("lang").cumcount() + 1
     df = df[df["rank"] <= 3]
     return pa.table(
@@ -3476,14 +3352,10 @@ def leakage_safe_split(sf_dir: str):
     keyed on the cluster id (mod bucketer, the SQL-expressible twin of the
     production murmur-hash bucketer). Oracle: min(doc_id) OVER (PARTITION
     BY text), then CASE on cluster % 10."""
-    from ..stages.dedup import connected_components_distributed
     from ..stages.sampling import assign_split
 
-    pairs = _dup_pair_ds(sf_dir)
-    nodes = _read(sf_dir, "documents", ["doc_id"])
-    clusters = connected_components_distributed(pairs, nodes_ds=nodes)
     out = assign_split(
-        clusters, "cluster", _SPLIT_FRACTIONS, method="mod", buckets=10
+        exact_dup_clusters(sf_dir), "cluster", _SPLIT_FRACTIONS, method="mod", buckets=10
     )
     return out.select_columns(["doc_id", "cluster", "split"]).sort("doc_id")
 
@@ -3747,20 +3619,24 @@ def supplier_region_revenue(sf_dir: str):
     the sibling query). nation (25) x region (5) compose driver-side
     into ONE nationkey -> region-name lookup shipped once. Money in
     integer centi-cents end to end (q1_pricing_summary conventions)."""
-    import ray
-
     from ..stages.joins import broadcast_lookup_join
 
-    nat = _read(sf_dir, "nation", ["n_nationkey", "n_regionkey"]).take_all()
-    reg = _read(sf_dir, "region", ["r_regionkey", "r_name"]).take_all()
-    rmap = {r["r_regionkey"]: r["r_name"] for r in reg}
-    nkeys = np.array([r["n_nationkey"] for r in nat], dtype=np.int64)
-    order = np.argsort(nkeys)
-    nkeys = nkeys[order]
-    rnames = np.array(
-        [rmap[nat[int(i)]["n_regionkey"]] for i in order]
+    rmap = _dim_map(sf_dir, "region", "r_regionkey", "r_name")
+    lut_ref = _dim_lookup(
+        _read(sf_dir, "nation", ["n_nationkey", "n_regionkey"]).map_batches(
+            lambda t: pa.table(
+                {
+                    "n_nationkey": t["n_nationkey"],
+                    "region": pa.array(
+                        [rmap[k] for k in t["n_regionkey"].to_pylist()], pa.string()
+                    ),
+                }
+            ),
+            batch_format="pyarrow",
+        ),
+        "n_nationkey",
+        ["region"],
     )
-    lut_ref = ray.put((nkeys, rnames))
 
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
         lambda t: t.rename_columns(["l_suppkey", "s_nationkey"]),
@@ -3780,12 +3656,14 @@ def supplier_region_revenue(sf_dir: str):
     )
 
     def with_region(t: pa.Table) -> pa.Table:
-        keys, names = ray.get(lut_ref)
-        nk = t["s_nationkey"].to_numpy(zero_copy_only=False)
-        pos = np.minimum(np.searchsorted(keys, nk), len(keys) - 1)
-        if not (keys[pos] == nk).all():
+        member, pos, (names,) = _dim_probe(
+            lut_ref, t["s_nationkey"].to_numpy(zero_copy_only=False)
+        )
+        if not member.all():
             raise ValueError("s_nationkey not present in nation table")
-        return pa.table({"region": pa.array(names[pos]), "rev_cc": t["rev_cc"]})
+        return pa.table(
+            {"region": pa.array(names[pos], pa.string()), "rev_cc": t["rev_cc"]}
+        )
 
     out = grouped_reduce(
         joined.map_batches(with_region, batch_format="pyarrow"),
@@ -3880,8 +3758,6 @@ def late_shipment_priority(sf_dir: str):
 def _late_orders_broadcast_plan(sf_dir: str, grace_days: int, count_col: str):
     import ray
 
-    from ..stages.dedup import _collect_table
-
     oschema = pa.schema(
         [
             ("o_orderkey", pa.int64()),
@@ -3889,7 +3765,7 @@ def _late_orders_broadcast_plan(sf_dir: str, grace_days: int, count_col: str):
             ("o_orderpriority", pa.string()),
         ]
     )
-    ot = _collect_table(
+    ot = collect_table(
         _read(
             sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
         ).map_batches(
@@ -3932,21 +3808,20 @@ def _late_orders_broadcast_plan(sf_dir: str, grace_days: int, count_col: str):
             {"pcode": pa.array(codes), "n": pa.array(counts.astype(np.int64))}
         )
 
-    rows = (
+    t = collect_table(
         _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
         .map_batches(late_keys, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("o_orderkey")
         .count()
         .map_batches(prio_partials, batch_format="pyarrow")
         .groupby("pcode")
-        .sum("n", ignore_nulls=True)
-        .take_all()
-    )
-    rows = sorted((int(r["pcode"]), int(r["sum(n)"])) for r in rows)
+        .sum("n", ignore_nulls=True),
+        pa.schema({"pcode": pa.int64(), "sum(n)": pa.int64()}),
+    ).sort_by("pcode")
     return pa.table(
         {
-            "o_orderpriority": pa.array([str(vocab[c]) for c, _ in rows]),
-            count_col: pa.array([n for _, n in rows], pa.int64()),
+            "o_orderpriority": pa.array(vocab[t["pcode"].to_numpy()], pa.string()),
+            count_col: t["sum(n)"],
         }
     )
 
@@ -4016,31 +3891,12 @@ def user_gap_stats(sf_dir: str):
 
 
 def _lang_value_histogram(sf_dir: str):
-    """Shared (lang, n_chars) count histogram for the quantile twins: ONE
-    scan emits per-block count partials (packed kv key), the groupby
-    shuffles only the |langs| x |distinct n_chars|-bounded histogram.
-    Returns a pandas frame with columns k (lang), v (n_chars), cnt."""
-
-    import pandas as pd
-
-    rows = grouped_reduce(
-        _read(sf_dir, "documents", ["lang", "n_chars"]).map_batches(
-            lambda t: pa.table(
-                {
-                    "kv": pc.binary_join_element_wise(
-                        t["lang"], pc.cast(t["n_chars"], pa.string()), "\x1f"
-                    )
-                }
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        "kv",
-        {"cnt": ("kv", "count")},
-    ).take_all()  # bounded: |langs| x |distinct n_chars|
-    df = pd.DataFrame(rows, columns=["kv", "cnt"])
-    kv = df["kv"].str.split("\x1f", expand=True)
-    return df.assign(k=kv[0], v=kv[1].astype(np.int64))
+    """Shared (lang, n_chars) count histogram for the quantile twins
+    (``_pair_counts``: only the |langs| x |distinct n_chars|-bounded
+    histogram shuffles). Returns a pandas frame with columns k (lang), v
+    (n_chars, int64), cnt."""
+    df = _pair_counts(_read(sf_dir, "documents", ["lang", "n_chars"]), "lang", "n_chars")
+    return df.assign(v=df["v"].astype(np.int64))
 
 
 def cont_quantiles_by_lang(sf_dir: str):
@@ -4315,9 +4171,12 @@ def bloom_set_cardinalities(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     n_rows = ds.count()
     spec = SketchSpec.of("bloom", 0.01, max(n_rows, 11))
-    sk_rows = build_grouped(ds, spec, on="user_id", key="event_type", alias="sk").take_all()
-    sk = {r["event_type"]: spec.from_bytes(r["sk"]) for r in sk_rows}
-    a, b = sk["click"], sk["purchase"]
+    sk = _collect_dict(
+        build_grouped(ds, spec, on="user_id", key="event_type", alias="sk"),
+        "event_type",
+        "sk",
+    )
+    a, b = spec.from_bytes(sk["click"]), spec.from_bytes(sk["purchase"])
     est_a, est_b = a.approx_cardinality(), b.approx_cardinality()
     a.merge(b)  # bit-OR union on the sketch bytes
     est_u = a.approx_cardinality()
@@ -4391,12 +4250,17 @@ def lang_source_rollup(sf_dir: str):
     — no second scan, the rollup identity)."""
     import pandas as pd
 
-    rows = grouped_reduce(
-        _read(sf_dir, "documents", ["lang", "source", "n_chars"]),
-        ["lang", "source"],
-        {"n_docs": ("n_chars", "count"), "sum_chars": ("n_chars", "sum")},
-    ).take_all()  # bounded: |langs| x |sources|
-    fine = pd.DataFrame(rows, columns=["lang", "source", "n_docs", "sum_chars"])
+    fine = collect_table(
+        grouped_reduce(
+            _read(sf_dir, "documents", ["lang", "source", "n_chars"]),
+            ["lang", "source"],
+            {"n_docs": ("n_chars", "count"), "sum_chars": ("n_chars", "sum")},
+        ),
+        pa.schema(
+            {"lang": pa.string(), "source": pa.string(),
+             "n_docs": pa.int64(), "sum_chars": pa.int64()}
+        ),
+    ).to_pandas()  # bounded: |langs| x |sources|
     by_lang = (
         fine.groupby("lang", as_index=False)[["n_docs", "sum_chars"]]
         .sum()
@@ -4431,22 +4295,16 @@ def nation_revenue_share(sf_dir: str):
     both engines agree bit-for-bit). The grand total folds from the
     |nations|-bounded rollup on the driver; the corpus is scanned once
     by the underlying revenue_by_nation machinery."""
-    rows = revenue_by_nation(sf_dir).take_all()
-    total = sum(int(r["revenue_centicents"]) for r in rows)
+    t = collect_table(
+        revenue_by_nation(sf_dir),
+        pa.schema({"nation": pa.string(), "revenue_centicents": pa.int64()}),
+    ).sort_by("nation")
+    rev = t["revenue_centicents"].to_pylist()  # Python ints: rev * 1e6 overflows int64
+    total = sum(rev)
     if total == 0:
         raise ValueError("nation_revenue_share: zero total revenue")
-    out = sorted(rows, key=lambda r: r["nation"])
-    return pa.table(
-        {
-            "nation": pa.array([r["nation"] for r in out], pa.string()),
-            "revenue_centicents": pa.array(
-                [int(r["revenue_centicents"]) for r in out], pa.int64()
-            ),
-            "share_ppm": pa.array(
-                [int(r["revenue_centicents"]) * 1_000_000 // total for r in out],
-                pa.int64(),
-            ),
-        }
+    return t.append_column(
+        "share_ppm", pa.array([r * 1_000_000 // total for r in rev], pa.int64())
     )
 
 
@@ -4502,11 +4360,11 @@ def fuzzy_top1(sf_dir: str):
     from ..stages.similarity import levenshtein_batch
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    qrows = ds.filter(expr="doc_id < 4").take_all()
+    q = collect_table(
+        ds.filter(expr="doc_id < 4"), pa.schema({"doc_id": pa.int64(), "text": pa.string()})
+    ).sort_by("doc_id")
     qref = ray.put(
-        [(int(r["doc_id"]), r["text"] or "") for r in sorted(
-            qrows, key=lambda r: r["doc_id"]
-        )]
+        [(i, s or "") for i, s in zip(q["doc_id"].to_pylist(), q["text"].to_pylist())]
     )
 
     def best_per_block(t: pa.Table) -> pa.Table:
@@ -4533,20 +4391,12 @@ def fuzzy_top1(sf_dir: str):
             }
         )
 
-    parts = ds.map_batches(best_per_block, batch_format="pyarrow").take_all()
-    import pandas as pd
-
-    df = pd.DataFrame(parts).sort_values(
-        ["query_id", "distance", "match_id"]
-    )
-    top = df.groupby("query_id").head(1)
-    return pa.table(
-        {
-            "query_id": pa.array(top["query_id"].to_numpy(), pa.int64()),
-            "match_id": pa.array(top["match_id"].to_numpy(), pa.int64()),
-            "distance": pa.array(top["distance"].to_numpy(), pa.int64()),
-        }
-    )
+    parts = collect_table(
+        ds.map_batches(best_per_block, batch_format="pyarrow"),
+        pa.schema({"query_id": pa.int64(), "match_id": pa.int64(), "distance": pa.int64()}),
+    ).sort_by([("query_id", "ascending"), ("distance", "ascending"), ("match_id", "ascending")])
+    qid = parts["query_id"].to_numpy()
+    return parts.filter(pa.array(np.r_[True, qid[1:] != qid[:-1]][: len(qid)]))
 
 
 def value_time_corr(sf_dir: str):
@@ -4595,40 +4445,35 @@ def value_time_corr(sf_dir: str):
             }
         )
 
-    rows = grouped_reduce(
-        ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
-        "event_type",
-        {
-            "n": (None, "count_all"),
-            **{f"s{c}": (c, "sum") for c in ("x", "y", "xy", "xx", "yy")},
-            "mx": ("ax", "max"),
-            "my": ("ay", "max"),
-        },
-    ).take_all()  # |types|-bounded
-    out = []
-    for r in sorted(rows, key=lambda r: r["event_type"]):
-        if int(r["n"]) * int(r["mx"]) * int(r["my"]) >= (1 << 62):
+    sums = ("n", "sx", "sy", "sxy", "sxx", "syy")
+    t = collect_table(
+        grouped_reduce(
+            ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
+            "event_type",
+            {
+                "n": (None, "count_all"),
+                **{f"s{c}": (c, "sum") for c in ("x", "y", "xy", "xx", "yy")},
+                "mx": ("ax", "max"),
+                "my": ("ay", "max"),
+            },
+        ),
+        pa.schema({"event_type": pa.string(), **{c: pa.int64() for c in sums + ("mx", "my")}}),
+    ).sort_by("event_type")  # |types|-bounded
+    for n, mx, my in zip(*(t[c].to_pylist() for c in ("n", "mx", "my"))):
+        if n * mx * my >= (1 << 62):
             raise ValueError(
                 "value_time_corr: sum(x*y) risks int64 overflow "
-                f"(n={r['n']}, max|x|={r['mx']}, max|y|={r['my']}); "
+                f"(n={n}, max|x|={mx}, max|y|={my}); "
                 "rescale units or shard the group"
             )
-        n = float(r["n"])
-        sx, sy = float(r["sx"]), float(r["sy"])
-        sxy, sxx, syy = float(r["sxy"]), float(r["sxx"]), float(r["syy"])
-        corr = (n * sxy - sx * sy) / np.sqrt(
-            (n * sxx - sx * sx) * (n * syy - sy * sy)
-        )
-        out.append(
-            {
-                "event_type": r["event_type"],
-                "n": int(r["n"]),
-                "corr": float(np.floor(corr * 1e6 + 0.5) / 1e6)
-                if corr >= 0
-                else float(np.ceil(corr * 1e6 - 0.5) / 1e6),
-            }
-        )
-    return pa.Table.from_pylist(out)
+    n, sx, sy, sxy, sxx, syy = (t[c].to_numpy().astype(np.float64) for c in sums)
+    corr = (n * sxy - sx * sy) / np.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
+    corr = np.where(
+        corr >= 0, np.floor(corr * 1e6 + 0.5) / 1e6, np.ceil(corr * 1e6 - 0.5) / 1e6
+    )
+    return pa.table(
+        {"event_type": t["event_type"], "n": t["n"], "corr": pa.array(corr, pa.float64())}
+    )
 
 
 def props_key_stats(sf_dir: str):
@@ -4885,14 +4730,16 @@ def lang_sources_concat(sf_dir: str):
     one groupby over |langs| x |sources| rows); the join to one string
     per lang folds on the driver over that bounded set."""
 
-    rows = grouped_reduce(
-        _read(sf_dir, "documents", ["lang", "source"]),
-        ["lang", "source"],
-        {"n": (None, "count_all")},
-    ).take_all()  # bounded: |langs| x |sources|
-    pairs = sorted((r["lang"], r["source"]) for r in rows)
+    t = collect_table(
+        grouped_reduce(
+            _read(sf_dir, "documents", ["lang", "source"]),
+            ["lang", "source"],
+            {"n": (None, "count_all")},
+        ),
+        pa.schema({"lang": pa.string(), "source": pa.string()}),
+    ).sort_by([("lang", "ascending"), ("source", "ascending")])  # |langs| x |sources|
     out = {}
-    for lang, src in pairs:
+    for lang, src in zip(t["lang"].to_pylist(), t["source"].to_pylist()):
         out.setdefault(lang, []).append(src)
     langs = sorted(out)
     return pa.table(
@@ -5132,10 +4979,11 @@ def value_quartile_rollup(sf_dir: str):
         sum_col="_rank",  # 1-based row rank within the type
         count_col="_cn",
     )
-    sizes = ranked.groupby("event_type").max("_rank").take_all()
-    size_keys = pa.array([r["event_type"] for r in sizes], pa.string())
-    size_n = np.array([int(r["max(_rank)"]) for r in sizes], dtype=np.int64)
-    ref = ray.put((size_keys, size_n))
+    sizes = collect_table(
+        ranked.groupby("event_type").max("_rank"),
+        pa.schema({"event_type": pa.string(), "max(_rank)": pa.int64()}),
+    )
+    ref = ray.put((sizes["event_type"].combine_chunks(), sizes["max(_rank)"].to_numpy()))
 
     def assign(t: pa.Table) -> pa.Table:
         keys_arr, n_arr = ray.get(ref)
@@ -5196,15 +5044,14 @@ def nation_account_coverage(sf_dir: str):
     if c.count() == 0 or s.count() == 0:
         # a 0-row Dataset loses its schema (CLAUDE.md) and the hash join
         # can't resolve the key: the outer result IS the nonempty side
-        rows = sorted(
-            (c if s.count() == 0 else s).take_all(), key=lambda r: r["nationkey"]
+        side, have, miss = (
+            (s, "n_supp", "n_cust") if c.count() == 0 else (c, "n_cust", "n_supp")
         )
-        return pa.table(
-            {
-                "nationkey": pa.array([r["nationkey"] for r in rows], pa.int64()),
-                "n_cust": pa.array([r.get("n_cust", 0) for r in rows], pa.int64()),
-                "n_supp": pa.array([r.get("n_supp", 0) for r in rows], pa.int64()),
-            }
+        t = collect_table(
+            side, pa.schema({"nationkey": pa.int64(), have: pa.int64()})
+        ).sort_by("nationkey")
+        return t.append_column(miss, pa.array(np.zeros(t.num_rows, np.int64))).select(
+            ["nationkey", "n_cust", "n_supp"]
         )
     j = c.join(
         s,
@@ -5308,23 +5155,12 @@ def q3_shipping_priority(sf_dir: str):
         right_count=n_qual,
     )
 
-    def block_top(t: pa.Table) -> pa.Table:
-        rev = t["revenue_cc"].to_numpy(zero_copy_only=False)
-        ok = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ok, -rev))[:10]
-        return t.take(pa.array(np.sort(order)))
-
-    tops = enriched.map_batches(block_top, batch_format="pyarrow").take_all()
-    ok = np.array([r["l_orderkey"] for r in tops], dtype=np.int64)
-    rev = np.array([r["revenue_cc"] for r in tops], dtype=np.int64)
-    od = np.array([r["orderdate_us"] for r in tops], dtype=np.int64)
-    pick = np.lexsort((ok, -rev))[:10]
-    return pa.table(
-        {
-            "l_orderkey": pa.array(ok[pick], pa.int64()),
-            "revenue_cc": pa.array(rev[pick], pa.int64()),
-            "orderdate_us": pa.array(od[pick], pa.int64()),
-        }
+    return _top_k(
+        enriched,
+        10,
+        "revenue_cc",
+        "l_orderkey",
+        pa.schema({c: pa.int64() for c in ("l_orderkey", "revenue_cc", "orderdate_us")}),
     )
 
 
@@ -5333,21 +5169,21 @@ def fk_integrity_report(sf_dir: str):
     number of child ROWS whose foreign key has no parent — the data-quality
     gate a warehouse runs after every load.
 
-    Shape: EVERY child table is scanned exactly once — all of its FK
-    columns thin to distinct ((edge, fk), row-count) partials per block
-    (edge id packed into the top bits of one int64 key, loudly
-    range-checked), ONE groupby-sum deduplicates across all edges at once,
-    and a single map pass anti-probes each key against its edge's
-    broadcast sorted parent array; the per-edge orphan row counts fold
-    through a final 4-row groupby. Parent sets above
-    ``joins.DIM_BROADCAST_MAX`` fall back to the per-edge size-guarded
-    ``id_set_filter`` plan (same result, distributed join)."""
+    The plan is chosen from the parents' row counts (parquet metadata)
+    before any key is collected. Up to ``joins.DIM_BROADCAST_MAX`` parent
+    keys in total: each parent key set is collected, sorted and broadcast
+    once; EVERY child table is scanned exactly once, each block emits one
+    (eid, n) row per FK edge counting the keys its searchsorted probe
+    misses, and one groupby-sum over the edge id folds them. Above it:
+    per edge, the child's per-key row counts run one size-guarded
+    ``id_set_filter`` anti-join against the parent keys (same result,
+    distributed join; no parent key set reaches the driver)."""
     import ray
 
     from ray.data.aggregate import Sum
 
     from ..stages.dedup import id_set_filter
-    from ..stages.joins import DIM_BROADCAST_MAX
+    from ..stages.joins import DIM_BROADCAST_MAX, JOIN_PARTITION_ROWS
 
     # (edge_id, label, child, fk, parent, pk)
     edges = [
@@ -5356,21 +5192,10 @@ def fk_integrity_report(sf_dir: str):
         (2, "lineitem.l_partkey->part", "lineitem", "l_partkey", "part", "p_partkey"),
         (3, "lineitem.l_suppkey->supplier", "lineitem", "l_suppkey", "supplier", "s_suppkey"),
     ]
-    parents = {}
-    total_par = 0
-    for eid, _, _, _, parent, pk in edges:
-        arr = np.sort(
-            pa.concat_tables(
-                ray.get(_read(sf_dir, parent, [pk]).to_arrow_refs())
-            )[pk].to_numpy(zero_copy_only=False)
-        )
-        parents[eid] = arr
-        total_par += len(arr)
-    if total_par > DIM_BROADCAST_MAX:
-        # fall back to the per-edge distributed plan (parents too big to
-        # broadcast): one id_set_filter anti-join per edge
-        names, counts = [], []
-        for eid, label, child, fk, parent, pk in edges:
+    n_par = {eid: _read(sf_dir, parent, [pk]).count() for eid, *_, parent, pk in edges}
+    if sum(n_par.values()) > DIM_BROADCAST_MAX:
+        counts = []
+        for eid, _, child, fk, parent, pk in edges:
             ch = _read(sf_dir, child, [fk]).map_batches(
                 lambda t, fk=fk: pa.table({"k": t[fk]}),
                 batch_format="pyarrow",
@@ -5380,20 +5205,31 @@ def fk_integrity_report(sf_dir: str):
             par = _read(sf_dir, parent, [pk]).map_batches(
                 lambda t, pk=pk: pa.table({"k": t[pk]}), batch_format="pyarrow"
             )
-            n_par = _read(sf_dir, parent, [pk]).count()
-            orphans = id_set_filter(par, "k", keep=False, n_ids=n_par)(keyed)
+            # partitions clamped to the parent's volume: a multi-partition
+            # hash join of a tiny side can fail in HashShuffleAggregator
+            orphans = id_set_filter(
+                par, "k", keep=False, n_ids=n_par[eid],
+                num_partitions=max(1, n_par[eid] // JOIN_PARTITION_ROWS),
+            )(keyed)
             agg = orphans.aggregate(Sum("n", ignore_nulls=True))
-            total = agg["sum(n)"] if agg and agg.get("sum(n)") is not None else 0
-            names.append(label)
-            counts.append(int(total or 0))
+            counts.append(int((agg or {}).get("sum(n)") or 0))
         return pa.table(
             {
-                "fk_edge": pa.array(names, pa.string()),
+                "fk_edge": pa.array([e[1] for e in edges], pa.string()),
                 "n_orphan_rows": pa.array(counts, pa.int64()),
             }
         )
 
-    par_ref = ray.put(parents)
+    par_ref = ray.put(
+        {
+            eid: np.sort(
+                collect_table(
+                    _read(sf_dir, parent, [pk]), pa.schema({pk: pa.int64()})
+                )[pk].to_numpy()
+            )
+            for eid, *_, parent, pk in edges
+        }
+    )
     by_child: dict = {}
     for eid, label, child, fk, _, _ in edges:
         by_child.setdefault(child, []).append((eid, fk))
@@ -5436,8 +5272,7 @@ def fk_integrity_report(sf_dir: str):
     merged = partials[0]
     for p in partials[1:]:
         merged = merged.union(p)
-    rows = merged.groupby("eid").sum("n").take_all()  # <= |edges| rows
-    got = {int(r["eid"]): int(r["sum(n)"]) for r in rows}
+    got = _collect_dict(merged.groupby("eid").sum("n"), "eid", "sum(n)")  # <= |edges| rows
     return pa.table(
         {
             "fk_edge": pa.array([e[1] for e in edges], pa.string()),
@@ -5491,17 +5326,6 @@ def ohlc_hourly(sf_dir: str):
         return gkey, ord_, cents
 
     def block_parts(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "g": pa.array([], pa.int64()),
-                    "min_ord": pa.array([], pa.int64()),
-                    "max_ord": pa.array([], pa.int64()),
-                    "low": pa.array([], pa.int64()),
-                    "high": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                }
-            )
         gkey, ord_, cents = keys_of(t)
         order = np.lexsort((ord_, gkey))
         g, o, c = gkey[order], ord_[order], cents[order]
@@ -5519,40 +5343,28 @@ def ohlc_hourly(sf_dir: str):
             }
         )
 
-    merged = (
+    parts = ("min(min_ord)", "max(max_ord)", "min(low)", "max(high)", "sum(n)")
+    merged = collect_table(
         ev.map_batches(block_parts, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("g")
-        .aggregate(Min("min_ord"), Max("max_ord"), Min("low"), Max("high"), Sum("n"))
-        .take_all()  # O(types x hours) — time-span bound, not data bound
-    )
-    merged.sort(key=lambda r: r["g"])
-    gk = np.array([r["g"] for r in merged], dtype=np.int64)
-    w_min = np.array([r["min(min_ord)"] for r in merged], dtype=np.int64)
-    w_max = np.array([r["max(max_ord)"] for r in merged], dtype=np.int64)
-    ref = ray.put((gk, w_min, w_max))
+        .aggregate(Min("min_ord"), Max("max_ord"), Min("low"), Max("high"), Sum("n")),
+        pa.schema({c: pa.int64() for c in ("g",) + parts}),
+    ).sort_by("g")  # O(types x hours) — time-span bound, not data bound
+    gk = merged["g"].to_numpy()
+    ref = ray.put((gk, merged["min(min_ord)"].to_numpy(), merged["max(max_ord)"].to_numpy()))
 
     def winners(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "g": pa.array([], pa.int64()),
-                    "is_open": pa.array([], pa.bool_()),
-                    "cents": pa.array([], pa.int64()),
-                }
-            )
         gkeys, wmin, wmax = ray.get(ref)
         gkey, ord_, cents = keys_of(t)
         pos = np.searchsorted(gkeys, gkey)
         is_open = ord_ == wmin[pos]
         is_close = ord_ == wmax[pos]
-        keep = is_open | is_close
         # a single-event hour is both open and close: emit both roles
         g2 = np.concatenate([gkey[is_open], gkey[is_close]])
         r2 = np.concatenate(
             [np.ones(int(is_open.sum()), bool), np.zeros(int(is_close.sum()), bool)]
         )
         c2 = np.concatenate([cents[is_open], cents[is_close]])
-        del keep
         return pa.table(
             {
                 "g": pa.array(g2),
@@ -5561,20 +5373,22 @@ def ohlc_hourly(sf_dir: str):
             }
         )
 
-    oc = ev.map_batches(winners, batch_format="pyarrow", zero_copy_batch=True).take_all()
-    open_v = {r["g"]: r["cents"] for r in oc if r["is_open"]}
-    close_v = {r["g"]: r["cents"] for r in oc if not r["is_open"]}
+    # exactly one open and one close row per g ((ts, event_id) is unique)
+    oc = collect_table(
+        ev.map_batches(winners, batch_format="pyarrow", zero_copy_batch=True),
+        pa.schema({"g": pa.int64(), "is_open": pa.bool_(), "cents": pa.int64()}),
+    )
+    opens = oc.filter(oc["is_open"]).sort_by("g")
+    closes = oc.filter(pc.invert(oc["is_open"])).sort_by("g")
     return pa.table(
         {
-            "event_type": pa.array(
-                [str(vocab[r["g"] >> 24]) for r in merged], pa.string()
-            ),
-            "hour": pa.array([r["g"] & ((1 << 24) - 1) for r in merged], pa.int64()),
-            "open_cents": pa.array([open_v[r["g"]] for r in merged], pa.int64()),
-            "high_cents": pa.array([r["max(high)"] for r in merged], pa.int64()),
-            "low_cents": pa.array([r["min(low)"] for r in merged], pa.int64()),
-            "close_cents": pa.array([close_v[r["g"]] for r in merged], pa.int64()),
-            "n_events": pa.array([r["sum(n)"] for r in merged], pa.int64()),
+            "event_type": pa.array(vocab[gk >> 24], pa.string()),
+            "hour": pa.array(gk & ((1 << 24) - 1), pa.int64()),
+            "open_cents": opens["cents"],
+            "high_cents": merged["max(high)"],
+            "low_cents": merged["min(low)"],
+            "close_cents": closes["cents"],
+            "n_events": merged["sum(n)"],
         }
     )
 
@@ -5625,8 +5439,6 @@ def type_cooccurrence(sf_dir: str):
     pair supports then count per block with one vectorized test per type
     PAIR (<= |types|^2/2 iterations, never per row) and fold through a
     final single-key groupby. Only packed ints ever shuffle."""
-    import ray
-
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
     vocab_pa = _event_type_vocab(sf_dir)
     vocab = vocab_pa.to_numpy(zero_copy_only=False)
@@ -5683,22 +5495,16 @@ def type_cooccurrence(sf_dir: str):
             }
         )
 
-    counts = (
-        masks.map_batches(pair_partials, batch_format="pyarrow")
-        .groupby("pair")
-        .sum("n")
-        .take_all()  # <= |types|^2 / 2 rows
-    )
-    counts.sort(key=lambda r: r["pair"])
+    counts = collect_table(
+        masks.map_batches(pair_partials, batch_format="pyarrow").groupby("pair").sum("n"),
+        pa.schema({"pair": pa.int64(), "sum(n)": pa.int64()}),
+    ).sort_by("pair")  # <= |types|^2 / 2 rows
+    pair = counts["pair"].to_numpy()
     return pa.table(
         {
-            "type_a": pa.array(
-                [str(vocab[r["pair"] >> 10]) for r in counts], pa.string()
-            ),
-            "type_b": pa.array(
-                [str(vocab[r["pair"] & 1023]) for r in counts], pa.string()
-            ),
-            "n_users": pa.array([int(r["sum(n)"]) for r in counts], pa.int64()),
+            "type_a": pa.array(vocab[pair >> 10], pa.string()),
+            "type_b": pa.array(vocab[pair & 1023], pa.string()),
+            "n_users": counts["sum(n)"],
         }
     )
 
@@ -5821,14 +5627,10 @@ def phrase_occurrences(sf_dir: str, phrase: str = "table value"):
             }
         )
 
-    out = docs.map_batches(
-        find, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-    if out.count() == 0:
-        return pa.schema(
-            [("doc_id", pa.int64()), ("n_occurrences", pa.int64())]
-        ).empty_table()
-    return out.sort("doc_id")
+    return collect_table(
+        docs.map_batches(find, batch_format="pyarrow", zero_copy_batch=True),
+        pa.schema({"doc_id": pa.int64(), "n_occurrences": pa.int64()}),
+    ).sort_by("doc_id")
 
 
 def anomalous_days(sf_dir: str):
@@ -5847,14 +5649,14 @@ def anomalous_days(sf_dir: str):
         u, c = np.unique(day, return_counts=True)
         return pa.table({"day": pa.array(u), "n": pa.array(c.astype(np.int64))})
 
-    daily = (
+    daily = collect_table(
         ev.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("day")
-        .sum("n")
-        .take_all()  # time-span bounded
-    )
-    days = np.array([r["day"] for r in daily], dtype=np.int64)
-    cnt = np.array([int(r["sum(n)"]) for r in daily], dtype=np.int64)
+        .sum("n"),
+        pa.schema({"day": pa.int64(), "sum(n)": pa.int64()}),
+    )  # time-span bounded
+    days = daily["day"].to_numpy()
+    cnt = daily["sum(n)"].to_numpy()
     n = len(cnt)
     s, ss = int(cnt.sum()), int((cnt.astype(object) ** 2).sum())
     m2 = n * ss - s * s  # n^2 * variance (population)
@@ -6151,27 +5953,11 @@ def large_volume_customers(sf_dir: str, min_qty: int = 300):
         enriched, cust, on="o_custkey", right_count=n_cust, left_count=n_win
     )
 
-    def block_top(t: pa.Table) -> pa.Table:
-        tc = t["total_c"].to_numpy(zero_copy_only=False)
-        ok = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ok, -tc))[:100]
-        return t.take(pa.array(np.sort(order)))
-
-    tops = full.map_batches(block_top, batch_format="pyarrow").take_all()
-    tc = np.array([r["total_c"] for r in tops], dtype=np.int64)
-    ok = np.array([r["o_orderkey"] for r in tops], dtype=np.int64)
-    pick = np.lexsort((ok, -tc))[:100]
-    cols = ["c_custkey", "c_nationkey", "o_orderkey", "orderdate_us",
-            "total_c", "sum_qty"]
-    vals = {
-        "c_custkey": np.array([r["o_custkey"] for r in tops], dtype=np.int64),
-        "c_nationkey": np.array([r["c_nationkey"] for r in tops], dtype=np.int64),
-        "o_orderkey": ok,
-        "orderdate_us": np.array([r["orderdate_us"] for r in tops], dtype=np.int64),
-        "total_c": tc,
-        "sum_qty": np.array([r["sum_qty"] for r in tops], dtype=np.int64),
-    }
-    return pa.table({c: pa.array(vals[c][pick], pa.int64()) for c in cols})
+    cols = ["o_custkey", "c_nationkey", "o_orderkey", "orderdate_us", "total_c", "sum_qty"]
+    top = _top_k(
+        full, 100, "total_c", "o_orderkey", pa.schema({c: pa.int64() for c in cols})
+    )
+    return top.rename_columns(["c_custkey"] + cols[1:])
 
 
 def orders_above_cust_avg(sf_dir: str):
@@ -6434,16 +6220,9 @@ def nations_volume_shipping(sf_dir: str):
     groupby-sum carries only grid-bounded rows; the 25-row nation name
     table attaches AFTER aggregation on the tiny result grid. Revenue in
     integer centi-cents (round(ext*100) * (100 - round(disc*100)))."""
-    import ray
-
     from ..stages.joins import broadcast_lookup_join
 
-    nat_rows = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).take_all()
-    nname = np.empty(32, dtype=object)
-    for r in nat_rows:
-        if not (0 <= int(r["n_nationkey"]) < 32):
-            raise ValueError("n_nationkey out of 5-bit pack range")
-        nname[int(r["n_nationkey"])] = r["n_name"]
+    nname = _nation_names(sf_dir)
 
     supp, n_supp = _supplier_nations(sf_dir)
 
@@ -7004,17 +6783,11 @@ def revenue_concentration(sf_dir: str, top_n: int = 100):
         orders, "o_custkey", {"rev_c": ("tc", "sum")}
     ).materialize()
 
-    def block_top(t: pa.Table) -> pa.Table:
-        rc = t["rev_c"].to_numpy(zero_copy_only=False)
-        ck = t["o_custkey"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ck, -rc))[:top_n]
-        return t.take(pa.array(np.sort(order)))
-
-    tops = per_cust.map_batches(block_top, batch_format="pyarrow").take_all()
-    rc = np.array([r["rev_c"] for r in tops], dtype=np.int64)
-    ck = np.array([r["o_custkey"] for r in tops], dtype=np.int64)
-    pick = np.lexsort((ck, -rc))[:top_n]
-    top_cc = int(rc[pick].sum())
+    top = _top_k(
+        per_cust, top_n, "rev_c", "o_custkey",
+        pa.schema({"o_custkey": pa.int64(), "rev_c": pa.int64()}),
+    )
+    top_cc = int(top["rev_c"].to_numpy().sum())
 
     total_cc = int(per_cust.sum("rev_c"))
     n_cust = per_cust.count()
@@ -7251,19 +7024,14 @@ def type_jaccard_pairs(sf_dir: str):
             {"k": pa.array(keys, pa.int64()), "n": pa.array(ns, pa.int64())}
         )
 
-    rows = (
-        masks.map_batches(fold, batch_format="pyarrow")
-        .groupby("k")
-        .sum("n")
-        .take_all()  # <= |types|^2 rows
-    )
-    per_type = {r["k"] >> 10: int(r["sum(n)"]) for r in rows
-                if (r["k"] >> 10) == (r["k"] & 1023)}
-    pairs = sorted(
-        (r["k"] >> 10, r["k"] & 1023, int(r["sum(n)"]))
-        for r in rows
-        if (r["k"] >> 10) != (r["k"] & 1023)
-    )
+    rows = collect_table(
+        masks.map_batches(fold, batch_format="pyarrow").groupby("k").sum("n"),
+        pa.schema({"k": pa.int64(), "sum(n)": pa.int64()}),
+    )  # <= |types|^2 rows
+    a, b = rows["k"].to_numpy() >> 10, rows["k"].to_numpy() & 1023
+    n = rows["sum(n)"].to_numpy()
+    per_type = dict(zip(a[a == b].tolist(), n[a == b].tolist()))
+    pairs = sorted(zip(a[a != b].tolist(), b[a != b].tolist(), n[a != b].tolist()))
     return pa.table(
         {
             "type_a": pa.array([str(vocab[i]) for i, _, _ in pairs], pa.string()),
@@ -7324,13 +7092,13 @@ def trimmed_value_sums(sf_dir: str, k: int = 5):
             }
         )
 
-    rows = ev.map_batches(
-        partials, batch_format="pyarrow", zero_copy_batch=True
-    ).take_all()  # O(blocks x types x (2k+2)), type-bounded
+    rows = collect_table(
+        ev.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True),
+        pa.schema({"event_type": pa.string(), "v": pa.int64(), "tag": pa.int64()}),
+    )  # O(blocks x types x (2k+2)), type-bounded
 
     lo: dict = {}; hi: dict = {}; total: dict = {}; n: dict = {}
-    for r in rows:
-        ty, v, tag = r["event_type"], r["v"], r["tag"]
+    for ty, v, tag in zip(*(c.to_pylist() for c in rows.columns)):
         if tag == 0:
             lo.setdefault(ty, []).append(v)
         elif tag == 1:
@@ -7375,10 +7143,11 @@ def q13_customer_distribution(sf_dir: str):
         "o_custkey",
         {"c_orders": ("o_custkey", "count")},
     )
-    rows = grouped_reduce(
-        per_cust, "c_orders", {"n": ("c_orders", "count")}
-    ).take_all()  # bounded: max orders-per-customer buckets
-    buckets = {int(r["c_orders"]): int(r["n"]) for r in rows}
+    buckets = _collect_dict(
+        grouped_reduce(per_cust, "c_orders", {"n": ("c_orders", "count")}),
+        "c_orders",
+        "n",
+    )  # bounded: max orders-per-customer buckets
     zero = n_cust - sum(buckets.values())
     if zero > 0:  # the LEFT JOIN contributes a 0 bucket only when nonempty
         buckets[0] = zero
@@ -7402,8 +7171,6 @@ def q17_small_quantity_revenue(sf_dir: str):
     id set) and feeds both the stats pass and the final filter; the
     per-part thresholds broadcast back (bounded by |parts in brand|).
     Money in integer cents."""
-    import ray
-
     from ..stages.dedup import id_set_filter
 
     part_t = _read(sf_dir, "part", ["p_partkey", "p_brand"]).map_batches(
@@ -7440,20 +7207,18 @@ def q17_small_quantity_revenue(sf_dir: str):
         .materialize()  # O(brand lines); consumed by stats + filter
     )
 
-    st = grouped_reduce(
-        bl, "l_partkey", {"s": ("q", "sum"), "c": (None, "count_all")}
-    ).take_all()  # bounded: |parts in brand|
-    s_map = {int(r["l_partkey"]): (int(r["s"]), int(r["c"])) for r in st}
-    ref = ray.put(s_map)
+    ref = _dim_lookup(
+        grouped_reduce(bl, "l_partkey", {"s": ("q", "sum"), "c": (None, "count_all")}),
+        "l_partkey",
+        ["s", "c"],
+    )  # bounded: |parts in brand|
 
     def small_part(t: pa.Table) -> pa.Table:
-        m = ray.get(ref)
-        pk = t["l_partkey"].to_numpy(zero_copy_only=False)
+        # every brand line's part is in the lookup by construction
+        _, pos, (s, c) = _dim_probe(ref, t["l_partkey"].to_numpy(zero_copy_only=False))
         q = t["q"].to_numpy(zero_copy_only=False)
         cents = t["cents"].to_numpy(zero_copy_only=False)
-        sm = np.array([m[int(k)][0] for k in pk], dtype=np.int64)
-        cn = np.array([m[int(k)][1] for k in pk], dtype=np.int64)
-        keep_m = 5 * q * cn < sm
+        keep_m = 5 * q * c[pos] < s[pos]
         return pa.table(
             {
                 "revenue_cents": pa.array(
@@ -7463,16 +7228,8 @@ def q17_small_quantity_revenue(sf_dir: str):
             }
         )
 
-    parts = bl.map_batches(small_part, batch_format="pyarrow").take_all()
-    return pa.table(
-        {
-            "revenue_cents": pa.array(
-                [sum(int(r["revenue_cents"]) for r in parts)], pa.int64()
-            ),
-            "n_lines": pa.array(
-                [sum(int(r["n_lines"]) for r in parts)], pa.int64()
-            ),
-        }
+    return _partial_sums(
+        bl.map_batches(small_part, batch_format="pyarrow"), ["revenue_cents", "n_lines"]
     )
 
 
@@ -7551,32 +7308,20 @@ def q21_waiting_suppliers(sf_dir: str):
         )
         return g.rename_columns(["pk", "ship_us"])
 
-    import ray
-
     late_us = 60 * 86_400 * 1_000_000
     n_lineitem = _read(sf_dir, "lineitem", ["l_orderkey"]).count()  # metadata
     if n_lineitem <= Q21_DRIVER_TIER_MAX_ROWS:
-        part = pa.concat_tables(
-            ray.get(
-                _read(
-                    sf_dir,
-                    "lineitem",
-                    ["l_orderkey", "l_suppkey", "l_shipdate"],
-                )
-                .map_batches(
-                    pair_premax, batch_format="pyarrow", zero_copy_batch=True
-                )
-                .to_arrow_refs()
-            )
+        part = collect_table(
+            _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
+            .map_batches(pair_premax, batch_format="pyarrow", zero_copy_batch=True),
+            pa.schema({"pk": pa.int64(), "ship_us": pa.int64()}),
         )
         g = part.group_by(["pk"]).aggregate([("ship_us", "max")])
         pk = g["pk"].to_numpy(zero_copy_only=False)
         max_ship = g["ship_us_max"].to_numpy(zero_copy_only=False)
-        ot = pa.concat_tables(
-            ray.get(
-                _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-                .to_arrow_refs()
-            )
+        ot = collect_table(
+            _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]),
+            pa.schema({"o_orderkey": pa.int64(), "o_orderdate": pa.timestamp("us")}),
         )
         okeys = ot["o_orderkey"].to_numpy(zero_copy_only=False)
         ous = pc.cast(ot["o_orderdate"], pa.int64()).to_numpy(
@@ -7684,22 +7429,17 @@ def q21_waiting_suppliers(sf_dir: str):
     )
     keep = id_set_filter(winners, "o_orderkey", keep=True, n_ids=n_orders)
 
-    counts = grouped_reduce(
-        keep(flagged).map_batches(
-            lambda t: t.filter(pc.equal(t["late"], 1)), batch_format="pyarrow"
+    cnt = collect_table(
+        grouped_reduce(
+            keep(flagged).map_batches(
+                lambda t: t.filter(pc.equal(t["late"], 1)), batch_format="pyarrow"
+            ),
+            "suppkey",
+            {"n": ("suppkey", "count")},
         ),
-        "suppkey",
-        {"n": ("suppkey", "count")},
-    ).take_all()  # bounded: |suppliers|
-    import pandas as pd
-
-    cnt = pd.DataFrame(
-        {
-            "s_suppkey": [int(r["suppkey"]) for r in counts],
-            "numwait": [int(r["n"]) for r in counts],
-        }
-    )
-    return _q21_finish(cnt, sf_dir)
+        pa.schema({"suppkey": pa.int64(), "n": pa.int64()}),
+    )  # bounded: |suppliers|
+    return _q21_finish(cnt.rename_columns(["s_suppkey", "numwait"]).to_pandas(), sf_dir)
 
 
 def q22_idle_balance(sf_dir: str):
@@ -7772,26 +7512,19 @@ def q22_idle_balance(sf_dir: str):
     n_cust = _read(sf_dir, "customer", ["c_custkey"]).count()  # bound
     drop = id_set_filter(buyers, "c_custkey", keep=False, n_ids=n_cust)
 
-    rows = grouped_reduce(
-        drop(eligible),
-        "c_mktsegment",
-        {"n": (None, "count_all"), "cents": ("cents", "sum")},
-    ).take_all()
-    rows.sort(key=lambda r: r["c_mktsegment"])
     # 0-row Datasets lose their schema (CLAUDE.md): always hand back a
     # schema-bearing table — the driver testdata's every-customer-ordered
     # regime hits this; the idle regime is pinned by a planted pytest
-    return pa.table(
-        {
-            "c_mktsegment": pa.array(
-                [r["c_mktsegment"] for r in rows], pa.string()
-            ),
-            "n_custs": pa.array([int(r["n"]) for r in rows], pa.int64()),
-            "balance_cents": pa.array(
-                [int(r["cents"]) for r in rows], pa.int64()
-            ),
-        }
-    )
+    return collect_table(
+        grouped_reduce(
+            drop(eligible),
+            "c_mktsegment",
+            {"n_custs": (None, "count_all"), "balance_cents": ("cents", "sum")},
+        ),
+        pa.schema(
+            {"c_mktsegment": pa.string(), "n_custs": pa.int64(), "balance_cents": pa.int64()}
+        ),
+    ).sort_by("c_mktsegment")
 
 
 # --------------------------------------------------------------------------
@@ -7808,21 +7541,19 @@ def _dim_lookup(ds, key_col: str, attr_cols, budget: int = 4_000_000):
     filters rows). Loud failure above ``budget``: at 100 TB a caller must
     pre-thin the slice (brand/type predicates) under the budget or restate
     the query as a distributed join. Returns a ``ray.put`` ref of
-    ``(keys_sorted, [attr arrays in attr_cols order])``."""
+    ``(int64 keys_sorted, [attr arrays in attr_cols order])``; each attr
+    array keeps its column's Arrow type (strings as object arrays)."""
     import ray
 
-    from ..stages.dedup import _collect_table
-
-    schema = pa.schema(
-        [(key_col, pa.int64())] + [(c, pa.int64()) for c in attr_cols]
-    )
-    t = _collect_table(ds, schema)
+    t = collect_table(ds)
     if t.num_rows > budget:
         raise ValueError(
             f"_dim_lookup: {t.num_rows} rows exceed the {budget} broadcast "
             "budget — pre-thin the dimension slice or use a distributed join"
         )
-    keys = t[key_col].to_numpy(zero_copy_only=False)
+    if not t.num_rows:  # a 0-row Dataset may carry no columns at all
+        return ray.put((np.empty(0, np.int64), [np.empty(0, np.int64) for _ in attr_cols]))
+    keys = pc.cast(t[key_col], pa.int64()).to_numpy()
     order = np.argsort(keys)
     keys = keys[order]
     if len(keys) > 1 and (keys[1:] == keys[:-1]).any():
@@ -7872,24 +7603,13 @@ def q6_forecast_revenue(sf_dir: str):
             }
         )
 
-    parts = (
+    return _partial_sums(
         _read(
             sf_dir,
             "lineitem",
             ["l_extendedprice", "l_discount", "l_shipdate", "l_quantity"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .take_all()  # O(blocks) 1-row partials
-    )
-    return pa.table(
-        {
-            "revenue_centicents": pa.array(
-                [sum(int(r["revenue_centicents"]) for r in parts)], pa.int64()
-            ),
-            "n_lines": pa.array(
-                [sum(int(r["n_lines"]) for r in parts)], pa.int64()
-            ),
-        }
+        ).map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["revenue_centicents", "n_lines"],
     )
 
 
@@ -7929,27 +7649,23 @@ def q14_promo_effect(sf_dir: str):
             }
         )
 
-    parts = (
+    s = _partial_sums(
         _read(
             sf_dir,
             "lineitem",
             ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .take_all()
+        ).map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["promo_cc", "total_cc", "n"],
     )
-    promo = sum(int(r["promo_cc"]) for r in parts)
-    total = sum(int(r["total_cc"]) for r in parts)
+    promo, total = s["promo_cc"][0].as_py(), s["total_cc"][0].as_py()
     return pa.table(
         {
-            "promo_centicents": pa.array([promo], pa.int64()),
-            "total_centicents": pa.array([total], pa.int64()),
+            "promo_centicents": s["promo_cc"],
+            "total_centicents": s["total_cc"],
             "promo_share_ppm": pa.array(
                 [(promo * 1_000_000) // total if total > 0 else 0], pa.int64()
             ),
-            "n_lines": pa.array(
-                [sum(int(r["n"]) for r in parts)], pa.int64()
-            ),
+            "n_lines": s["n"],
         }
     )
 
@@ -8024,24 +7740,13 @@ def q19_discount_revenue(sf_dir: str):
             }
         )
 
-    parts = (
+    return _partial_sums(
         _read(
             sf_dir,
             "lineitem",
             ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .take_all()
-    )
-    return pa.table(
-        {
-            "revenue_centicents": pa.array(
-                [sum(int(r["revenue_centicents"]) for r in parts)], pa.int64()
-            ),
-            "n_lines": pa.array(
-                [sum(int(r["n_lines"]) for r in parts)], pa.int64()
-            ),
-        }
+        ).map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["revenue_centicents", "n_lines"],
     )
 
 
@@ -8057,8 +7762,6 @@ def q10_returned_items(sf_dir: str):
     aggregation on the bounded result (customer lookup join + 25-row
     nation broadcast). Money in integer centi-cents; ties broken by
     c_custkey so the top-20 is deterministic."""
-    import ray
-
     from ..stages.joins import broadcast_lookup_join
 
     q_lo = np.datetime64("1996-01-01")
@@ -8111,54 +7814,29 @@ def q10_returned_items(sf_dir: str):
             t = t.take(order[:20])
         return t
 
-    top = (
+    top = collect_table(
         per_cust.map_batches(top_partial, batch_format="pyarrow")
         .sort(["cc", "o_custkey"], descending=[True, False])
-        .limit(20)
-        .take_all()
-    )
-    win_keys = [int(r["o_custkey"]) for r in top]
-    rev = {int(r["o_custkey"]): int(r["cc"]) for r in top}
-
-    import ray.data as rd
-
-    from ..stages.dedup import id_set_filter
-
-    keep = id_set_filter(
-        rd.from_arrow(pa.table({"c_custkey": pa.array(win_keys, pa.int64())})),
-        "c_custkey",
-        keep=True,
-        n_ids=max(len(win_keys), 1),
-    )
-    crows = keep(
-        _read(
-            sf_dir,
-            "customer",
-            ["c_custkey", "c_name", "c_acctbal", "c_nationkey"],
-        )
-    ).take_all()  # <= 20 rows
-    nat_rows = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).take_all()
-    nname = {int(r["n_nationkey"]): r["n_name"] for r in nat_rows}
-    cmap = {int(r["c_custkey"]): r for r in crows}
-    order = sorted(win_keys, key=lambda k: (-rev[k], k))
-    bal = pc.cast(
-        _oround(
-            pc.multiply(
-                pa.array([float(cmap[k]["c_acctbal"]) for k in order], pa.float64()),
-                100.0,
-            )
+        .limit(20),
+        pa.schema({"o_custkey": pa.int64(), "cc": pa.int64()}),
+    ).sort_by([("cc", "descending"), ("o_custkey", "ascending")])
+    c = _rows_by_key(
+        sf_dir,
+        "customer",
+        pa.schema(
+            {"c_custkey": pa.int64(), "c_name": pa.string(),
+             "c_acctbal": pa.float64(), "c_nationkey": pa.int64()}
         ),
-        pa.int64(),
-    )
+        top["o_custkey"],
+    )  # <= 20 rows
+    nname = _dim_map(sf_dir, "nation", "n_nationkey", "n_name")
     return pa.table(
         {
-            "c_custkey": pa.array(order, pa.int64()),
-            "c_name": pa.array([cmap[k]["c_name"] for k in order], pa.string()),
-            "revenue_centicents": pa.array([rev[k] for k in order], pa.int64()),
-            "acctbal_cents": bal,
-            "n_name": pa.array(
-                [nname[int(cmap[k]["c_nationkey"])] for k in order], pa.string()
-            ),
+            "c_custkey": top["o_custkey"],
+            "c_name": c["c_name"],
+            "revenue_centicents": top["cc"],
+            "acctbal_cents": pc.cast(_oround(pc.multiply(c["c_acctbal"], 100.0)), pa.int64()),
+            "n_name": pa.array([nname[k] for k in c["c_nationkey"].to_pylist()], pa.string()),
         }
     )
 
@@ -8224,25 +7902,17 @@ def q12_priority_classes(sf_dir: str):
             }
         )
 
-    out = grouped_reduce(
-        joined.map_batches(late_lines, batch_format="pyarrow"),
-        "l_returnflag",
-        {"high_line_count": ("high", "sum"), "low_line_count": ("low", "sum")},
-    ).take_all()
-    out.sort(key=lambda r: r["l_returnflag"])
-    return pa.table(
-        {
-            "l_returnflag": pa.array(
-                [r["l_returnflag"] for r in out], pa.string()
-            ),
-            "high_line_count": pa.array(
-                [int(r["high_line_count"]) for r in out], pa.int64()
-            ),
-            "low_line_count": pa.array(
-                [int(r["low_line_count"]) for r in out], pa.int64()
-            ),
-        }
-    )
+    return collect_table(
+        grouped_reduce(
+            joined.map_batches(late_lines, batch_format="pyarrow"),
+            "l_returnflag",
+            {"high_line_count": ("high", "sum"), "low_line_count": ("low", "sum")},
+        ),
+        pa.schema(
+            {"l_returnflag": pa.string(),
+             "high_line_count": pa.int64(), "low_line_count": pa.int64()}
+        ),
+    ).sort_by("l_returnflag")
 
 
 def q15_top_supplier(sf_dir: str):
@@ -8286,35 +7956,20 @@ def q15_top_supplier(sf_dir: str):
     # driver (the per-supplier aggregate itself never does; at 100 TB the
     # supplier dimension is SF-scaled)
     best = int(per_supp.max("cc"))
-    winners = sorted(
-        int(r["l_suppkey"])
-        for r in per_supp.map_batches(
-            lambda t: t.filter(pc.equal(t["cc"], best)),
-            batch_format="pyarrow",
-        ).take_all()
-    )
-    # names attach to the (tiny) winner set only — the supplier dimension
-    # is SF-scaled, so it is scanned filtered, never collected whole
-    import ray.data as rd
-
-    from ..stages.dedup import id_set_filter
-
-    keep = id_set_filter(
-        rd.from_arrow(pa.table({"s_suppkey": pa.array(winners, pa.int64())})),
-        "s_suppkey",
-        keep=True,
-        n_ids=len(winners),
-    )
-    sup_rows = keep(_read(sf_dir, "supplier", ["s_suppkey", "s_name"])).take_all()
-    sname = {int(r["s_suppkey"]): r["s_name"] for r in sup_rows}
-    return pa.table(
-        {
-            "s_suppkey": pa.array(winners, pa.int64()),
-            "s_name": pa.array([sname[k] for k in winners], pa.string()),
-            "total_revenue_centicents": pa.array(
-                [best] * len(winners), pa.int64()
+    winners = np.sort(
+        collect_table(
+            per_supp.map_batches(
+                lambda t: t.filter(pc.equal(t["cc"], best)), batch_format="pyarrow"
             ),
-        }
+            pa.schema({"l_suppkey": pa.int64()}),
+        )["l_suppkey"].to_numpy()
+    )
+    # names attach to the (tiny) winner set only
+    t = _rows_by_key(
+        sf_dir, "supplier", pa.schema({"s_suppkey": pa.int64(), "s_name": pa.string()}), winners
+    )
+    return t.append_column(
+        "total_revenue_centicents", pa.array([best] * t.num_rows, pa.int64())
     )
 
 
@@ -8335,27 +7990,11 @@ def q8_market_share(sf_dir: str):
     from ..stages.dedup import id_set_filter
     from ..stages.joins import broadcast_lookup_join
 
-    nat_rows = _read(
-        sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"]
-    ).take_all()
-    reg_rows = _read(sf_dir, "region", ["r_regionkey", "r_name"]).take_all()
-    asia_reg = {
-        int(r["r_regionkey"]) for r in reg_rows if r["r_name"] == "ASIA"
-    }
-    asia_nats = np.sort(
-        np.array(
-            [
-                int(r["n_nationkey"])
-                for r in nat_rows
-                if int(r["n_regionkey"]) in asia_reg
-            ],
-            dtype=np.int64,
-        )
-    )
+    asia_ref = ray.put(_region_nations(sf_dir, "ASIA"))
     target_nat = [
-        int(r["n_nationkey"]) for r in nat_rows if r["n_name"] == "NATION_5"
+        k for k, v in _dim_map(sf_dir, "nation", "n_nationkey", "n_name").items()
+        if v == "NATION_5"
     ][0]
-    asia_ref = ray.put(asia_nats)
 
     # ASIA-customer, year-tagged orders dimension (o_orderkey -> year)
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
@@ -8438,14 +8077,15 @@ def q8_market_share(sf_dir: str):
         )
         return g.rename_columns(["o_year", "num", "cc"])
 
-    rows = (
-        li.map_batches(year_partials, batch_format="pyarrow").take_all()
+    rows = collect_table(
+        li.map_batches(year_partials, batch_format="pyarrow"),
+        pa.schema({"o_year": pa.int64(), "num": pa.int64(), "cc": pa.int64()}),
     )  # O(blocks x years)
     acc: dict[int, list[int]] = {}
-    for r in rows:
-        a = acc.setdefault(int(r["o_year"]), [0, 0])
-        a[0] += int(r["num"])
-        a[1] += int(r["cc"])
+    for y, num, cc in zip(*(c.to_pylist() for c in rows.columns)):
+        a = acc.setdefault(y, [0, 0])
+        a[0] += num
+        a[1] += cc
     years = sorted(acc)
     return pa.table(
         {
@@ -8476,12 +8116,7 @@ def q9_product_profit(sf_dir: str):
     from ..stages.dedup import id_set_filter
     from ..stages.joins import broadcast_lookup_join
 
-    nat_rows = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).take_all()
-    nname = np.empty(32, dtype=object)
-    for r in nat_rows:
-        if not (0 <= int(r["n_nationkey"]) < 32):
-            raise ValueError("n_nationkey out of 5-bit pack range")
-        nname[int(r["n_nationkey"])] = r["n_name"]
+    nname = _nation_names(sf_dir)
 
     red_parts = _read(sf_dir, "part", ["p_partkey", "p_name"]).map_batches(
         lambda t: t.filter(pc.starts_with(t["p_name"], "red "))
@@ -8535,24 +8170,23 @@ def q9_product_profit(sf_dir: str):
         sn = t["s_nat"].to_numpy(zero_copy_only=False)
         return pa.table({"pk": pa.array((yr << 5) | sn), "cc": t["cc"]})
 
-    rows = grouped_reduce(
-        li.map_batches(grid_key, batch_format="pyarrow"),
-        "pk",
-        {"cc": ("cc", "sum"), "n": ("cc", "count")},
-    ).take_all()  # grid-bounded: |nations| x |years|
-    rows.sort(key=lambda r: (str(nname[int(r["pk"]) & 31]), -(int(r["pk"]) >> 5)))
+    t = collect_table(
+        grouped_reduce(
+            li.map_batches(grid_key, batch_format="pyarrow"),
+            "pk",
+            {"cc": ("cc", "sum"), "n": ("cc", "count")},
+        ),
+        pa.schema({"pk": pa.int64(), "cc": pa.int64(), "n": pa.int64()}),
+    )  # grid-bounded: |nations| x |years|
+    pk = t["pk"].to_numpy()
     return pa.table(
         {
-            "nation": pa.array(
-                [nname[int(r["pk"]) & 31] for r in rows], pa.string()
-            ),
-            "o_year": pa.array([int(r["pk"]) >> 5 for r in rows], pa.int64()),
-            "profit_centicents": pa.array(
-                [int(r["cc"]) for r in rows], pa.int64()
-            ),
-            "n_lines": pa.array([int(r["n"]) for r in rows], pa.int64()),
+            "nation": pa.array(nname[pk & 31], pa.string()),
+            "o_year": pa.array(pk >> 5, pa.int64()),
+            "profit_centicents": t["cc"],
+            "n_lines": t["n"],
         }
-    )
+    ).sort_by([("nation", "ascending"), ("o_year", "descending")])
 
 
 def q2_min_balance_supplier(sf_dir: str):
@@ -8570,28 +8204,11 @@ def q2_min_balance_supplier(sf_dir: str):
     The per-part min broadcasts back over the bounded pair aggregate
     (`_dim_lookup` budget guard), and names attach to winners only."""
     import ray
-    import ray.data as rd
 
     from ..stages.dedup import id_set_filter
     from ..stages.joins import broadcast_lookup_join
 
-    nat_rows = _read(
-        sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"]
-    ).take_all()
-    reg_rows = _read(sf_dir, "region", ["r_regionkey", "r_name"]).take_all()
-    eu_regs = {int(r["r_regionkey"]) for r in reg_rows if r["r_name"] == "EUROPE"}
-    eu_nats = np.sort(
-        np.array(
-            [
-                int(r["n_nationkey"])
-                for r in nat_rows
-                if int(r["n_regionkey"]) in eu_regs
-            ],
-            np.int64,
-        )
-    )
-    nname = {int(r["n_nationkey"]): r["n_name"] for r in nat_rows}
-    eu_ref = ray.put(eu_nats)
+    eu_ref = ray.put(_region_nations(sf_dir, "EUROPE"))
 
     parts15 = _read(sf_dir, "part", ["p_partkey", "p_size"]).map_batches(
         lambda t: t.filter(pc.equal(t["p_size"], 15))
@@ -8627,14 +8244,8 @@ def q2_min_balance_supplier(sf_dir: str):
     )
 
     def eu_pairs(t: pa.Table) -> pa.Table:
-        nats = ray.get(eu_ref)
         sn = t["s_nat"].to_numpy(zero_copy_only=False)
-        if len(nats) == 0:
-            keep = np.zeros(t.num_rows, bool)
-        else:
-            pos = np.minimum(np.searchsorted(nats, sn), len(nats) - 1)
-            keep = nats[pos] == sn
-        t = t.filter(pa.array(keep))
+        t = t.filter(pa.array(np.isin(sn, ray.get(eu_ref))))
         pk_arr = t["l_partkey"].to_numpy(zero_copy_only=False)
         sk = t["l_suppkey"].to_numpy(zero_copy_only=False)
         if len(sk) and (sk.max() >= (1 << 31) or pk_arr.max() >= (1 << 31)):
@@ -8681,56 +8292,36 @@ def q2_min_balance_supplier(sf_dir: str):
             }
         )
 
-    win = pairs.map_batches(winners_only, batch_format="pyarrow").take_all()
-    # output-sized: per-part winners only
-    wpart = sorted({int(r["p_partkey"]) for r in win})
-    wsupp = sorted({int(r["s_suppkey"]) for r in win})
-    pnames = {
-        int(r["p_partkey"]): r["p_name"]
-        for r in id_set_filter(
-            rd.from_arrow(pa.table({"p_partkey": pa.array(wpart, pa.int64())})),
-            "p_partkey",
-            keep=True,
-            n_ids=max(len(wpart), 1),
-        )(_read(sf_dir, "part", ["p_partkey", "p_name"])).take_all()
-    }
-    srows = {
-        int(r["s_suppkey"]): r
-        for r in id_set_filter(
-            rd.from_arrow(pa.table({"s_suppkey": pa.array(wsupp, pa.int64())})),
-            "s_suppkey",
-            keep=True,
-            n_ids=max(len(wsupp), 1),
-        )(_read(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey"])).take_all()
-    }
-    rows = sorted(
-        win,
-        key=lambda r: (
-            -int(r["cents"]),
-            nname[int(srows[int(r["s_suppkey"])]["s_nationkey"])],
-            srows[int(r["s_suppkey"])]["s_name"],
-            int(r["p_partkey"]),
-        ),
-    )[:100]
-    return pa.table(
+    win = collect_table(
+        pairs.map_batches(winners_only, batch_format="pyarrow"),
+        pa.schema({"p_partkey": pa.int64(), "s_suppkey": pa.int64(), "cents": pa.int64()}),
+    )  # output-sized: per-part winners only
+    part = _rows_by_key(
+        sf_dir, "part", pa.schema({"p_partkey": pa.int64(), "p_name": pa.string()}),
+        win["p_partkey"],
+    )
+    supp = _rows_by_key(
+        sf_dir,
+        "supplier",
+        pa.schema({"s_suppkey": pa.int64(), "s_name": pa.string(), "s_nationkey": pa.int64()}),
+        win["s_suppkey"],
+    )
+    nname = _dim_map(sf_dir, "nation", "n_nationkey", "n_name")
+    out = pa.table(
         {
-            "acctbal_cents": pa.array([int(r["cents"]) for r in rows], pa.int64()),
-            "s_name": pa.array(
-                [srows[int(r["s_suppkey"])]["s_name"] for r in rows], pa.string()
-            ),
+            "acctbal_cents": win["cents"],
+            "s_name": supp["s_name"],
             "n_name": pa.array(
-                [
-                    nname[int(srows[int(r["s_suppkey"])]["s_nationkey"])]
-                    for r in rows
-                ],
-                pa.string(),
+                [nname[k] for k in supp["s_nationkey"].to_pylist()], pa.string()
             ),
-            "p_partkey": pa.array([int(r["p_partkey"]) for r in rows], pa.int64()),
-            "p_name": pa.array(
-                [pnames[int(r["p_partkey"])] for r in rows], pa.string()
-            ),
+            "p_partkey": win["p_partkey"],
+            "p_name": part["p_name"],
         }
     )
+    return out.sort_by(
+        [("acctbal_cents", "descending"), ("n_name", "ascending"),
+         ("s_name", "ascending"), ("p_partkey", "ascending")]
+    ).slice(0, 100)
 
 
 def q11_important_parts(sf_dir: str):
@@ -8749,22 +8340,7 @@ def q11_important_parts(sf_dir: str):
 
     from ..stages.joins import broadcast_lookup_join
 
-    nat_rows = _read(
-        sf_dir, "nation", ["n_nationkey", "n_regionkey"]
-    ).take_all()
-    reg_rows = _read(sf_dir, "region", ["r_regionkey", "r_name"]).take_all()
-    eu_regs = {int(r["r_regionkey"]) for r in reg_rows if r["r_name"] == "EUROPE"}
-    eu_nats = np.sort(
-        np.array(
-            [
-                int(r["n_nationkey"])
-                for r in nat_rows
-                if int(r["n_regionkey"]) in eu_regs
-            ],
-            np.int64,
-        )
-    )
-    eu_ref = ray.put(eu_nats)
+    eu_ref = ray.put(_region_nations(sf_dir, "EUROPE"))
 
     supp, n_supp = _supplier_nations(sf_dir)
     li = _read(
@@ -8776,14 +8352,8 @@ def q11_important_parts(sf_dir: str):
     )
 
     def eu_lines(t: pa.Table) -> pa.Table:
-        nats = ray.get(eu_ref)
         sn = t["s_nat"].to_numpy(zero_copy_only=False)
-        if len(nats) == 0:
-            return pa.table(
-                {"l_partkey": pa.array([], pa.int64()), "cc": pa.array([], pa.int64())}
-            )
-        pos = np.minimum(np.searchsorted(nats, sn), len(nats) - 1)
-        t = t.filter(pa.array(nats[pos] == sn))
+        t = t.filter(pa.array(np.isin(sn, ray.get(eu_ref))))
         return pa.table({"l_partkey": t["l_partkey"], "cc": _rev_cc(t)})
 
     per_part = grouped_reduce(
@@ -8792,25 +8362,17 @@ def q11_important_parts(sf_dir: str):
         {"cc": ("cc", "sum")},
     ).materialize()  # part-scaled, consumed twice (total + filter)
     total = int(per_part.sum("cc") or 0)
-    if total == 0:
-        return pa.table(
-            {
-                "p_partkey": pa.array([], pa.int64()),
-                "value_centicents": pa.array([], pa.int64()),
-            }
-        )
-    win = per_part.map_batches(
-        lambda t: t.filter(
-            pc.greater(pc.multiply(t["cc"], pa.scalar(1000, pa.int64())), total)
+    win = collect_table(
+        per_part.map_batches(
+            lambda t: t.filter(
+                pc.greater(pc.multiply(t["cc"], pa.scalar(1000, pa.int64())), total)
+            ),
+            batch_format="pyarrow",
         ),
-        batch_format="pyarrow",
-    ).take_all()  # <= 999 rows by construction
-    win.sort(key=lambda r: (-int(r["cc"]), int(r["l_partkey"])))
-    return pa.table(
-        {
-            "p_partkey": pa.array([int(r["l_partkey"]) for r in win], pa.int64()),
-            "value_centicents": pa.array([int(r["cc"]) for r in win], pa.int64()),
-        }
+        pa.schema({"l_partkey": pa.int64(), "cc": pa.int64()}),
+    )  # <= 999 rows by construction
+    return win.rename_columns(["p_partkey", "value_centicents"]).sort_by(
+        [("value_centicents", "descending"), ("p_partkey", "ascending")]
     )
 
 
@@ -8848,9 +8410,7 @@ def q16_supplier_part_counts(sf_dir: str):
             }
         )
 
-    from ..stages.dedup import _collect_table
-
-    part_slice = _collect_table(
+    part_slice = collect_table(
         _read(sf_dir, "part", ["p_partkey", "p_brand", "p_type", "p_size"]).map_batches(
             prep_part, batch_format="pyarrow"
         ),
@@ -8863,25 +8423,24 @@ def q16_supplier_part_counts(sf_dir: str):
             ]
         ),
     )
-    if part_slice.num_rows > 4_000_000:
-        raise ValueError(
-            "q16: filtered part slice exceeds the broadcast budget — "
-            "restate the attribute attach as a distributed join"
-        )
-    bdict = {s: i for i, s in enumerate(sorted(set(part_slice["p_brand"].to_pylist())))}
-    tdict = {s: i for i, s in enumerate(sorted(set(part_slice["p_type"].to_pylist())))}
-    if len(bdict) > 64 or len(tdict) > 16:
+    bvocab = np.array(sorted(set(part_slice["p_brand"].to_pylist())), dtype=object)
+    tvocab = np.array(sorted(set(part_slice["p_type"].to_pylist())), dtype=object)
+    if len(bvocab) > 64 or len(tvocab) > 16:
         raise ValueError("q16: brand/type dictionary exceeds pack range")
-    pk_np = part_slice["p_partkey"].to_numpy(zero_copy_only=False)
-    grp_np = (
-        (np.array([bdict[s] for s in part_slice["p_brand"].to_pylist()], np.int64) << 10)
-        | (np.array([tdict[s] for s in part_slice["p_type"].to_pylist()], np.int64) << 6)
-        | part_slice["p_size"].to_numpy(zero_copy_only=False)
+    grp = (
+        (np.searchsorted(bvocab, part_slice["p_brand"].to_numpy(zero_copy_only=False)) << 10)
+        | (np.searchsorted(tvocab, part_slice["p_type"].to_numpy(zero_copy_only=False)) << 6)
+        | part_slice["p_size"].to_numpy()
     )
-    import ray
+    import ray.data as rd
 
-    order = np.argsort(pk_np)
-    attr_ref = ray.put((pk_np[order], [grp_np[order]]))
+    attr_ref = _dim_lookup(
+        rd.from_arrow(
+            pa.table({"p_partkey": part_slice["p_partkey"], "grp": pa.array(grp, pa.int64())})
+        ),
+        "p_partkey",
+        ["grp"],
+    )
 
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_acctbal"]).map_batches(
         lambda t: pa.table(
@@ -8919,35 +8478,30 @@ def q16_supplier_part_counts(sf_dir: str):
         .aggregate(Count())  # global distinct on the packed key
     )
 
-    rows = grouped_reduce(
-        distinct_pairs.map_batches(
-            lambda t: pa.table(
-                {"grp": pa.array(t["pk"].to_numpy(zero_copy_only=False) >> 31)}
+    t = collect_table(
+        grouped_reduce(
+            distinct_pairs.map_batches(
+                lambda t: pa.table(
+                    {"grp": pa.array(t["pk"].to_numpy(zero_copy_only=False) >> 31)}
+                ),
+                batch_format="pyarrow",
             ),
-            batch_format="pyarrow",
+            "grp",
+            {"n": (None, "count_all")},
         ),
-        "grp",
-        {"n": (None, "count_all")},
-    ).take_all()  # grid-bounded: |brands| x |types| x |sizes|
-    binv = {i: s for s, i in bdict.items()}
-    tinv = {i: s for s, i in tdict.items()}
-    recs = [
-        (
-            binv[int(r["grp"]) >> 10],
-            tinv[(int(r["grp"]) >> 6) & 15],
-            int(r["grp"]) & 63,
-            int(r["n"]),
-        )
-        for r in rows
-    ]
-    recs.sort(key=lambda x: (-x[3], x[0], x[1], x[2]))
+        pa.schema({"grp": pa.int64(), "n": pa.int64()}),
+    )  # grid-bounded: |brands| x |types| x |sizes|
+    g = t["grp"].to_numpy()
     return pa.table(
         {
-            "p_brand": pa.array([x[0] for x in recs], pa.string()),
-            "p_type": pa.array([x[1] for x in recs], pa.string()),
-            "p_size": pa.array([x[2] for x in recs], pa.int64()),
-            "supplier_cnt": pa.array([x[3] for x in recs], pa.int64()),
+            "p_brand": pa.array(bvocab[g >> 10], pa.string()),
+            "p_type": pa.array(tvocab[(g >> 6) & 15], pa.string()),
+            "p_size": pa.array(g & 63, pa.int64()),
+            "supplier_cnt": t["n"],
         }
+    ).sort_by(
+        [("supplier_cnt", "descending"), ("p_brand", "ascending"),
+         ("p_type", "ascending"), ("p_size", "ascending")]
     )
 
 
@@ -8962,8 +8516,6 @@ def q20_volume_share_suppliers(sf_dir: str):
     the packed-key pair aggregate and the per-part totals; totals
     broadcast back over the pair aggregate (`_dim_lookup` budget guard);
     winner supplier ids are output-sized and names attach to them only."""
-    import ray.data as rd
-
     from ..stages.dedup import id_set_filter
 
     blue = _read(sf_dir, "part", ["p_partkey", "p_name"]).map_batches(
@@ -9025,28 +8577,24 @@ def q20_volume_share_suppliers(sf_dir: str):
             {"s_suppkey": pa.array(np.unique(pk[keep] & ((1 << 31) - 1)))}
         )
 
-    win = pairs.map_batches(winners, batch_format="pyarrow").take_all()
-    wsupp = sorted({int(r["s_suppkey"]) for r in win})
-    nat_rows = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).take_all()
-    target = {
-        int(r["n_nationkey"]) for r in nat_rows if r["n_name"] == "NATION_3"
-    }
-    srows = id_set_filter(
-        rd.from_arrow(pa.table({"s_suppkey": pa.array(wsupp, pa.int64())})),
-        "s_suppkey",
-        keep=True,
-        n_ids=max(len(wsupp), 1),
-    )(_read(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey"])).take_all()
-    out = sorted(
-        (int(r["s_suppkey"]), r["s_name"])
-        for r in srows
-        if int(r["s_nationkey"]) in target
+    wsupp = np.unique(
+        collect_table(
+            pairs.map_batches(winners, batch_format="pyarrow"),
+            pa.schema({"s_suppkey": pa.int64()}),
+        )["s_suppkey"].to_numpy()
+    )  # output-sized
+    target = [
+        k for k, v in _dim_map(sf_dir, "nation", "n_nationkey", "n_name").items()
+        if v == "NATION_3"
+    ]
+    s = _rows_by_key(
+        sf_dir,
+        "supplier",
+        pa.schema({"s_suppkey": pa.int64(), "s_name": pa.string(), "s_nationkey": pa.int64()}),
+        wsupp,
     )
-    return pa.table(
-        {
-            "s_suppkey": pa.array([x[0] for x in out], pa.int64()),
-            "s_name": pa.array([x[1] for x in out], pa.string()),
-        }
+    return s.filter(pa.array(np.isin(s["s_nationkey"].to_numpy(), target))).select(
+        ["s_suppkey", "s_name"]
     )
 
 
@@ -9084,16 +8632,14 @@ def pagerank_user_types(sf_dir: str):
             t = t.take(order[:20])
         return t.select(["uid", "s"])
 
-    top = (
+    top = collect_table(
         state.map_batches(top_partial, batch_format="pyarrow")
         .sort(["s", "uid"], descending=[True, False])
-        .limit(20)
-        .take_all()
+        .limit(20),
+        pa.schema({"uid": pa.int64(), "s": pa.int64()}),
     )
-    node_ids = [-(j + 1) for j in range(len(vocab))] + [
-        int(r["uid"]) for r in top
-    ]
-    units = [int(x) for x in type_scores] + [int(r["s"]) for r in top]
+    node_ids = [-(j + 1) for j in range(len(vocab))] + top["uid"].to_pylist()
+    units = [int(x) for x in type_scores] + top["s"].to_pylist()
     out = pa.table(
         {
             "node_id": pa.array(node_ids, pa.int64()),
@@ -9574,8 +9120,6 @@ def customer_rfm_segments(sf_dir: str, k: int = 4):
     with exact customer counts and spend sums.  k must keep i/k
     binary-exact (2/4/8...) so both engines pick identical boundary
     rows."""
-    import ray.data as rd
-
     from ..stages.layout import range_boundaries_multi
 
     if k & (k - 1):

@@ -3,7 +3,7 @@
 The write-side twin of ``analytics.curation_survivors`` — what a 100 TB
 training-data run actually executes: compute the global exact-dedup winner
 set once (only (text-key, doc_id) shuffles; at 10^12 docs substitute the
-128-bit fingerprint pair of stages/dedup._dup_pair_ds for raw text), then
+128-bit fingerprint pair of analytics.exact_dup_pairs for raw text), then
 stream every input shard through the vectorized quality gate + winner
 membership filter and write one output directory per shard via
 ``sources.io.resumable_transform_write`` — a killed run resumes, skipping

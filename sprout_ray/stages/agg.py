@@ -20,6 +20,8 @@ partial is constructed from the same plan-time-frozen :class:`SketchSpec`, so
 
 ``grouped_reduce`` is the one exact grouped sum/count/min/max: a per-block
 ``pa.Table.group_by`` partial, then one Ray groupby over the partials.
+``collect_table`` is the one way to bring a Dataset to the driver: one
+Arrow table, never row dicts.
 
 Usage::
 
@@ -132,3 +134,25 @@ def grouped_reduce(
         .groupby(keys)
         .aggregate(*merges)
     )
+
+
+def collect_table(ds, schema: pa.Schema | None = None) -> pa.Table:
+    """The driver collect: ``ds``'s blocks concatenated into one Arrow table.
+
+    Blocks stream through ``iter_batches(batch_size=None)``, one execution
+    of the pipeline. ``to_arrow_refs`` also runs part of a lazy pipeline a
+    second time for its schema: 10 UDF calls for 6 blocks and 2.2x the
+    wall time, measured on a 30k-row 6-block ``map_batches``. Ray yields no
+    0-row blocks here, so a Dataset that is empty may carry no schema at
+    all. With ``schema``, each block is selected and cast to it and 0 rows
+    give ``schema.empty_table()``; without it, 0 rows give a column-less
+    table. Never ``take_all()`` row dicts: 17 s against < 1 s at 11.7M
+    rows."""
+    tbls = [
+        t if schema is None else t.select(schema.names).cast(schema)
+        for t in ds.iter_batches(batch_format="pyarrow", batch_size=None)
+        if t.num_rows
+    ]
+    if tbls:
+        return pa.concat_tables(tbls)
+    return pa.table({}) if schema is None else schema.empty_table()

@@ -30,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from .agg import collect_table
 from .similarity import _emb_matrix, _normalize
 
 
@@ -132,21 +133,13 @@ def kmeans_fit(
                 }
             )
 
-        part_list = [
-            t
-            for t in ray.get(
-                ds.map_batches(
-                    partials,
-                    batch_format="pyarrow",
-                    batch_size=None,
-                    zero_copy_batch=True,
-                ).to_arrow_refs()
+        part_tbl = collect_table(
+            ds.map_batches(
+                partials, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
             )
-            if t.num_rows
-        ]
-        if not part_list:
+        )
+        if not part_tbl.num_rows:
             raise ValueError("kmeans_fit: input dataset produced no rows")
-        part_tbl = pa.concat_tables(part_list)
         sums = np.zeros((k, dim), np.float64)
         counts = np.zeros(k, np.int64)
         for blob in part_tbl["payload"].to_pylist():

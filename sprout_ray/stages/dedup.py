@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 
 from ..kernel.murmur3 import hash_keys, murmur3_64_padded_multi
 from . import joins
+from .agg import collect_table
 
 _MERSENNE = (1 << 61) - 1
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -307,22 +308,6 @@ def hot_bucket_rows(rows_ds, count_ds=None):
     return id_set_filter(hot_ds, "bucket_key", keep=True, n_ids=n)(rows_ds), n
 
 
-def _collect_table(ds, schema: pa.Schema):
-    """Driver-side Arrow-native collect: concat a Dataset's blocks, skipping
-    0-row blocks (Ray can emit them with degenerate/empty schemas that break
-    concat_tables) and casting to the expected schema. Never row dicts."""
-    import ray
-
-    tbls = [
-        t.select(schema.names).cast(schema)
-        for t in ray.get(ds.to_arrow_refs())
-        if t.num_rows
-    ]
-    if not tbls:
-        return schema.empty_table()
-    return pa.concat_tables(tbls)
-
-
 def id_set_filter(
     ids_ds,
     id_col: str,
@@ -356,7 +341,7 @@ def id_set_filter(
 
     if n_ids <= joins.DIM_BROADCAST_MAX:
         arr = np.sort(
-            _collect_table(ids_ds, pa.schema([(id_col, key_type)]))[
+            collect_table(ids_ds, pa.schema([(id_col, key_type)]))[
                 id_col
             ].to_numpy(zero_copy_only=False)
         )
@@ -612,7 +597,7 @@ def _gram_df_ranks(ds, text_col: str, n: int, max_grams: int = GRAM_RANK_MAX):
     )
     if counts.count() > max_grams:
         return None
-    tbl = _collect_table(
+    tbl = collect_table(
         counts,
         pa.schema([("gram", pa.int64()), ("count()", pa.int64())]),
     )
@@ -663,7 +648,7 @@ def _doc_gram_payload_ref(ds, text_col: str, id_col: str, n: int):
             {"id": pa.array(ids), "grams": pa.array(payload, pa.large_binary())}
         )
 
-    tbl = _collect_table(
+    tbl = collect_table(
         ds.map_batches(gram_rows, batch_format="pyarrow", zero_copy_batch=True),
         pa.schema([("id", pa.int64()), ("grams", pa.large_binary())]),
     )
@@ -956,7 +941,7 @@ def ngram_jaccard_pairs_distributed(
         )
 
     empty_ids = np.sort(
-        _collect_table(
+        collect_table(
             ds.map_batches(empty_ids_block, batch_format="pyarrow"),
             pa.schema([("id", pa.int64())]),
         )["id"].to_numpy(zero_copy_only=False)
@@ -1034,14 +1019,14 @@ def ngram_jaccard_pairs_distributed(
         ).astype(np.int64, copy=False)
         return pa.table({"id": pa.array(u)})
 
-    id_tbl = _collect_table(
+    id_tbl = collect_table(
         cand.map_batches(block_ids, batch_format="pyarrow"),
         pa.schema([("id", pa.int64())]),
     )
     cand_ids = np.unique(id_tbl["id"].to_numpy(zero_copy_only=False)).tolist()
     if len(cand_ids) <= TEXT_BROADCAST_MAX_DOCS:
         id_arr = pa.array(cand_ids, pa.int64())
-        text_tbl = _collect_table(
+        text_tbl = collect_table(
             ds.map_batches(
                 lambda t: t.filter(pc.is_in(t[id_col], value_set=id_arr)).select(
                     [id_col, text_col]
@@ -1400,7 +1385,7 @@ def connected_components_distributed(
         # shuffle-free map labels every node. The join loop below
         # costs ~1-2 s of fixed hash-join actor time PER ROUND regardless
         # of volume; above the budget it remains the scale path.
-        et = _collect_table(
+        et = collect_table(
             edges, pa.schema([("src", pa.int64()), ("dst", pa.int64())])
         )
         src = et["src"].to_numpy(zero_copy_only=False)
@@ -1793,7 +1778,7 @@ def incremental_dedup(
         # all): stream old_fp once against the sorted maybe-fp array to
         # find which maybe fps are truly seen, then drop those rows
         mfp = np.unique(
-            _collect_table(maybes.select_columns(["fp"]), fp_schema)[
+            collect_table(maybes.select_columns(["fp"]), fp_schema)[
                 "fp"
             ].to_numpy(zero_copy_only=False)
         )
@@ -1808,7 +1793,7 @@ def incremental_dedup(
             ).cast(fp_schema)
 
         seen = np.unique(
-            _collect_table(
+            collect_table(
                 old_fp.map_batches(old_hits, batch_format="pyarrow"),
                 fp_schema,
             )["fp"].to_numpy(zero_copy_only=False)
@@ -2098,7 +2083,7 @@ def winnow_shared_docs(ds, k: int = 3, w: int = 4, min_docs: int = 2,
     ns = shared.count()
     if ns <= joins.DIM_BROADCAST_MAX:
         arr = np.sort(
-            _collect_table(shared, pa.schema([("fp", pa.int64())]))[
+            collect_table(shared, pa.schema([("fp", pa.int64())]))[
                 "fp"
             ].to_numpy(zero_copy_only=False)
         )

@@ -51,7 +51,7 @@ def bipartite_pagerank(
     int64 numpy vectors for the right nodes (vocab-sorted), and ``vocab``
     is the sorted right vocabulary.
     """
-    from .dedup import _collect_table
+    from .agg import collect_table
 
     # ---- right vocabulary (small side; loud bitmask-width guard) -------
     vocab_rows = (
@@ -149,7 +149,7 @@ def bipartite_pagerank(
             {"tid": pa.array(np.arange(k)), "part": pa.array(parts)}
         ).cast(part_schema)
 
-    dt_rows = _collect_table(
+    dt_rows = collect_table(
         state.map_batches(deg_partial, batch_format="pyarrow"), part_schema
     )
     type_deg = np.zeros(k, dtype=np.int64)
@@ -188,7 +188,7 @@ def bipartite_pagerank(
                 {"tid": pa.array(np.arange(k)), "part": pa.array(parts)}
             ).cast(part_schema)
 
-        rows = _collect_table(
+        rows = collect_table(
             state.map_batches(agg_partial, batch_format="pyarrow"), part_schema
         )
         agg = np.zeros(k, dtype=np.int64)

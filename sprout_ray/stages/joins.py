@@ -394,9 +394,9 @@ def broadcast_lookup_join(
     if right_count is None:
         right_count = right.count()
     if right_count <= DIM_BROADCAST_MAX:
-        from .dedup import _collect_table
+        from .agg import collect_table
 
-        tbl = _collect_table(right, right.schema().base_schema)
+        tbl = collect_table(right, right.schema().base_schema)
         keys = tbl[on].to_numpy(zero_copy_only=False)
         order = np.argsort(keys, kind="stable")
         if keys.size > 1 and not (keys[order][1:] > keys[order][:-1]).all():
@@ -526,7 +526,6 @@ def snapshot_diff(old_ds, new_ds, key: str, val_col: str):
     new value) in a single shuffle; the comparison is a vectorized
     map over the aggregate rows. Exact: values compare directly (string
     max over a singleton), never through a hash."""
-    import ray.data as rd
     from ray.data.aggregate import Max, Sum
 
     def tag(side: int):

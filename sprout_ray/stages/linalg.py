@@ -32,9 +32,9 @@ def _partial_rows(vec: np.ndarray) -> pa.Table:
 
 
 def _reduce_vec(ds_rows, d: int) -> np.ndarray:
-    from .dedup import _collect_table
+    from .agg import collect_table
 
-    t = _collect_table(
+    t = collect_table(
         ds_rows, pa.schema([("dim", pa.int64()), ("part", pa.float64())])
     )
     out = np.zeros(d, dtype=np.float64)
@@ -107,9 +107,9 @@ def top_principal_component(
             "n", pa.array(np.full(tbl.num_rows, float(len(x))))
         )
 
-    from .dedup import _collect_table
+    from .agg import collect_table
 
-    mt = _collect_table(
+    mt = collect_table(
         ds.map_batches(mean_partials, batch_format="pyarrow"),
         pa.schema(
             [("dim", pa.int64()), ("part", pa.float64()), ("n", pa.float64())]
@@ -218,9 +218,9 @@ def exact_gram(ds, emb_col: str = "embedding") -> tuple[np.ndarray, int]:
         )
         return tbl.append_column("n", pa.array(np.full(d * d, float(len(x)))))
 
-    from .dedup import _collect_table
+    from .agg import collect_table
 
-    t = _collect_table(
+    t = collect_table(
         ds.map_batches(gram_partials, batch_format="pyarrow"),
         pa.schema([("dim", pa.int64()), ("part", pa.float64()), ("n", pa.float64())]),
     )

@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
+
+from .agg import collect_table
 
 
 def profile_columns(ds, columns: list[str], distinct_k: int = 65536):
@@ -48,17 +49,10 @@ def profile_columns(ds, columns: list[str], distinct_k: int = 65536):
             row[f"max_{c}"] = pa.array([mx.as_py()], col.type)
         return pa.table(row)
 
-    parts = pa.concat_tables(
-        t
-        for t in ray.get(
-            ds.map_batches(
-                per_block,
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
-            ).to_arrow_refs()
+    parts = collect_table(
+        ds.map_batches(
+            per_block, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
         )
-        if t.num_rows
     )
     kmvs = multi_sketch_build(
         ds, {c: (SketchSpec.of("kmv", distinct_k), c) for c in columns}

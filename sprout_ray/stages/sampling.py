@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import murmur_column
+from .agg import collect_table
 
 
 def _take_batch(
@@ -77,8 +78,6 @@ def take_per_group(ds, key: str, order_col: str, quota, columns=None):
     quota)`` rows — independent of corpus size. Assumes bounded strata
     cardinality (languages/domains/sources), which is what corpus mixing
     means; for unbounded strata use a groupby path instead."""
-    import ray
-
     if callable(quota):
         quota_of = quota
     elif isinstance(quota, dict):
@@ -92,11 +91,10 @@ def take_per_group(ds, key: str, order_col: str, quota, columns=None):
         lambda t: _take_batch(t, key, order_col, quota_of, cols),
         batch_format="pyarrow",
         zero_copy_batch=True,
-    )
-    # partials are tiny by construction — Arrow-native driver collect;
-    # empty blocks are kept so a 0-row result still carries its schema
-    tables = ray.get(part.to_arrow_refs())
-    merged = pa.concat_tables(tables, promote_options="default")
+    ).materialize()
+    # partials are tiny by construction; the materialized partials know
+    # their schema from block metadata, so a 0-row result still carries it
+    merged = collect_table(part, part.schema().base_schema)
     final = _take_batch(merged, key, order_col, quota_of, cols)
     return final.sort_by([(key, "ascending"), (order_col, "ascending")])
 
@@ -471,8 +469,6 @@ def weighted_sample(
     weights and non-negative ids; ties (astronomically unlikely) break
     by id ASC. Returns (id_col, weight_col, score_col) rows, the sample.
     """
-    import math
-
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 

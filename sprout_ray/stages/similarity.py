@@ -17,6 +17,8 @@ import pyarrow as pa
 
 import ray
 
+from .agg import collect_table
+
 
 def _emb_matrix(col: pa.ChunkedArray, dtype=np.float32) -> np.ndarray:
     arr = col.combine_chunks()
@@ -547,16 +549,11 @@ def exact_cosine_pairs(
     """
     # Arrow-native collect (no row dicts of float lists): concat blocks,
     # then one vectorized list-column -> matrix conversion per chunk
-    tbls = [
-        t
-        for t in ray.get(ds.select_columns([id_col, emb_col]).to_arrow_refs())
-        if t.num_rows
-    ]
-    if not tbls:
+    tbl = collect_table(ds.select_columns([id_col, emb_col]))
+    if not tbl.num_rows:
         ids = np.empty(0, dtype=np.int64)
         mat = np.empty((0, 0), dtype=np.dtype(dtype))
     else:
-        tbl = pa.concat_tables(tbls)
         ids = tbl[id_col].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
         mat = _normalize(_emb_matrix(tbl[emb_col], dtype=np.dtype(dtype)))
     if mat.nbytes > max_broadcast_bytes:
@@ -635,9 +632,6 @@ def token_jaccard_top1(
     Returns pa.Table (query_id, match_id, jaccard rounded to 6) — ranked on
     the unrounded score, ties broken by smaller match_id.
     """
-    import pandas as pd
-    import pyarrow.compute as pc
-
     exploded_q = ds.filter(expr=f"{id_col} < {query_max_id}").map_batches(
         lambda t: _token_explode(t, text_col, id_col), batch_format="pyarrow"
     )

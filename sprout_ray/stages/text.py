@@ -350,7 +350,7 @@ def unigram_logprob_scores(
 
     import ray
 
-    from ..stages.similarity import _BM25_S1, _BM25_S2, _bm25_match, _bm25_tokenize
+    from ..stages.similarity import _BM25_S1, _BM25_S2, _bm25_tokenize
     from ..kernel.murmur3 import hash_keys
 
     tokens = ds.select_columns([text_col]).map_batches(

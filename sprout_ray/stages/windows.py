@@ -38,7 +38,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .agg import grouped_reduce
+from .agg import collect_table, grouped_reduce
 
 _US = 1_000_000
 
@@ -123,14 +123,8 @@ def sorted_blocks(ds, sort_keys: list, block_fn, caller: str):
         ds.map_batches(refuse_nulls, **whole).materialize()
         raise
     done = parts.filter(expr="_kind != 1").drop_columns(["_kind"])
-    edges = [
-        t
-        for t in parts.filter(expr="_kind != 0").iter_batches(
-            batch_format="pyarrow", batch_size=None
-        )
-        if t.num_rows
-    ]
-    return done, pa.concat_tables(edges) if edges else None
+    edges = collect_table(parts.filter(expr="_kind != 0"))
+    return done, edges if edges.num_rows else None
 
 
 def key_change(keys: np.ndarray) -> np.ndarray:

@@ -1,14 +1,14 @@
 """stages.agg.grouped_reduce (per-block pyarrow partial + one Ray groupby
 merge) against a whole-table pyarrow group_by, plus the planted cases the
 testdata cannot hit: a NULL order price in customer_rfm_segments and the
-layout guards."""
+layout guards; and stages.agg.collect_table, the one driver collect."""
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from sprout_ray.stages.agg import grouped_reduce
+from sprout_ray.stages.agg import collect_table, grouped_reduce
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -176,3 +176,38 @@ def test_grouped_reduce_null_integer_key_groups():
         (False, 1, 5),
         (True, None, 5),
     ]
+
+
+def test_collect_table_schemaless_empty():
+    """A 0-row input runs no UDF, so the Dataset has no schema at all:
+    without ``schema`` the collect is column-less, with it the empty table
+    carries the schema (what a query that may be empty hands back)."""
+    import ray.data as rd
+
+    ds = rd.from_arrow(_BLOCKS[1]).map_batches(lambda t: t, batch_format="pyarrow")
+    bare = collect_table(ds)
+    assert bare.num_rows == 0 and bare.num_columns == 0
+    schema = pa.schema({"k": pa.string(), "v": pa.int64()})
+    typed = collect_table(ds, schema)
+    assert typed.num_rows == 0 and typed.schema == schema
+
+
+def test_collect_table_skips_empty_blocks():
+    """from_arrow over non-empty and 0-row blocks: the rows of every
+    non-empty block, in block order."""
+    import ray.data as rd
+
+    got = collect_table(rd.from_arrow(_BLOCKS))
+    assert got.equals(pa.concat_tables(_BLOCKS))
+    assert collect_table(rd.from_arrow(_BLOCKS[1])).num_rows == 0
+
+
+def test_collect_table_casts_to_a_wider_schema():
+    """With ``schema`` every block is selected (column order and subset
+    from the schema) and cast: int32 widens to int64."""
+    import ray.data as rd
+
+    schema = pa.schema({"v": pa.int64(), "k": pa.string()})
+    got = collect_table(rd.from_arrow(_BLOCKS), schema)
+    assert got.schema == schema
+    assert got["v"].to_pylist() == pa.concat_tables(_BLOCKS)["v"].to_pylist()

@@ -64,3 +64,41 @@ def test_cbf_open_orders_verify_plans_agree(ray_session, sf_dir, monkeypatch):
     b = run()[a.columns]
     assert len(a) > 0 and a["n_lines"].sum() > 0
     assert a.equals(b)
+
+
+def _local_import_names(fn):
+    """(name, lineno) bound by the imports in ``fn``'s own body, nested
+    functions excluded (they are scanned on their own)."""
+    out, todo = [], list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_no_unused_function_local_imports():
+    """Every name a function imports is read somewhere in that function
+    (nested functions and lambdas included): a dead local import is a
+    dead dependency that still costs its import time."""
+    found = []
+    for dirpath, _, files in os.walk(PKG):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path) as f:
+                tree = ast.parse(f.read(), path)
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                used = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+                for imported, lineno in _local_import_names(fn):
+                    if imported not in used:
+                        found.append(f"{os.path.relpath(path, PKG)}:{lineno} {fn.name}({imported})")
+    assert not found, "unused function-local imports: " + ", ".join(found)

@@ -1111,6 +1111,38 @@ class TestProfileCLI:
         )
         assert bad.returncode != 0 and "did you mean" in bad.stderr
 
+    def test_query_cli_executes_a_dataset_once(self, ray_session, tmp_path, monkeypatch):
+        """A Dataset result is collected in ONE execution: a count() pass
+        before the collect ran the whole pipeline twice."""
+        import argparse
+        import importlib
+
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        from sprout_ray import cli
+
+        calls = tmp_path / "calls"
+
+        def mark(t):
+            with open(calls, "a") as f:
+                f.write("x")
+            return t
+
+        def stub(sf):
+            return rd.from_arrow(pa.table({"a": [1, 2, 3]})).map_batches(
+                mark, batch_format="pyarrow"
+            )
+
+        E = importlib.import_module("__ray_entry__")
+        monkeypatch.setattr(E, "queries", lambda: {"stub": stub})
+        out = tmp_path / "q.parquet"
+        cli.cmd_query(
+            argparse.Namespace(list=False, name="stub", sf=str(tmp_path), out=str(out), num_cpus=2)
+        )
+        assert calls.read_text() == "x"
+        assert pq.read_table(out).num_rows == 3
+
     def test_setops_cli(self):
         """setops subcommand: bloom set-op cardinality estimates vs exact
         DuckDB counts (1%-level at these fills; unknown --a errors loudly)."""
@@ -2206,16 +2238,37 @@ class TestQuartileAndOuterJoin:
 
 
 class TestFkIntegrityReport:
-    def test_planted_orphans_counted_per_row(self, ray_session):
+    @pytest.mark.parametrize("plan", ["broadcast", "distributed"])
+    def test_planted_orphans_counted_per_row(self, ray_session, monkeypatch, plan):
         """Orphan FK values count ROWS (not distinct keys); clean edges
-        report zero."""
+        report zero. Both plans agree, and the distributed one
+        (DIM_BROADCAST_MAX=0) collects no parent key set to the driver:
+        the gate reads parquet row counts before anything is collected."""
         import os
         import tempfile
 
         import pyarrow as pa
         import pyarrow.parquet as pq
+        import ray.data
 
+        import sprout_ray.pipelines.analytics as A
+        import sprout_ray.stages.joins as J
         from sprout_ray.pipelines.analytics import fk_integrity_report
+
+        collected = []
+
+        def spy(fn):
+            def collect(ds, *a, **kw):
+                collected.append(ds)
+                return fn(ds, *a, **kw)
+
+            return collect
+
+        # the package's driver collect, and the Ray call it replaced
+        monkeypatch.setattr(A, "collect_table", spy(A.collect_table))
+        monkeypatch.setattr(ray.data.Dataset, "to_arrow_refs", spy(ray.data.Dataset.to_arrow_refs))
+        if plan == "distributed":
+            monkeypatch.setattr(J, "DIM_BROADCAST_MAX", 0)
 
         with tempfile.TemporaryDirectory() as d:
             pq.write_table(
@@ -2255,6 +2308,9 @@ class TestFkIntegrityReport:
         assert out.loc["lineitem.l_orderkey->orders", "n_orphan_rows"] == 1
         assert out.loc["lineitem.l_partkey->part", "n_orphan_rows"] == 0
         assert out.loc["lineitem.l_suppkey->supplier", "n_orphan_rows"] == 1
+        # the broadcast plan collects the parent key sets; the distributed
+        # one collects nothing at all
+        assert bool(collected) == (plan == "broadcast")
 
 
 class TestAnomalyAndStreak:

@@ -49,6 +49,30 @@ def test_dim_probe_roundtrip_and_miss():
     assert attrs[0][pos[member]].tolist() == [30, 100]
 
 
+def test_dim_lookup_keeps_string_attributes():
+    """Attributes keep their Arrow type: a string attribute comes back as
+    the names themselves (revenue_by_nation's nation names), an int32 key
+    still probes as int64."""
+    t = pa.table(
+        {
+            "k": pa.array([2, 0, 1], pa.int32()),
+            "name": pa.array(["b", "z", "a"], pa.string()),
+            "v": pa.array([20, 0, 10], pa.int64()),
+        }
+    )
+    ref = A._dim_lookup(_ds(t), "k", ["name", "v"])
+    member, pos, (names, v) = A._dim_probe(ref, np.array([1, 2, 7], np.int64))
+    assert member.tolist() == [True, True, False]
+    assert names[pos[member]].tolist() == ["a", "b"]
+    assert v[pos[member]].tolist() == [10, 20]
+
+
+def test_dim_lookup_unique_guard_string_attribute():
+    t = pa.table({"k": pa.array([1, 1], pa.int64()), "name": ["x", "y"]})
+    with pytest.raises(ValueError, match="not unique"):
+        A._dim_lookup(_ds(t), "k", ["name"])
+
+
 def test_dim_probe_empty_set():
     ref = A._dim_lookup(
         _ds(pa.table({"k": pa.array([], pa.int64())})), "k", []
