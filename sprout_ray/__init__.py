@@ -27,7 +27,7 @@ the CLI, and the test fixture.
 from .tuning import quiet_cosmetic_ray_warnings
 
 # Installed at import so WORKER processes (which import this package when
-# deserializing actor-pool stages) also drop the two known-cosmetic Ray Data
+# deserializing stage functions) also drop the two known-cosmetic Ray Data
 # warnings; a pure logging filter — no Ray session or global state touched.
 quiet_cosmetic_ray_warnings()
 

@@ -18,18 +18,9 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import add_sha256
 from ..kernel.sketch import SketchSpec
-from ..stages.agg import collect_table, grouped_reduce
+from ..stages.agg import collect_table, grouped_reduce, stateful_map
 from ..stages.builder import build_grouped, build_sketch, multi_sketch_build
 from ..stages.probe import probe_filter
-
-
-def _pool8() -> int:
-    """Machine-sized actor-pool concurrency for the compute-bound stages
-    (minhash signatures, cosine matmul verify): tuning.actor_pool_size
-    with cap 8 — still deadlock-safe on tiny clusters (2 at 4 CPUs)."""
-    from ..tuning import actor_pool_size
-
-    return actor_pool_size(cap=8)
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -92,12 +83,12 @@ def token_counts(sf_dir: str):
 
 
 def doc_quality(sf_dir: str):
-    """Quality features per doc (actor-pool stage, deterministic rounding)."""
+    """Quality features per doc (stateful stage, deterministic rounding)."""
     from ..stages.text import QualityScorer
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = ds.map_batches(
-        QualityScorer, batch_format="pyarrow", concurrency=2, batch_size=256
+    out = stateful_map(
+        ds, QualityScorer, {}, batch_format="pyarrow", batch_size=256
     )
     return out.select_columns(
         ["doc_id", "token_count", "punct_ratio", "alpha_ratio"]
@@ -188,14 +179,10 @@ def _dim_map(sf_dir: str, table: str, key: str, value: str) -> dict:
 def _ids_keep(id_col: str, *ids):
     """``id_set_filter`` keeping the rows whose ``id_col`` is in the union
     of the BOUNDED int id arrays ``ids`` (winners, candidate pairs)."""
-    import ray.data as rd
-
     from ..stages.dedup import id_set_filter
 
     u = np.unique(np.concatenate([np.asarray(i, np.int64) for i in ids]))
-    return id_set_filter(
-        rd.from_arrow(pa.table({id_col: u})), id_col, keep=True, n_ids=u.size
-    )
+    return id_set_filter(u, id_col, keep=True)
 
 
 def _rows_by_key(sf_dir: str, table: str, schema: pa.Schema, ids) -> pa.Table:
@@ -741,7 +728,7 @@ def orders_semi_join(sf_dir: str):
         hot, SketchSpec.of("bloom", 0.01, max(n_hot, 11)), on="o_orderkey"
     )
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-    pruned = probe_filter(li, bf, on="l_orderkey", mode="maybe", concurrency=2)
+    pruned = probe_filter(li, bf, on="l_orderkey", mode="maybe")
     keys = hot.map_batches(
         lambda t: t.rename_columns(["l_orderkey"]), batch_format="pyarrow"
     )
@@ -1000,7 +987,7 @@ def bloom_probe_prune(sf_dir: str):
     )
     by_flag = _collect_dict(
         grouped_reduce(
-            probe_filter(both, bf, on="sha256", mode="maybe", concurrency=2),
+            probe_filter(both, bf, on="sha256", mode="maybe"),
             "is_member",
             {"n": ("is_member", "count")},
         ),
@@ -1458,13 +1445,14 @@ def minhash_neardup(sf_dir: str):
     stream exceeds the gate should consume
     stages/dedup.minhash_dedup_pairs directly (fully streaming)."""
     from ..stages.dedup import minhash_dedup_pairs, shingle_hashes
-    from ..tuning import actor_pool_size
 
     num_perm = 128
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    pairs_ds = minhash_dedup_pairs(
-        ds, threshold=0.8, concurrency=actor_pool_size(cap=8)
-    ).select_columns(["left_id", "right_id", "est_jaccard"]).materialize()
+    pairs_ds = (
+        minhash_dedup_pairs(ds, threshold=0.8)
+        .select_columns(["left_id", "right_id", "est_jaccard"])
+        .materialize()
+    )
     _evidence_gate(pairs_ds.count(), "minhash_neardup",
                    "stages/dedup.minhash_dedup_pairs")
     pairs = collect_table(
@@ -1591,9 +1579,7 @@ def minhash_neardup_exact(sf_dir: str):
     # clique (every member of an exact-dup clique shares every bucket) —
     # the default 64 would silently drop pairs of a >64-way clique that
     # the SQL self-join keeps
-    pairs = minhash_dedup_pairs(
-        corpus, threshold=1.0, concurrency=_pool8(), max_bucket=100_000
-    )
+    pairs = minhash_dedup_pairs(corpus, threshold=1.0, max_bucket=100_000)
     return _verify_pairs_exact_text(pairs, corpus)
 
 
@@ -1807,9 +1793,7 @@ def customers_no_orders(sf_dir: str):
     # filter pipeline once just to count survivors)
     cap = _read(sf_dir, "orders", ["o_custkey"]).count()
     bf = build_sketch(orders, SketchSpec.of("bloom", 0.01, max(cap, 11)), on="o_custkey")
-    flagged = probe_filter(
-        cust, bf, on="c_custkey", flag_column="maybe", concurrency=2
-    ).materialize()
+    flagged = probe_filter(cust, bf, on="c_custkey", flag_column="maybe").materialize()
     definite = flagged.filter(expr="maybe == False").drop_columns(["maybe"])
     maybe = flagged.filter(expr="maybe == True").drop_columns(["maybe"])
 
@@ -1883,9 +1867,7 @@ def embedding_neardup_exact(sf_dir: str):
     from ..stages.similarity import exact_cosine_pairs
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    pairs = exact_cosine_pairs(
-        ds, threshold=0.4, dtype="float64", concurrency=_pool8()
-    )
+    pairs = exact_cosine_pairs(ds, threshold=0.4, dtype="float64")
 
     def finish(t: pa.Table) -> pa.Table:
         return t.set_column(2, "score", _oround(t["score"], 6))
@@ -1902,7 +1884,7 @@ def curation_survivors(sf_dir: str):
     pass the quality gate — the composed pipeline a 100 TB corpus curation
     run executes before writing shards (dedup -> score -> filter -> join).
 
-    Scale shape: quality features are one vectorized actor-pool pass
+    Scale shape: quality features are one vectorized task pass
     (stages/text.QualityScorer); dedup winners shuffle (text, doc_id) via a
     native groupby-min (at 10^12 docs swap text for the 128-bit fingerprint
     pair, see exact_dup_pairs); survivors = hash join of the two id streams —
@@ -1913,8 +1895,7 @@ def curation_survivors(sf_dir: str):
     from ..stages.text import QualityScorer
 
     feats = (
-        ds.map_batches(QualityScorer, batch_format="pyarrow", concurrency=2,
-                       batch_size=256)
+        stateful_map(ds, QualityScorer, {}, batch_format="pyarrow", batch_size=256)
         .filter(expr="token_count >= 30 and punct_ratio <= 0.3")
         .select_columns(["doc_id", "lang"])
     )
@@ -1955,7 +1936,7 @@ def ann_brute_topk(sf_dir: str):
     qrows = ds.sort("vec_id").take(4)  # 4 globally-lowest ids = SQL's ORDER BY vec_id LIMIT 4
     qids = np.array([r["vec_id"] for r in qrows], dtype=np.int64)
     q = np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in qrows])
-    df = ann_topk(ds, q, k=10, concurrency=2, dtype="float64")
+    df = ann_topk(ds, q, k=10, dtype="float64")
     df["query_id"] = qids[df["query_id"].to_numpy()]
     s = df["score"].to_numpy()
     df["score"] = np.sign(s) * np.floor(np.abs(s) * 1e6 + 0.5) / 1e6
@@ -1981,8 +1962,8 @@ def ann_ivf_topk(sf_dir: str):
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     qrows = ds.take(4)
     q = np.stack([np.asarray(r["embedding"], dtype=np.float32) for r in qrows])
-    ivf = ivf_topk(ds, q, k=10, nlist=8, nprobe=4, concurrency=2)
-    brute = ann_topk(ds, q, k=10, concurrency=2)
+    ivf = ivf_topk(ds, q, k=10, nlist=8, nprobe=4)
+    brute = ann_topk(ds, q, k=10)
     brute_ids = brute.groupby("query_id")["vec_id"].apply(set).to_dict()
     # recall@k divides by the BRUTE top-k size, not the IVF group size —
     # the latter is precision and overstates quality exactly when IVF's
@@ -2016,7 +1997,7 @@ def ann_ivf_exact(sf_dir: str):
     qrows = ds.sort("vec_id").take(4)
     qids = np.array([r["vec_id"] for r in qrows], dtype=np.int64)
     q = np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in qrows])
-    df = ivf_topk(ds, q, k=10, nlist=8, nprobe=8, concurrency=2, dtype="float64")
+    df = ivf_topk(ds, q, k=10, nlist=8, nprobe=8, dtype="float64")
     df["query_id"] = qids[df["query_id"].to_numpy()]
     s = df["score"].to_numpy()
     df["score"] = np.sign(s) * np.floor(np.abs(s) * 1e6 + 0.5) / 1e6
@@ -2033,7 +2014,7 @@ def langid_predictions(sf_dir: str):
     from ..stages.text import LangId
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
-    out = ds.map_batches(LangId, batch_format="pyarrow", concurrency=2)
+    out = stateful_map(ds, LangId, {}, batch_format="pyarrow")
     return collect_table(
         grouped_reduce(out, ["lang", "lang_pred"], {"n": ("lang", "count")}),
         pa.schema({"lang": pa.string(), "lang_pred": pa.string(), "n": pa.int64()}),
@@ -2315,18 +2296,18 @@ def cms_event_type_exact(sf_dir: str):
 
 
 def media_features(sf_dir: str):
-    """Multimodal plumbing: synthetic media table -> actor-pool fake decode."""
+    """Multimodal plumbing: synthetic media table -> stateful fake decode."""
     import ray.data as rd
 
     from ..stages.multimodal import decode_features, synth_media_table
 
     ds = rd.from_arrow(synth_media_table(200, seed=42))
-    return decode_features(ds, fake=True, concurrency=2)
+    return decode_features(ds, fake=True)
 
 
 def media_ppm_features(sf_dir: str):
     """REAL image decode end to end: deterministic PPM (P6) payloads ->
-    actor-pool pure-numpy codec (header grammar + pixel reshape, no
+    stateful pure-numpy codec (header grammar + pixel reshape, no
     external library) -> pixel-space features (channel means, luminance
     stats). fake=False: this is the non-stub decode path."""
     import ray.data as rd
@@ -2334,24 +2315,24 @@ def media_ppm_features(sf_dir: str):
     from ..stages.multimodal import decode_features, synth_ppm_media_table
 
     ds = rd.from_arrow(synth_ppm_media_table(200, seed=42))
-    return decode_features(ds, fake=False, concurrency=2)
+    return decode_features(ds, fake=False)
 
 
 def media_wav_features(sf_dir: str):
     """REAL audio decode end to end: deterministic PCM16 WAV payloads ->
-    actor-pool pure-numpy RIFF codec -> signal features (RMS, peak,
+    stateful pure-numpy RIFF codec -> signal features (RMS, peak,
     zero crossings, energy split). fake=False: the non-stub audio path."""
     import ray.data as rd
 
     from ..stages.multimodal import decode_features, synth_wav_media_table
 
     ds = rd.from_arrow(synth_wav_media_table(200, seed=42))
-    return decode_features(ds, fake=False, concurrency=2)
+    return decode_features(ds, fake=False)
 
 
 def media_spectrogram(sf_dir: str):
     """REAL spectral audio analysis end to end: PCM16 WAV payloads ->
-    actor-pool framing + Hann + np.fft.rfft + HTK mel filterbank ->
+    stateful framing + Hann + np.fft.rfft + HTK mel filterbank ->
     per-row log-mel features (stages/multimodal.SpectrogramStage).
 
     SELF-EVIDENCE in-band: the synth corpus's row i carries a sine at
@@ -2374,8 +2355,7 @@ def media_spectrogram(sf_dir: str):
     n_mels, n_fft, rate = 16, 256, 16000
     ds = rd.from_arrow(synth_wav_media_table(200, seed=42, sample_rate=rate))
     out = audio_spectral_ds(
-        ds.select_columns(["media_id", "payload"]),
-        n_mels=n_mels, n_fft=n_fft, concurrency=2,
+        ds.select_columns(["media_id", "payload"]), n_mels=n_mels, n_fft=n_fft
     ).to_pandas().sort_values("media_id").reset_index(drop=True)
     fb = mel_filterbank(n_mels, n_fft, rate)
     pure = {}
@@ -2466,7 +2446,7 @@ def media_audio_neardup(sf_dir: str):
 
 def media_phash_pairs(sf_dir: str):
     """Image near-dup via perceptual hashing over REAL decoded pixels:
-    dHash-64 per image (actor-pool pure-numpy PPM decode) feeds the same
+    dHash-64 per image (stateful pure-numpy PPM decode) feeds the same
     distributed hamming-pair tail as text SimHash. The planted corpus
     carries brightness-shifted copies — byte-distinct (exact dedup is
     blind to them) but dHash-identical (strict comparisons are
@@ -2770,9 +2750,7 @@ def neardup_dedup_survivors(sf_dir: str):
     )
 
     corpus = _planted_dup_docs(sf_dir)
-    pairs = minhash_dedup_pairs(
-        corpus, threshold=1.0, concurrency=_pool8(), max_bucket=100_000
-    )
+    pairs = minhash_dedup_pairs(corpus, threshold=1.0, max_bucket=100_000)
     verified = rd.from_arrow(_verify_pairs_exact_text(pairs, corpus))
     clusters = connected_components_distributed(
         verified, nodes_ds=corpus.select_columns(["doc_id"])
@@ -3952,7 +3930,7 @@ def ann_filtered_topk(sf_dir: str):
     corpus = ds.filter(expr="label == 3").select_columns(
         ["vec_id", "embedding"]
     )
-    df = ann_topk(corpus, q, k=5, concurrency=2, dtype="float64")
+    df = ann_topk(corpus, q, k=5, dtype="float64")
     df["query_id"] = qids[df["query_id"].to_numpy()]
     s = df["score"].to_numpy()
     df["score"] = np.sign(s) * np.floor(np.abs(s) * 1e6 + 0.5) / 1e6
@@ -3987,7 +3965,7 @@ def hybrid_rrf_topk(sf_dir: str):
     qrows = ds.sort("vec_id").take(4)
     qids = np.array([r["vec_id"] for r in qrows], dtype=np.int64)
     q = np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in qrows])
-    vec = ann_topk(ds, q, k=10, concurrency=2, dtype="float64")
+    vec = ann_topk(ds, q, k=10, dtype="float64")
     vec["query_id"] = qids[vec["query_id"].to_numpy()]
     s = vec["score"].to_numpy()
     # rank on the ROUNDED score (the twin's pinned convention), doc asc
@@ -4042,7 +4020,7 @@ def classifier_scores(sf_dir: str):
     The model here is a deterministic fixture both engines can state
     exactly: w_j = (((j*37) % 19) - 9) / 10 over the 64 dims, bias 0 —
     standing in for trained weights, which would ship the same way (one
-    ``ray.put``, loaded once per actor in ``LinearScorer.__init__``).
+    ``ray.put``, loaded once per worker process in ``LinearScorer.__init__``).
     Scale shape: no shuffle, one float64 matmul per batch, output is
     (vec_id, logit, accept). Oracle: DuckDB ``list_dot_product`` against
     the same generated weight list; both engines round the logit 6dp
@@ -4053,7 +4031,7 @@ def classifier_scores(sf_dir: str):
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     dim = len(ds.take(1)[0]["embedding"])
     w = (((np.arange(dim, dtype=np.int64) * 37) % 19) - 9) / 10.0
-    scored = linear_scores(ds, w, concurrency=2)
+    scored = linear_scores(ds, w)
 
     def finish(t: pa.Table) -> pa.Table:
         logit = _oround(t["logit"], 6)
@@ -7235,11 +7213,17 @@ def q17_small_quantity_revenue(sf_dir: str):
 
 def _q21_finish(cnt, sf_dir: str) -> pa.Table:
     """Shared q21 tail: attach supplier names, order by (numwait DESC,
-    name), top-10 — identical for both tiers."""
-    names = (
-        _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
-        .to_pandas()  # dimension table
-    )
+    name), top-10 — identical for both tiers. Only suppliers at or above
+    the 10th-largest count can place (names break the ties), so only their
+    names are fetched: the supplier dimension is SF-scaled."""
+    if len(cnt) > 10:
+        cnt = cnt[cnt["numwait"] >= cnt["numwait"].nlargest(10).iloc[-1]]
+    names = _rows_by_key(
+        sf_dir,
+        "supplier",
+        pa.schema({"s_suppkey": pa.int64(), "s_name": pa.string()}),
+        cnt["s_suppkey"].to_numpy(),
+    ).to_pandas()
     out = cnt.merge(names, on="s_suppkey", how="inner")
     out = out.sort_values(
         ["numwait", "s_name"], ascending=[False, True]
@@ -9040,7 +9024,7 @@ def cbf_open_orders_lineitems(sf_dir: str):
     cbf.validate()
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_linestatus", "l_quantity"])
-    pruned = probe_filter(li, cbf, on="l_orderkey", mode="maybe", concurrency=2)
+    pruned = probe_filter(li, cbf, on="l_orderkey", mode="maybe")
 
     open_keys = orders.map_batches(
         lambda t: t.filter(pc.not_equal(t["o_orderstatus"], "F"))

@@ -12,7 +12,7 @@ finished shards entirely.
 The winner membership filter is SIZE-GUARDED
 (``stages.dedup.id_set_filter``, as in ``exact_dedup``): up to
 ``stages.joins.DIM_BROADCAST_MAX`` winners the sorted id array is broadcast
-once (``ray.put``, read per actor) and every block filters locally; above
+once (``ray.put``, read per task) and every block filters locally; above
 that the winner ids stay a materialized Dataset in the object store and each
 shard runs a distributed hash SEMI-JOIN against them — the winner set is
 ~the distinct-document count, i.e. O(corpus), so an unconditional driver
@@ -60,6 +60,7 @@ def curate_corpus(
     import ray.data as rd
 
     from ..sources.io import resumable_transform_write
+    from ..stages.agg import stateful_map
     from ..stages.text import QualityScorer
 
     ds = rd.read_parquet(input_files, columns=[id_col, text_col])
@@ -98,18 +99,10 @@ def curate_corpus(
         if n_bad:
             contam_filter = id_set_filter(bad_ds, id_col, keep=False, n_ids=n_bad)
 
-    # the scorer actor pool must leave CPU headroom for the read/filter/
-    # sort TASKS sharing the cluster — a pool as large as the cluster
-    # deadlocks the streaming executor (tuning.actor_pool_size)
-    from ..tuning import actor_pool_size
-
-    scorer_conc = actor_pool_size()
-
     def transform(shard_ds):
         kept = winner_filter(
-            shard_ds.map_batches(
-                QualityScorer, batch_format="pyarrow",
-                concurrency=scorer_conc, batch_size=256,
+            stateful_map(
+                shard_ds, QualityScorer, {}, batch_format="pyarrow", batch_size=256
             ).filter(
                 expr=f"token_count >= {min_tokens} and punct_ratio <= {max_punct}"
             )

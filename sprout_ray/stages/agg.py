@@ -21,7 +21,9 @@ partial is constructed from the same plan-time-frozen :class:`SketchSpec`, so
 ``grouped_reduce`` is the one exact grouped sum/count/min/max: a per-block
 ``pa.Table.group_by`` partial, then one Ray groupby over the partials.
 ``collect_table`` is the one way to bring a Dataset to the driver: one
-Arrow table, never row dicts.
+Arrow table, never row dicts. ``stateful_map`` is the one plan for a
+stage with per-process state: plain Ray Data tasks and a small state
+cache in each worker process, never an actor pool.
 
 Usage::
 
@@ -35,6 +37,8 @@ Usage::
 
 from __future__ import annotations
 
+import uuid
+from collections import OrderedDict
 from typing import Callable, Optional, Sequence
 
 import pyarrow as pa
@@ -156,3 +160,35 @@ def collect_table(ds, schema: pa.Schema | None = None) -> pa.Table:
     if tbls:
         return pa.concat_tables(tbls)
     return pa.table({}) if schema is None else schema.empty_table()
+
+
+# Built stage objects per worker process, least recently used first. Two
+# stateful stages of one DAG interleave in the same processes, so one slot
+# would rebuild the state on every batch.
+_STATE_SLOTS = 4
+_STATES: "OrderedDict[str, object]" = OrderedDict()
+
+
+def _run_stage(batch, token: str, cls, ctor_kwargs: dict):
+    state = _STATES.pop(token, None)
+    if state is None:
+        state = cls(**ctor_kwargs)
+        while len(_STATES) >= _STATE_SLOTS:
+            _STATES.popitem(last=False)
+    _STATES[token] = state
+    return state(batch)
+
+
+def stateful_map(ds, cls, ctor_kwargs: dict, **map_batches_kwargs):
+    """``ds.map_batches`` of ``cls(**ctor_kwargs)(batch)`` as plain tasks.
+
+    Each worker process builds ``cls(**ctor_kwargs)`` once per call of this
+    function and keeps it in a module-level LRU keyed by a token minted
+    here, so a second call (another filter, other queries) never sees a
+    stale state. The cache holds the built object, never an ObjectRef:
+    large payloads travel as ``ray.put`` refs in ``ctor_kwargs`` that the
+    constructor ``ray.get``s. An actor pool would need a size, and a pool
+    as large as the cluster deadlocks the streaming executor whenever an
+    upstream read task needs a CPU; tasks share the CPUs with that read."""
+    fn_kwargs = {"token": uuid.uuid4().hex, "cls": cls, "ctor_kwargs": ctor_kwargs}
+    return ds.map_batches(_run_stage, fn_kwargs=fn_kwargs, **map_batches_kwargs)

@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 
 from ..kernel.murmur3 import hash_keys, murmur3_64_padded_multi
 from . import joins
-from .agg import collect_table
+from .agg import collect_table, stateful_map
 
 _MERSENNE = (1 << 61) - 1
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -97,7 +97,7 @@ def shingle_hashes(text: str, k: int = 5) -> np.ndarray:
 
 
 class MinHasher:
-    """Actor-pool stage: per-doc minhash signature over char-k-shingles.
+    """Stateful stage: per-doc minhash signature over char-k-shingles.
 
     Permutations are ``((a*h mod 2^64) + b) mod p`` over the murmur3 shingle
     hashes — the multiply wraps mod 2^64 BEFORE the Mersenne modulo, so this
@@ -140,7 +140,7 @@ class MinHasher:
         2^61 = 1 mod p); asserted in tests. Rows are chunked at ~8k windows
         so the (num_perm x chunk) working set stays cache-resident — the
         32 MB-temp variant of this loop measured 10x slower on this host —
-        and scratch buffers live on the actor, reused across batches."""
+        and scratch buffers live on the stage object, reused across batches."""
         maxu = np.iinfo(np.uint64).max
         n = len(texts)
         out = np.full((n, self.num_perm), maxu, dtype=np.uint64)
@@ -318,7 +318,8 @@ def id_set_filter(
 ):
     """Size-guarded semi-/anti-join against a UNIQUE id set: returns
     ``fn(ds) -> ds`` keeping (``keep=True``) or dropping (``keep=False``)
-    rows whose ``id_col`` appears in ``ids_ds``.
+    rows whose ``id_col`` appears in ``ids_ds`` — a Dataset, or a numpy
+    array of ids already on the driver (no collect pass then).
 
     Up to ``joins.DIM_BROADCAST_MAX`` ids: the sorted id array is
     ``ray.put`` once and every batch resolves map-side via searchsorted —
@@ -333,19 +334,19 @@ def id_set_filter(
     work too (numpy object-array sort/searchsorted on the broadcast
     path)."""
     import ray
+    import ray.data as rd
 
     if key_type is None:
         key_type = pa.int64()
+    on_driver = isinstance(ids_ds, np.ndarray)
     if n_ids is None:
-        n_ids = ids_ds.count()
+        n_ids = ids_ds.size if on_driver else ids_ds.count()
 
     if n_ids <= joins.DIM_BROADCAST_MAX:
-        arr = np.sort(
-            collect_table(ids_ds, pa.schema([(id_col, key_type)]))[
-                id_col
-            ].to_numpy(zero_copy_only=False)
-        )
-        ref = ray.put(arr)
+        arr = ids_ds if on_driver else collect_table(
+            ids_ds, pa.schema([(id_col, key_type)])
+        )[id_col].to_numpy(zero_copy_only=False)
+        ref = ray.put(np.sort(arr))
 
         def mask_batch(t: pa.Table) -> pa.Table:
             ids = t[id_col].to_numpy(zero_copy_only=False)
@@ -367,6 +368,8 @@ def id_set_filter(
     # side's rows all land in one partition — a single partition is also
     # simply faster there)
     parts = num_partitions or max(2, n_ids // 4_000_000)
+    if on_driver:
+        ids_ds = rd.from_arrow(pa.table({id_col: pa.array(ids_ds, key_type)}))
     if keep:
 
         def apply(ds):
@@ -619,8 +622,8 @@ def _gram_df_ranks(ds, text_col: str, n: int, max_grams: int = GRAM_RANK_MAX):
 GRAM_BROADCAST_INCIDENCE_MAX = 32_000_000
 
 # The exact n-gram verify broadcasts its candidate docs' texts as one
-# id -> text dict, unpickled whole by every verify actor; above this many
-# candidate docs the texts hash-join onto the pairs instead.
+# id -> text dict, unpickled whole once per verify worker process; above
+# this many candidate docs the texts hash-join onto the pairs instead.
 TEXT_BROADCAST_MAX_DOCS = 500_000
 
 
@@ -828,8 +831,8 @@ def _pair_metric(inter: int, na: int, nb: int, metric: str) -> float:
 
 
 class _NgramVerifier:
-    """Actor-pool exact set-similarity verify (jaccard or containment):
-    candidate texts are fetched ONCE per actor and shingled into true
+    """Stateful exact set-similarity verify (jaccard or containment):
+    candidate texts are fetched ONCE per worker process and shingled into true
     char-n-gram sets ONCE per doc in ``__init__`` — the naive per-pair
     re-shingle was the dominant cost of the whole join (each doc appears
     in many candidate pairs)."""
@@ -896,7 +899,7 @@ def ngram_jaccard_pairs_distributed(
     (:func:`hot_bucket_rows`, size-guarded broadcast/semi-join) finds grams
     held by >= 2 docs -> pair expansion only there -> pair dedup -> exact
     verify on the candidate pairs' TEXTS (true char sets built once per
-    doc per actor, no hashes, so the qualifying decision is
+    doc per worker process, no hashes, so the qualifying decision is
     float-identical to a SQL twin computing i/(|A|+|B|-i)). Only prefix
     rows shuffle; texts are fetched for the surviving candidate ids alone
     — broadcast up to ``TEXT_BROADCAST_MAX_DOCS``, distributed hash joins
@@ -1025,23 +1028,19 @@ def ngram_jaccard_pairs_distributed(
     )
     cand_ids = np.unique(id_tbl["id"].to_numpy(zero_copy_only=False)).tolist()
     if len(cand_ids) <= TEXT_BROADCAST_MAX_DOCS:
-        id_arr = pa.array(cand_ids, pa.int64())
+        keep_cands = id_set_filter(np.asarray(cand_ids, np.int64), id_col, keep=True)
         text_tbl = collect_table(
-            ds.map_batches(
-                lambda t: t.filter(pc.is_in(t[id_col], value_set=id_arr)).select(
-                    [id_col, text_col]
-                ),
-                batch_format="pyarrow",
-            ),
+            keep_cands(ds.select_columns([id_col, text_col])),
             pa.schema([(id_col, pa.int64()), (text_col, pa.large_string())]),
         )
         text_ref = ray.put(
             dict(zip(text_tbl[id_col].to_pylist(), text_tbl[text_col].to_pylist()))
         )
         return with_clique(
-            cand.map_batches(
+            stateful_map(
+                cand,
                 _NgramVerifier,
-                fn_constructor_kwargs={
+                {
                     "text_ref": text_ref,
                     "n": n,
                     "threshold": threshold,
@@ -1049,7 +1048,6 @@ def ngram_jaccard_pairs_distributed(
                 },
                 batch_format="pyarrow",
                 batch_size=65536,
-                concurrency=(1, 8),
             )
         )
 
@@ -1177,10 +1175,9 @@ def minhash_dedup_pairs(
     num_perm: int = 128,
     bands: int = 16,
     threshold: float = 0.8,
-    concurrency: int = 4,
     max_bucket: int = 64,
 ):
-    """Full near-dup pipeline: signatures (distributed actor pool) -> bands
+    """Full near-dup pipeline: signatures (distributed tasks) -> bands
     -> hot buckets -> in-bucket signature-Jaccard verify >= threshold.
     Returns a Dataset of (left_id, right_id, est_jaccard).
 
@@ -1189,15 +1186,11 @@ def minhash_dedup_pairs(
     shape at 10^12 docs. It produces the pair set of the single-node numpy
     reference :func:`_minhash_pairs_numpy` for buckets under
     ``max_bucket`` (asserted in tests)."""
-    sig_ds = ds.map_batches(
+    sig_ds = stateful_map(
+        ds,
         MinHasher,
-        fn_constructor_kwargs={
-            "num_perm": num_perm,
-            "text_col": text_col,
-            "id_col": id_col,
-        },
+        {"num_perm": num_perm, "text_col": text_col, "id_col": id_col},
         batch_format="pyarrow",
-        concurrency=concurrency,
         batch_size=512,
     )
     return minhash_pairs_distributed(
@@ -1666,28 +1659,6 @@ def _doc_fp_column(col) -> pa.Array:
     return pack_rows(np.column_stack([h1, h2]))
 
 
-# Blooms at or under this serialized size probe via stateless tasks — the
-# per-batch deserialize is microseconds, while an actor pool costs ~1 s of
-# spin-up regardless of input size. Bigger filters keep the actor pool so
-# the deserialize happens once per actor, not once per batch.
-_SMALL_FILTER_BYTES = 4 << 20
-
-
-class _FpProbe:
-    """Actor-pool stage: append the whole-doc fingerprint and probe the
-    broadcast filter in one pass (filter deserialized ONCE per actor via
-    the object-store ref — never shipped per task)."""
-
-    def __init__(self, bf_ref, text_col: str):
-        from .probe import BloomProbe
-
-        self.probe = BloomProbe(bf_ref, on="fp", flag_column="__maybe")
-        self.text_col = text_col
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return self.probe(t.append_column("fp", _doc_fp_column(t[self.text_col])))
-
-
 def incremental_dedup(
     new_ds,
     old_ds,
@@ -1712,14 +1683,12 @@ def incremental_dedup(
     negatives), and only the maybe rows — a tiny superset of the true
     duplicates — pay the exact size-guarded anti-join against the old
     fingerprint set (``id_set_filter``). The maybe split is materialized
-    once (delta-shard-sized, not corpus-sized). Filters under
-    ``_SMALL_FILTER_BYTES`` skip the actor pool: per-batch deserialize of
-    a KB-scale bloom is cheaper than spinning actors up."""
+    once (delta-shard-sized, not corpus-sized)."""
     import ray
 
     from ..kernel.sketch import SketchSpec
     from .builder import build_sketch
-    from .probe import BloomProbe, broadcast_sketch
+    from .probe import probe_filter
 
     def old_fp_block(t: pa.Table) -> pa.Table:
         fp = _doc_fp_column(t[text_col])
@@ -1739,27 +1708,16 @@ def incremental_dedup(
         return new_ds
 
     bf = build_sketch(old_fp, SketchSpec.of("bloom", err_rate, max(n_old, 11)), on="fp")
-    bf_ref = broadcast_sketch(bf)
-    from ..tuning import actor_pool_size
 
-    if bf.bit_width <= _SMALL_FILTER_BYTES:
-        # tiny filter: a stateless task probe (ray.get of the plasma-cached
-        # bytes + a KB-scale deserialize per batch) beats actor-pool spin-up
-        def probe_fn(t: pa.Table) -> pa.Table:
-            probe = BloomProbe(bf_ref, on="fp", flag_column="__maybe")
-            return probe(t.append_column("fp", _doc_fp_column(t[text_col])))
+    def add_fp(t: pa.Table) -> pa.Table:
+        return t.append_column("fp", _doc_fp_column(t[text_col]))
 
-        flagged = new_ds.map_batches(
-            probe_fn, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()  # consumed twice (definite pass-through + maybe verify)
-    else:
-        flagged = new_ds.map_batches(
-            _FpProbe,
-            fn_constructor_kwargs={"bf_ref": bf_ref, "text_col": text_col},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=actor_pool_size(),
-        ).materialize()  # consumed twice (definite pass-through + maybe verify)
+    flagged = probe_filter(
+        new_ds.map_batches(add_fp, batch_format="pyarrow", zero_copy_batch=True),
+        bf,
+        on="fp",
+        flag_column="__maybe",
+    ).materialize()  # consumed twice (definite pass-through + maybe verify)
 
     def strip(t: pa.Table) -> pa.Table:
         return t.drop_columns(["fp", "__maybe"])

@@ -2,7 +2,7 @@
 
 Image/audio/video are treated as opaque ``large_binary`` columns with a
 metadata struct (media_type, width/height or sample_rate, codec). The Ray
-plumbing — schema, actor-pool stage signature, small-batch sizing for large
+plumbing — schema, stateful-stage signature, small-batch sizing for large
 payloads, output layout — is real and tested. Codec status: PPM (P6) and
 PCM16 WAV are REAL pure-numpy codecs (encode/decode round-trips
 byte-exactly; features come from actual pixel/sample arrays — see
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from .agg import stateful_map
 
 MEDIA_SCHEMA = pa.schema(
     [
@@ -49,19 +51,19 @@ def synth_media_table(n: int, seed: int = 42, payload_bytes: int = 4096) -> pa.T
 
 
 class DecodeStage:
-    """Actor-pool decode/feature stage over binary payloads.
+    """Stateful decode/feature stage over binary payloads.
 
     Real deployments replace ``_decode`` with PIL/librosa/ffmpeg decode —
-    loaded once per actor in ``__init__``. Use small ``batch_size`` (payloads
-    are large) and ``num_cpus`` sized to the codec. ``fake=True`` computes
-    deterministic byte statistics instead, keeping the full pipeline
-    runnable in this container.
+    loaded once per worker process in ``__init__`` (``stateful_map``). Use
+    small ``batch_size`` (payloads are large) and ``num_cpus`` sized to the
+    codec. ``fake=True`` computes deterministic byte statistics instead,
+    keeping the full pipeline runnable in this container.
     """
 
     def __init__(self, fake: bool = False, feature_dim: int = 8):
         self.fake = fake
         self.feature_dim = feature_dim
-        # real codec initialization would happen here, once per actor
+        # real codec initialization would happen here, once per process
 
     def _decode(self, payload: bytes, media_type: str) -> np.ndarray:
         if media_type == PPM_TYPE:
@@ -104,20 +106,16 @@ class DecodeStage:
         )
 
 
-def decode_features(ds, fake: bool = True, concurrency: int = 2, batch_size: int = 64):
-    """Actor-pool feature extraction over a media dataset (small batches —
-    payload_size x batch_size x concurrency must fit the worker heap)."""
-    return ds.map_batches(
-        DecodeStage,
-        fn_constructor_kwargs={"fake": fake},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+def decode_features(ds, fake: bool = True, batch_size: int = 64):
+    """Feature extraction over a media dataset (small batches —
+    payload_size x batch_size x CPUs must fit the worker heap)."""
+    return stateful_map(
+        ds, DecodeStage, {"fake": fake}, batch_format="pyarrow", batch_size=batch_size
     )
 
 
 class ResizeStage:
-    """Actor-pool nearest-neighbor resize over raw grayscale frames.
+    """Stateful nearest-neighbor resize over raw grayscale frames.
 
     The RESAMPLE math is real (integer-grid nearest-neighbor over the
     (height, width) byte array — what a thumbnail stage computes after
@@ -164,15 +162,14 @@ class ResizeStage:
         )
 
 
-def resize_media(ds, out_w: int = 32, out_h: int = 32, concurrency: int = 2,
-                 batch_size: int = 64):
-    """Actor-pool resize stage (small batches — payload-bound, like decode)."""
-    return ds.map_batches(
+def resize_media(ds, out_w: int = 32, out_h: int = 32, batch_size: int = 64):
+    """Resize stage (small batches — payload-bound, like decode)."""
+    return stateful_map(
+        ds,
         ResizeStage,
-        fn_constructor_kwargs={"out_w": out_w, "out_h": out_h},
+        {"out_w": out_w, "out_h": out_h},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -207,7 +204,7 @@ def synth_video_table(n: int, seed: int = 42, frame_bytes: int = 1024) -> pa.Tab
 
 
 class FrameSampleStage:
-    """Actor-pool uniform frame sampler: each video row EXPANDS to
+    """Stateful uniform frame sampler: each video row EXPANDS to
     ``n_sample`` frame rows (media_id, frame_idx, frame payload) — the
     flat-map shape of a video-pretraining ingest. Frame slicing is real
     byte math (frame i = payload[i*fb : (i+1)*fb]); sampled indices are the
@@ -238,14 +235,14 @@ class FrameSampleStage:
         )
 
 
-def sample_frames(ds, n_sample: int = 4, concurrency: int = 2, batch_size: int = 32):
+def sample_frames(ds, n_sample: int = 4, batch_size: int = 32):
     """Uniform frame sampling over a video dataset (row-expanding stage)."""
-    return ds.map_batches(
+    return stateful_map(
+        ds,
         FrameSampleStage,
-        fn_constructor_kwargs={"n_sample": n_sample},
+        {"n_sample": n_sample},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -542,7 +539,7 @@ def dhash64(img: np.ndarray) -> int:
 
 
 class PHashStage:
-    """Actor-pool perceptual-hash stage: decode the PPM payload for real,
+    """Stateful perceptual-hash stage: decode the PPM payload for real,
     emit (id, simhash) rows that plug directly into the distributed
     SimHash hamming-pair tail. Output hash is int64-viewed uint64 (the
     dedup machinery's convention)."""
@@ -566,16 +563,15 @@ class PHashStage:
         )
 
 
-def phash_signature_ds(ds, id_col: str = "media_id", concurrency: int = 2,
-                       batch_size: int = 64):
-    """Perceptual-hash signatures over a PPM media dataset (actor pool,
-    payload-bound small batches)."""
-    return ds.map_batches(
+def phash_signature_ds(ds, id_col: str = "media_id", batch_size: int = 64):
+    """Perceptual-hash signatures over a PPM media dataset (payload-bound
+    small batches)."""
+    return stateful_map(
+        ds,
         PHashStage,
-        fn_constructor_kwargs={"id_col": id_col},
+        {"id_col": id_col},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
@@ -612,9 +608,10 @@ def synth_ppm_noise_table(
 # --------------------------------------------------------------------------
 # Spectral audio features — REAL numpy DSP over the PCM16 path (no codec
 # libs needed: framing + Hann window + np.fft.rfft + HTK mel filterbank).
-# The actor-pool stage caches the filterbank per (rate, geometry) on the
-# actor, decodes payloads with the pure-numpy RIFF codec above, and emits
-# fixed-dimension feature vectors; payloads are dropped before any shuffle.
+# The stateful stage caches the filterbank per (rate, geometry) on the
+# stage object, decodes payloads with the pure-numpy RIFF codec above, and
+# emits fixed-dimension feature vectors; payloads are dropped before any
+# shuffle.
 # --------------------------------------------------------------------------
 
 
@@ -685,11 +682,11 @@ def log_mel_features(
 
 
 class SpectrogramStage:
-    """Actor-pool stage: PCM16 WAV payload -> log-mel spectral features.
+    """Stateful stage: PCM16 WAV payload -> log-mel spectral features.
 
-    Filterbanks are cached per sample rate on the actor (built once, not
-    per batch); non-audio rows raise loudly (callers filter by
-    media_type first, the DecodeStage convention)."""
+    Filterbanks are cached per sample rate on the stage object (built once
+    per worker process, not per batch); non-audio rows raise loudly
+    (callers filter by media_type first, the DecodeStage convention)."""
 
     def __init__(self, n_mels: int = 16, n_fft: int = 256, hop: int = 128):
         self.n_mels, self.n_fft, self.hop = n_mels, n_fft, hop
@@ -734,23 +731,14 @@ class SpectrogramStage:
 
 
 def audio_spectral_ds(
-    ds, n_mels: int = 16, n_fft: int = 256, hop: int = 128,
-    concurrency: int | None = None, batch_size: int = 64,
+    ds, n_mels: int = 16, n_fft: int = 256, hop: int = 128, batch_size: int = 64,
 ):
-    """Distributed spectral features over an audio payload Dataset.
-
-    ``concurrency`` defaults through ``tuning.actor_pool_size`` — a pool
-    >= cluster CPUs deadlocks the streaming executor when the upstream
-    read needs a CPU (CLAUDE.md; round-5 review finding)."""
-    if concurrency is None:
-        from ..tuning import actor_pool_size
-
-        concurrency = actor_pool_size(cap=4)
-    return ds.map_batches(
+    """Distributed spectral features over an audio payload Dataset."""
+    return stateful_map(
+        ds,
         SpectrogramStage,
-        fn_constructor_kwargs={"n_mels": n_mels, "n_fft": n_fft, "hop": hop},
+        {"n_mels": n_mels, "n_fft": n_fft, "hop": hop},
         batch_format="pyarrow",
-        concurrency=concurrency,
         batch_size=batch_size,
     )
 
@@ -801,10 +789,7 @@ def synth_wav_dup_table(
     )
 
 
-def audio_neardup_pairs(
-    ds, threshold: float = 0.9, n_fft: int = 256, hop: int = 128,
-    concurrency: int | None = None,
-):
+def audio_neardup_pairs(ds, threshold: float = 0.9, n_fft: int = 256, hop: int = 128):
     """Audio near-dup: per-payload spectral fingerprint (mean log power
     spectrum over STFT frames, per-vector mean-centered so the shared
     noise floor cancels) -> exact cosine-threshold pair join
@@ -845,14 +830,9 @@ def audio_neardup_pairs(
             }
         )
 
-    if concurrency is None:
-        from ..tuning import actor_pool_size
-
-        concurrency = actor_pool_size(cap=4)
     feats = ds.select_columns(["media_id", "payload"]).map_batches(
         fingerprint, batch_format="pyarrow"
     )
     return exact_cosine_pairs(
-        feats, threshold=threshold, emb_col="features", id_col="media_id",
-        concurrency=concurrency,
+        feats, threshold=threshold, emb_col="features", id_col="media_id"
     )

@@ -3,9 +3,10 @@
 Generalizes the reference's filter-as-cache-guard pattern
 (``BloomFilter.Get``, /root/reference/bloom.go:220-236: Contains first, hit
 the store only on maybe) to datasets: the built filter is broadcast ONCE via
-``ray.put`` and read in every actor's ``__init__`` — never re-shipped per
-batch — then used to prune the probe side of a join/lookup before any
-shuffle (classic Bloom semi-join pruning).
+``ray.put`` and deserialized once per worker process (the state cache of
+``stages/agg.stateful_map``) — never re-shipped per batch — then used to
+prune the probe side of a join/lookup before any shuffle (classic Bloom
+semi-join pruning).
 
 No false negatives (bloom.go:200-217): ``mode="maybe"`` keeps a superset of
 true matches; ``mode="definitely-not"`` keeps only rows provably absent.
@@ -19,6 +20,7 @@ import pyarrow as pa
 import ray
 
 from ..kernel.sketch import sketch_from_bytes
+from .agg import stateful_map
 
 
 def broadcast_sketch(sketch) -> "ray.ObjectRef":
@@ -27,10 +29,10 @@ def broadcast_sketch(sketch) -> "ray.ObjectRef":
 
 
 class BloomProbe:
-    """Actor-pool map_batches stage: annotate or filter by membership.
+    """Stateful stage: annotate or filter by membership.
 
-    The filter is deserialized once per actor in ``__init__`` (stateful-stage
-    pattern); ``__call__`` is a vectorized probe per Arrow batch.
+    The filter is deserialized once per worker process in ``__init__``
+    (``stateful_map``); ``__call__`` is a vectorized probe per Arrow batch.
     """
 
     def __init__(
@@ -61,27 +63,18 @@ def probe_filter(
     on: str,
     mode: str = "maybe",
     flag_column: Optional[str] = None,
-    concurrency: Optional[int] = None,
-    batch_size: Optional[int] = None,
 ):
-    """Filter/annotate ``ds`` by membership in ``sketch`` (broadcast once).
-
-    The default pool size adapts to the cluster (tuning.actor_pool_size):
-    a fixed pool as large as the cluster starves the upstream read tasks
-    and hangs the streaming executor on small clusters."""
-    from ..tuning import actor_pool_size
-
-    ref = broadcast_sketch(sketch)
-    return ds.map_batches(
+    """Filter/annotate ``ds`` by membership in ``sketch`` (broadcast once,
+    probed by plain tasks)."""
+    return stateful_map(
+        ds,
         BloomProbe,
-        fn_constructor_kwargs={
-            "sketch_ref": ref,
+        {
+            "sketch_ref": broadcast_sketch(sketch),
             "on": on,
             "mode": mode,
             "flag_column": flag_column,
         },
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency or actor_pool_size(),
     )

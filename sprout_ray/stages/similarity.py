@@ -17,7 +17,7 @@ import pyarrow as pa
 
 import ray
 
-from .agg import collect_table
+from .agg import collect_table, stateful_map
 
 
 def _emb_matrix(col: pa.ChunkedArray, dtype=np.float32) -> np.ndarray:
@@ -38,7 +38,7 @@ def _normalize(m: np.ndarray) -> np.ndarray:
 
 
 class CosineTopK:
-    """Actor-pool stage: per-block top-k cosine scores against broadcast queries.
+    """Stateful stage: per-block top-k cosine scores against broadcast queries.
 
     Emits (query_id, doc id, score) partial top-k rows per block; merge with
     ``_merge_topk`` on the driver."""
@@ -90,12 +90,13 @@ def _merge_topk(partials, k: int, id_col: str):
     )
 
 
-def ann_topk(ds, queries: np.ndarray, k: int = 10, emb_col: str = "embedding", id_col: str = "vec_id", concurrency: int = 4, dtype: str = "float32"):
+def ann_topk(ds, queries: np.ndarray, k: int = 10, emb_col: str = "embedding", id_col: str = "vec_id", dtype: str = "float32"):
     """Brute-force exact cosine top-k (the correctness baseline for ANN)."""
     ref = ray.put(np.asarray(queries, dtype=np.dtype(dtype)))
-    partials = ds.map_batches(
+    partials = stateful_map(
+        ds,
         CosineTopK,
-        fn_constructor_kwargs={
+        {
             "queries_ref": ref,
             "k": k,
             "emb_col": emb_col,
@@ -103,7 +104,6 @@ def ann_topk(ds, queries: np.ndarray, k: int = 10, emb_col: str = "embedding", i
             "dtype": dtype,
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
     ).take_all()
     return _merge_topk(partials, k, id_col)
 
@@ -113,15 +113,16 @@ class LinearScorer:
     quality-classifier scoring stage every curation pipeline runs (fasttext /
     logistic-regression doc scoring: score every row, gate on the logit).
 
-    The actor-pool contract: model "load" (materializing the weight vector;
-    in production, reading a model artifact from storage) happens ONCE per
-    actor in ``__init__``; ``__call__`` is one float64 matmul per batch — no
-    per-row Python, weights ride the actor, never the batches. At 100 TB the
-    stage is embarrassingly parallel: no shuffle, output is (id, logit).
+    The stateful-stage contract (``stateful_map``): model "load"
+    (materializing the weight vector; in production, reading a model
+    artifact from storage) happens ONCE per worker process in ``__init__``;
+    ``__call__`` is one float64 matmul per batch — no per-row Python,
+    weights ride the stage object, never the batches. At 100 TB the stage
+    is embarrassingly parallel: no shuffle, output is (id, logit).
 
     ``weights_ref`` is a ``ray.put`` handle so a real-sized model ships to
-    each actor once via the object store (zero-copy for numpy), not pickled
-    into every task."""
+    each worker process once via the object store (zero-copy for numpy),
+    not pickled into every task."""
 
     def __init__(
         self,
@@ -155,23 +156,17 @@ def linear_scores(
     bias: float = 0.0,
     emb_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency: int = 2,
 ):
     """Score every row's embedding with a broadcast linear model; returns a
     Dataset of (id_col, logit). The streaming map stage — chain a filter or
     join on the logit downstream."""
     ref = ray.put(np.asarray(weights, dtype=np.float64))
-    return ds.map_batches(
+    return stateful_map(
+        ds,
         LinearScorer,
-        fn_constructor_kwargs={
-            "weights_ref": ref,
-            "bias": bias,
-            "emb_col": emb_col,
-            "id_col": id_col,
-        },
+        {"weights_ref": ref, "bias": bias, "emb_col": emb_col, "id_col": id_col},
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
 
 
@@ -263,7 +258,6 @@ def ivf_topk(
     emb_col: str = "embedding",
     id_col: str = "vec_id",
     train_sample: int = 2048,
-    concurrency: int = 2,
     dtype: str = "float32",
     train_mode: str = "sample",
 ):
@@ -299,9 +293,10 @@ def ivf_topk(
     )
     qref = ray.put(q)
     probe_ref = ray.put(probe)
-    partials = pruned.map_batches(
+    partials = stateful_map(
+        pruned,
         _IVFTopK,
-        fn_constructor_kwargs={
+        {
             "queries_ref": qref,
             "probe_ref": probe_ref,
             "k": k,
@@ -310,7 +305,6 @@ def ivf_topk(
             "dtype": dtype,
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
     ).take_all()
     return _merge_topk(partials, k, id_col)
 
@@ -488,10 +482,10 @@ def _empty_cosine_table() -> pa.Table:
 
 
 class _BlockVsAllPairs:
-    """Actor-pool stage: one (block x corpus) matmul per batch, emitting
+    """Stateful stage: one (block x corpus) matmul per batch, emitting
     (id_a < id_b, score) pairs above the threshold. The normalized corpus
     matrix is broadcast once via ``ray.put`` and shared zero-copy by every
-    actor on a node."""
+    worker process on a node."""
 
     def __init__(self, corpus_ref, threshold: float, emb_col: str, id_col: str, dtype: str):
         ids, mat = ray.get(corpus_ref)
@@ -530,7 +524,6 @@ def exact_cosine_pairs(
     threshold: float,
     emb_col: str = "embedding",
     id_col: str = "vec_id",
-    concurrency: int = 4,
     dtype: str = "float64",
     max_broadcast_bytes: int = 2 << 30,
 ):
@@ -563,9 +556,10 @@ def exact_cosine_pairs(
             "unbounded corpora"
         )
     ref = ray.put((ids, mat))
-    return ds.map_batches(
+    return stateful_map(
+        ds,
         _BlockVsAllPairs,
-        fn_constructor_kwargs={
+        {
             "corpus_ref": ref,
             "threshold": threshold,
             "emb_col": emb_col,
@@ -573,7 +567,6 @@ def exact_cosine_pairs(
             "dtype": dtype,
         },
         batch_format="pyarrow",
-        concurrency=concurrency,
     )
 
 

@@ -2,8 +2,9 @@
 quality scoring, token counting, document fingerprinting).
 
 All stages are vectorized ``map_batches`` bodies; the ones that hold compiled
-state (regexes, stopword tables) are callable CLASSES for actor pools —
-setup in ``__init__`` once per actor, per-batch work in ``__call__``.
+state (regexes, stopword tables) are callable CLASSES run through
+``stages/agg.stateful_map`` — setup in ``__init__`` once per worker process,
+per-batch work in ``__call__``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def add_bpe_token_count(batch: pa.Table, col: str = "text", out: str = "bpe_toke
 
 
 class QualityScorer:
-    """Actor-pool stage: length/punctuation/stopword quality features.
+    """Stateful stage: length/punctuation/stopword quality features.
 
     Emits deterministic float features rounded to 6 decimals so the DuckDB
     oracle can reproduce them bit-for-bit where expressible.
@@ -106,12 +107,12 @@ class QualityScorer:
 
 
 class LangId:
-    """Actor-pool stage: stopword-marker language heuristic over text.
+    """Stateful stage: stopword-marker language heuristic over text.
 
     Scores each doc against small per-language marker sets (vectorized regex
     count per marker) and emits the argmax language + its hit count.
     A deliberately simple, deterministic heuristic — the scale-path shape
-    (per-actor compiled patterns, vectorized batch scoring) is the point.
+    (per-process compiled patterns, vectorized batch scoring) is the point.
     """
 
     def __init__(self, col: str = "text"):

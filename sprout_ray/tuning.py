@@ -62,18 +62,3 @@ def quiet_cosmetic_ray_warnings() -> None:
         lg = logging.getLogger(name)
         if not any(isinstance(f, _CosmeticWarningFilter) for f in lg.filters):
             lg.addFilter(_CosmeticWarningFilter())
-
-
-def actor_pool_size(cap: int = 4, reserve: int = 1) -> int:
-    """Default actor-pool ``concurrency`` that can never starve the task
-    operators sharing the cluster: at most ``cap`` actors, never more than
-    half the cluster's CPUs, always leaving >= ``reserve`` CPUs for the
-    read/shuffle tasks of the same DAG. An actor pool whose minimum size
-    equals the cluster CPU count deadlocks the streaming executor when any
-    upstream task needs a CPU ("cluster does not have any available CPUs"
-    -> infinite hang) — observed with pools of 2 on 2-CPU clusters and 4
-    on 4-CPU clusters driving parquet reads."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(1, min(cap, cpus // 2, cpus - reserve))

@@ -127,7 +127,7 @@ class TestLinearScorer:
             }
         )
         out = (
-            linear_scores(rd.from_arrow(t), w, bias=0.25, concurrency=1)
+            linear_scores(rd.from_arrow(t), w, bias=0.25)
             .sort("vec_id")
             .to_pandas()
         )
@@ -146,7 +146,7 @@ class TestLinearScorer:
                 "embedding": pa.array([], pa.list_(pa.float32())),
             }
         )
-        out = linear_scores(rd.from_arrow(t), np.ones(4), concurrency=1)
+        out = linear_scores(rd.from_arrow(t), np.ones(4))
         tbl = out.take_batch(1, batch_format="pyarrow") if out.count() else None
         assert out.count() == 0
         assert tbl is None

@@ -226,12 +226,12 @@ class TestIncrementalDedup:
         out = incremental_dedup(old, old)
         assert out.count() == 0
 
-    def test_cross_block_dup_fps_and_actor_pool_gate(self, ray_session, monkeypatch):
+    def test_cross_block_dup_fps_and_actor_pool_gate(self, ray_session):
         """The old corpus carries the SAME text duplicated across many
         blocks (cross-block dup fps — the case the removed global distinct
-        shuffle used to normalize); both probe-gate paths (stateless-task
-        small-filter and forced actor-pool big-filter) must drop the seen
-        copies and keep the genuinely new docs."""
+        shuffle used to normalize); the Bloom probe gate (one task plan for
+        every filter size) must drop the seen copies and keep the genuinely
+        new docs."""
         import ray.data as rd
 
         import sprout_ray.stages.dedup as D
@@ -247,11 +247,8 @@ class TestIncrementalDedup:
                 {"doc_id": 1003, "text": "shared text 4"},
             ]
         )
-        small = sorted(r["doc_id"] for r in D.incremental_dedup(new, old).take_all())
-        assert small == [1000, 1001]
-        monkeypatch.setattr(D, "_SMALL_FILTER_BYTES", 0)
-        big = sorted(r["doc_id"] for r in D.incremental_dedup(new, old).take_all())
-        assert big == [1000, 1001]
+        kept = sorted(r["doc_id"] for r in D.incremental_dedup(new, old).take_all())
+        assert kept == [1000, 1001]
 
 
 class TestSharedGramDocs:

@@ -118,15 +118,15 @@ class TestPlantedSimilarity:
         )
         ds = rd.from_arrow(t)
         q = vecs[:2]
-        exact = ann_topk(ds, q, k=8, concurrency=1)
+        exact = ann_topk(ds, q, k=8)
         # nprobe == nlist scans everything -> must equal brute force
-        full = ivf_topk(ds, q, k=8, nlist=8, nprobe=8, concurrency=1)
+        full = ivf_topk(ds, q, k=8, nlist=8, nprobe=8)
         for qi in range(2):
             e = set(exact[exact["query_id"] == qi]["vec_id"])
             a = set(full[full["query_id"] == qi]["vec_id"])
             assert e == a
         # partial probing keeps reasonable recall on the self-query
-        part = ivf_topk(ds, q, k=8, nlist=8, nprobe=3, concurrency=1)
+        part = ivf_topk(ds, q, k=8, nlist=8, nprobe=3)
         for qi in range(2):
             assert qi in set(part[part["query_id"] == qi]["vec_id"])
 
@@ -146,7 +146,7 @@ class TestPlantedSimilarity:
                 ),
             }
         )
-        out = ann_topk(rd.from_arrow(t), q, k=5, concurrency=1)
+        out = ann_topk(rd.from_arrow(t), q, k=5)
         n = _normalize(vecs)
         for qi in range(2):
             exact = set(np.argsort(-(n @ n[qi]))[:5].tolist())
@@ -186,7 +186,7 @@ class TestExactCosinePairs:
         vecs[60] = vecs[5] * 3.0  # planted exact-direction dup
         vecs[61] = vecs[6] + rng.standard_normal(16).astype(np.float32) * 0.01
         ds = rd.from_arrow(self._table(vecs))
-        out = exact_cosine_pairs(ds, threshold=0.4, concurrency=1).to_pandas()
+        out = exact_cosine_pairs(ds, threshold=0.4).to_pandas()
         got = set(zip(out["id_a"], out["id_b"]))
         n = _normalize(vecs.astype(np.float64))
         s = n @ n.T
@@ -213,7 +213,7 @@ class TestExactCosinePairs:
         # impossible threshold -> zero rows (the query wrapper
         # embedding_neardup_exact substitutes a schema-bearing empty table;
         # a 0-row Dataset itself drops schema on to_pandas)
-        out = exact_cosine_pairs(ds, threshold=1.5, concurrency=1).to_pandas()
+        out = exact_cosine_pairs(ds, threshold=1.5).to_pandas()
         assert len(out) == 0
         # broadcast guard trips when the corpus matrix exceeds the budget
         with pytest.raises(ValueError, match="max_broadcast_bytes"):

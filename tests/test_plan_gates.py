@@ -4,7 +4,8 @@ Every broadcast-or-shuffle and driver-or-distributed choice reads a module
 constant at call time (``stages.joins.DIM_BROADCAST_MAX`` for every key set
 and dimension table), so a test forces the other plan with
 ``monkeypatch.setattr``. This scan keeps per-call gate knobs from coming
-back."""
+back, and keeps stateful stages on the one task plan
+(``stages.agg.stateful_map``) with no pool-size knobs."""
 
 import ast
 import os
@@ -23,23 +24,68 @@ GATE_PARAMS = {
 }
 
 
-def test_no_function_takes_a_size_gate_parameter():
-    found = []
+def _package_trees():
+    """(path relative to the package, parsed module) of every module."""
     for dirpath, _, files in os.walk(PKG):
         for name in sorted(files):
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(dirpath, name)
-            with open(path) as f:
-                tree = ast.parse(f.read(), path)
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                    a = node.args
-                    for arg in a.posonlyargs + a.args + a.kwonlyargs:
-                        if arg.arg in GATE_PARAMS:
-                            where = getattr(node, "name", "<lambda>")
-                            found.append(f"{os.path.relpath(path, PKG)}:{node.lineno} {where}({arg.arg})")
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path) as f:
+                    yield os.path.relpath(path, PKG), ast.parse(f.read(), path)
+
+
+def _params(node):
+    a = node.args
+    return [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+
+
+def test_no_function_takes_a_size_gate_parameter():
+    found = []
+    for rel, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for arg in _params(node):
+                    if arg in GATE_PARAMS:
+                        where = getattr(node, "name", "<lambda>")
+                        found.append(f"{rel}:{node.lineno} {where}({arg})")
     assert not found, "size gates must be module constants: " + ", ".join(found)
+
+
+def test_no_actor_pool_knobs():
+    """Stateful stages run as tasks through ``stages.agg.stateful_map``: no
+    function takes a ``concurrency`` parameter, no ``map_batches`` call
+    passes ``concurrency=``/``compute=`` or is handed a class, and the
+    pool sizer ``actor_pool_size`` is gone."""
+    trees = list(_package_trees())
+    classes = {
+        n.name for _, t in trees for n in ast.walk(t) if isinstance(n, ast.ClassDef)
+    }
+    found = []
+    for rel, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                where = getattr(node, "name", "<lambda>")
+                if "concurrency" in _params(node):
+                    found.append(f"{rel}:{node.lineno} {where}(concurrency)")
+                if where == "actor_pool_size":
+                    found.append(f"{rel}:{node.lineno} def actor_pool_size")
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "map_batches"
+            ):
+                continue
+            found += [
+                f"{rel}:{node.lineno} map_batches({kw.arg}=)"
+                for kw in node.keywords
+                if kw.arg in ("concurrency", "compute")
+            ]
+            fns = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "fn"]
+            for fn in fns:
+                name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+                if name in classes or (name or "").lstrip("_")[:1].isupper():
+                    found.append(f"{rel}:{node.lineno} map_batches({name})")
+    assert not found, "stateful stages go through stateful_map: " + ", ".join(found)
 
 
 def test_cbf_open_orders_verify_plans_agree(ray_session, sf_dir, monkeypatch):
@@ -87,18 +133,12 @@ def test_no_unused_function_local_imports():
     (nested functions and lambdas included): a dead local import is a
     dead dependency that still costs its import time."""
     found = []
-    for dirpath, _, files in os.walk(PKG):
-        for name in sorted(files):
-            if not name.endswith(".py"):
+    for rel, tree in _package_trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            path = os.path.join(dirpath, name)
-            with open(path) as f:
-                tree = ast.parse(f.read(), path)
-            for fn in ast.walk(tree):
-                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                used = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
-                for imported, lineno in _local_import_names(fn):
-                    if imported not in used:
-                        found.append(f"{os.path.relpath(path, PKG)}:{lineno} {fn.name}({imported})")
+            used = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+            for imported, lineno in _local_import_names(fn):
+                if imported not in used:
+                    found.append(f"{rel}:{lineno} {fn.name}({imported})")
     assert not found, "unused function-local imports: " + ", ".join(found)

@@ -98,7 +98,7 @@ def test_no_false_negatives_distributed(corpus_ds):
 
     ds = with_invariant(corpus_ds)
     bf = build_sketch(ds, SketchSpec.of("bloom", 0.001, N_ROWS * 2), on="sha256")
-    kept = probe_filter(ds, bf, on="sha256", mode="maybe", concurrency=2).count()
+    kept = probe_filter(ds, bf, on="sha256", mode="maybe").count()
     assert kept == N_ROWS  # every member retained: no false negatives
 
 
@@ -116,8 +116,133 @@ def test_probe_fpr_within_epsilon(corpus_ds):
     foreign = rd.from_arrow(
         pa.table({"sha256": [f"foreign-{i}" for i in range(n_probe)]})
     )
-    fp = probe_filter(foreign, bf, on="sha256", mode="maybe", concurrency=2).count()
+    fp = probe_filter(foreign, bf, on="sha256", mode="maybe").count()
     assert fp / n_probe <= eps + 3 * (eps / n_probe) ** 0.5
+
+
+def _planted_keys():
+    """8 blocks of string keys, members k0..k1999 and foreign f0..f1999."""
+    import ray.data as rd
+
+    keys = [f"k{i}" for i in range(2000)] + [f"f{i}" for i in range(2000)]
+    return rd.from_arrow(pa.table({"key": keys})).repartition(8)
+
+
+def _probe_flags(ds):
+    """(key, maybe) of a probed Dataset in key order."""
+    from sprout_ray.stages.agg import collect_table
+
+    t = collect_table(ds).sort_by("key")
+    return t["key"].to_pylist(), t["maybe"].to_pylist()
+
+
+def _bloom_of(keys):
+    import ray.data as rd
+
+    from sprout_ray.stages.builder import build_sketch
+
+    ds = rd.from_arrow(pa.table({"key": keys}))
+    return build_sketch(ds, SketchSpec.of("bloom", 0.05, len(keys)), on="key")
+
+
+def test_probe_filter_flags_equal_in_process_probe(ray_session):
+    """The task plan's flags equal BloomProbe's called in this process on
+    the same planted keys (no false negatives, identical maybes)."""
+    import ray
+
+    from sprout_ray.stages.probe import BloomProbe, probe_filter
+
+    ds = _planted_keys()
+    bf = _bloom_of([f"k{i}" for i in range(2000)])
+    keys, flags = _probe_flags(probe_filter(ds, bf, on="key", flag_column="maybe"))
+    t = pa.table({"key": keys})
+    local = BloomProbe(ray.put(bf.to_bytes()), on="key", flag_column="maybe")(t)
+    assert local["maybe"].to_pylist() == flags
+    assert all(f for k, f in zip(keys, flags) if k.startswith("k"))
+    assert not all(f for k, f in zip(keys, flags) if k.startswith("f"))
+
+
+def test_probe_filter_second_filter_not_stale(ray_session):
+    """A second probe_filter with another filter over the same input gives
+    the second filter's flags, not the first's cached state."""
+    import ray
+
+    from sprout_ray.stages.probe import BloomProbe, probe_filter
+
+    ds = _planted_keys().materialize()
+    first = _bloom_of([f"k{i}" for i in range(2000)])
+    second = _bloom_of([f"f{i}" for i in range(2000)])
+    _probe_flags(probe_filter(ds, first, on="key", flag_column="maybe"))
+    keys, flags = _probe_flags(probe_filter(ds, second, on="key", flag_column="maybe"))
+    local = BloomProbe(ray.put(second.to_bytes()), on="key", flag_column="maybe")(
+        pa.table({"key": keys})
+    )
+    assert local["maybe"].to_pylist() == flags
+    assert all(f for k, f in zip(keys, flags) if k.startswith("f"))
+
+
+def _counting_stage(log_path: str, tag: str):
+    """A stage class that appends "<tag> <pid>" to ``log_path`` per build
+    (defined in a function so it pickles by value into the workers)."""
+
+    class Stage:
+        def __init__(self, bump: int):
+            with open(log_path, "a") as f:
+                f.write(f"{tag} {os.getpid()}\n")
+            self.bump = bump
+
+        def __call__(self, t: pa.Table) -> pa.Table:
+            return t.set_column(0, "x", pa.compute.add(t["x"], self.bump))
+
+    return Stage
+
+
+def _builds(log_path):
+    with open(log_path) as f:
+        return [tuple(line.split()) for line in f]
+
+
+def test_stateful_map_builds_once_per_process(ray_session, tmp_path):
+    """Over 8 blocks x 8 batches the state is built at most once per worker
+    process (so at most CPU-count times), never once per batch."""
+    import ray
+    import ray.data as rd
+
+    from sprout_ray.stages.agg import collect_table, stateful_map
+
+    log = str(tmp_path / "builds")
+    ds = rd.from_arrow(pa.table({"x": np.arange(6400, dtype=np.int64)})).repartition(8)
+    out = stateful_map(
+        ds, _counting_stage(log, "a"), {"bump": 1},
+        batch_format="pyarrow", batch_size=100,
+    )
+    got = collect_table(out)["x"].to_numpy()
+    assert np.array_equal(np.sort(got), np.arange(1, 6401))
+    builds = _builds(log)
+    assert 1 <= len(builds) <= int(ray.cluster_resources()["CPU"])
+    assert len(set(builds)) == len(builds)
+
+
+def test_stateful_map_two_stages_in_one_dag(ray_session, tmp_path):
+    """Two stateful stages chained in one DAG interleave in the same worker
+    processes; each is still built at most once per process (the state
+    cache holds both)."""
+    import ray.data as rd
+
+    from sprout_ray.stages.agg import collect_table, stateful_map
+
+    log = str(tmp_path / "builds")
+    ds = rd.from_arrow(pa.table({"x": np.arange(6400, dtype=np.int64)})).repartition(8)
+    kw = {"batch_format": "pyarrow", "batch_size": 100}
+    out = stateful_map(
+        stateful_map(ds, _counting_stage(log, "a"), {"bump": 1}, **kw),
+        _counting_stage(log, "b"), {"bump": 10}, **kw,
+    )
+    got = collect_table(out)["x"].to_numpy()
+    assert np.array_equal(np.sort(got), np.arange(11, 6411))
+    builds = _builds(log)
+    assert {tag for tag, _ in builds} == {"a", "b"}
+    assert len(set(builds)) == len(builds)
 
 
 def test_sha256_invariant_preserved(corpus_ds):

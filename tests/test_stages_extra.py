@@ -2602,7 +2602,7 @@ def test_ppm_real_decode_stage(ray_session):
     )
 
     t = synth_ppm_media_table(12, seed=42)
-    out = decode_features(rd.from_arrow(t), fake=False, concurrency=2).to_pandas()
+    out = decode_features(rd.from_arrow(t), fake=False).to_pandas()
     assert len(out) == 12
     feats = np.stack(out.sort_values("media_id")["features"].to_numpy())
     hs = t["height"].to_numpy()
@@ -2612,7 +2612,7 @@ def test_ppm_real_decode_stage(ray_session):
     # gradient construction: red channel mean ~127.5 for every size
     assert np.allclose(feats[:, 2], 127.5, atol=8)
     # determinism
-    out2 = decode_features(rd.from_arrow(t), fake=False, concurrency=2).to_pandas()
+    out2 = decode_features(rd.from_arrow(t), fake=False).to_pandas()
     feats2 = np.stack(out2.sort_values("media_id")["features"].to_numpy())
     assert (feats == feats2).all()
     # non-PPM without fake: loud
@@ -2652,14 +2652,14 @@ def test_wav_real_decode_stage(ray_session):
     from sprout_ray.stages.multimodal import decode_features, synth_wav_media_table
 
     t = synth_wav_media_table(9, seed=42)
-    out = decode_features(rd.from_arrow(t), fake=False, concurrency=2).to_pandas()
+    out = decode_features(rd.from_arrow(t), fake=False).to_pandas()
     feats = np.stack(out.sort_values("media_id")["features"].to_numpy())
     # n_samples cycles 256/384/512; rate constant 16000
     assert feats[:, 0].tolist() == [256.0, 384.0, 512.0] * 3
     assert (feats[:, 1] == 16000.0).all()
     # sine + small noise: RMS close to 12000/sqrt(2)
     assert np.allclose(feats[:, 2], 12000 / np.sqrt(2), rtol=0.15)
-    out2 = decode_features(rd.from_arrow(t), fake=False, concurrency=2).to_pandas()
+    out2 = decode_features(rd.from_arrow(t), fake=False).to_pandas()
     feats2 = np.stack(out2.sort_values("media_id")["features"].to_numpy())
     assert (feats == feats2).all()
 
