@@ -27,12 +27,10 @@ so distributed partials combine losslessly.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .murmur3 import hash_keys
-from .sketch import read_meta
+from .sketch import read_meta, read_sketch, write_sketch
 
 
 class AMSF2Sketch:
@@ -101,30 +99,24 @@ class AMSF2Sketch:
         }
 
     def to_bytes(self) -> bytes:
-        meta = json.dumps(
-            {"kind": "ams", "w": self.w, "d": self.d, "n": self.n, "v": 1}
-        ).encode()
-        return len(meta).to_bytes(4, "little") + meta + self.counters.tobytes()
+        meta = {"kind": "ams", "w": self.w, "d": self.d, "n": self.n, "v": 1}
+        return write_sketch(meta, self.counters)
 
     def merge_bytes(self, buf: bytes) -> None:
         """Merge a serialized partial via a read-only view (no materialize)."""
-        meta, off = read_meta(buf, "ams")
+        meta, payload = read_sketch(buf, "ams")
         if meta["w"] != self.w or meta["d"] != self.d:
             raise ValueError(f"partial spec mismatch: {meta}")
-        view = np.frombuffer(buf, dtype=np.int64, offset=off).reshape(
-            self.d, self.w
-        )
-        self.counters += view
+        counters = payload.take(np.int64, self.d * self.w).reshape(self.d, self.w)
+        payload.end()
+        self.counters += counters
         self.n += meta["n"]
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "AMSF2Sketch":
-        meta, off = read_meta(buf, "ams")
+        """A fresh sketch of the serialized geometry with the bytes merged
+        in: :meth:`merge_bytes` is the one parse."""
+        meta, _ = read_meta(buf, "ams")
         sk = cls(w=meta["w"], d=meta["d"])
-        sk.n = int(meta["n"])
-        sk.counters = (
-            np.frombuffer(buf, dtype=np.int64, count=sk.d * sk.w, offset=off)
-            .reshape(sk.d, sk.w)
-            .copy()
-        )
+        sk.merge_bytes(buf)
         return sk

@@ -29,14 +29,13 @@ keys under all k seeds, then a single ``np.bitwise_or.at`` scatter / gather.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .murmur3 import hash_keys
-from .sketch import read_meta
+from .sketch import read_meta, read_sketch, write_sketch
 
 
 class BloomCapacityError(RuntimeError):
@@ -307,8 +306,13 @@ class BloomFilter:
         dump (``fmt="sparse"``; uint32 when the bit space fits, else uint64).
         Per-block partials of big filters ship this way: no zeroing, no
         scatter, no compression of a mostly-empty bitmap."""
-        total_bits = self.m * self.k
-        use_u4 = total_bits <= 0xFFFFFFFF
+        meta = {
+            "kind": "bloom",
+            "err_rate": self.err_rate,
+            "capacity": self.capacity,
+            "count": self.count,
+        }
+        use_u4 = self.m * self.k <= 0xFFFFFFFF
         itemsize = 4 if use_u4 else 8
         if self._bits is None and self._pending_n * itemsize < self.bit_width:
             idx = (
@@ -318,70 +322,49 @@ class BloomFilter:
             )
             if use_u4:
                 idx = idx.astype(np.uint32)
-            meta = json.dumps(
-                {
-                    "kind": "bloom",
-                    "err_rate": self.err_rate,
-                    "capacity": self.capacity,
-                    "count": self.count,
-                    "fmt": "sparse",
-                    "dtype": "u4" if use_u4 else "u8",
-                }
-            ).encode()
-            return len(meta).to_bytes(4, "little") + meta + idx.tobytes()
-        meta = json.dumps(
-            {
-                "kind": "bloom",
-                "err_rate": self.err_rate,
-                "capacity": self.capacity,
-                "count": self.count,
-            }
-        ).encode()
-        return len(meta).to_bytes(4, "little") + meta + self.bits.tobytes()
+            meta.update(fmt="sparse", dtype="u4" if use_u4 else "u8")
+            return write_sketch(meta, idx)
+        return write_sketch(meta, self.bits)
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "BloomFilter":
-        meta, off = read_meta(buf, "bloom")
+        """A fresh filter of the serialized geometry with the bytes merged
+        in: :meth:`merge_bytes` is the one parse."""
+        meta, _ = read_meta(buf, "bloom")
         bf = cls(err_rate=meta["err_rate"], capacity=meta["capacity"])
-        if meta.get("fmt") == "sparse":
-            dt = np.uint32 if meta.get("dtype", "u4") == "u4" else np.uint64
-            idx = np.frombuffer(buf, dtype=dt, offset=off)
-            if idx.size:
-                bf._pending = [
-                    _u32_to_u64(idx) if dt is np.uint32 else idx.copy()
-                ]
-                bf._pending_n = idx.size
-        else:
-            bf.bits = np.frombuffer(buf[off:], dtype=np.uint8).copy()
-            assert bf._bits.size == bf.bit_width
-        bf.count = meta["count"]
+        bf.merge_bytes(buf)
         return bf
 
     def merge_bytes(self, buf: bytes) -> None:
         """Merge a serialized partial WITHOUT materializing it: a dense
         partial ORs straight from a read-only buffer view; a sparse partial
-        scatters its index dump (a 34 MB filter otherwise costs a zero
-        alloc + a copy per partial in the reduce fan-in)."""
-        meta, off = read_meta(buf, "bloom")
+        (its ``count * k`` probe indices) scatters its index dump (a 34 MB
+        filter otherwise costs a zero alloc + a copy per partial in the
+        reduce fan-in)."""
+        meta, payload = read_sketch(buf, "bloom")
         if (
             meta["err_rate"] != self.err_rate or meta["capacity"] != self.capacity
         ):
             raise BloomMergeError(f"partial spec mismatch: {meta}")
-        if meta.get("fmt") == "sparse":
-            dt = np.uint32 if meta.get("dtype", "u4") == "u4" else np.uint64
-            idx = np.frombuffer(buf, dtype=dt, offset=off)
-            if idx.size:
-                flat = _u32_to_u64(idx) if dt is np.uint32 else idx.copy()
-                if self._bits is None:
-                    self._pending.append(flat)
-                    self._pending_n += flat.size
-                    if self._pending_n * 8 > self.bit_width * 2:
-                        self._densify()
-                else:
-                    byte_idx, masks = self._bit_addr(flat)
-                    np.bitwise_or.at(self._bits, byte_idx, masks)
+        sparse = meta.get("fmt") == "sparse"
+        if sparse:
+            u4 = meta.get("dtype", "u4") == "u4"
+            n_idx = meta["count"] * self.k
+            part = payload.take(np.uint32 if u4 else np.uint64, n_idx)
         else:
-            view = np.frombuffer(buf, dtype=np.uint8, offset=off)
-            np.bitwise_or(self.bits, view, out=self.bits)
+            part = payload.take(np.uint8, self.bit_width)
+        payload.end()
+        if not sparse:
+            np.bitwise_or(self.bits, part, out=self.bits)
+        elif part.size:
+            flat = _u32_to_u64(part) if u4 else part.copy()
+            if self._bits is None:
+                self._pending.append(flat)
+                self._pending_n += flat.size
+                if self._pending_n * 8 > self.bit_width * 2:
+                    self._densify()
+            else:
+                byte_idx, masks = self._bit_addr(flat)
+                np.bitwise_or.at(self._bits, byte_idx, masks)
         self.count += meta["count"]
 

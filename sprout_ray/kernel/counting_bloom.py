@@ -26,13 +26,11 @@ false-positive rate matches the underlying Bloom at equal geometry.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .bloom import BloomCapacityError, derive_params
 from .murmur3 import hash_keys
-from .sketch import read_meta
+from .sketch import read_sketch, write_sketch
 
 
 class CountingBloomFilter:
@@ -138,34 +136,39 @@ class CountingBloomFilter:
     def to_bytes(self) -> bytes:
         nz = np.flatnonzero(self.counts)
         sparse = nz.size * 12 < self.slots * 4
-        meta = json.dumps(
-            {
-                "kind": "cbf",
-                "err_rate": self.err_rate,
-                "capacity": self.capacity,
-                "n_added": self.n_added,
-                "n_removed": self.n_removed,
-                "sparse": bool(sparse),
-            }
-        ).encode()
+        meta = {
+            "kind": "cbf",
+            "err_rate": self.err_rate,
+            "capacity": self.capacity,
+            "n_added": self.n_added,
+            "n_removed": self.n_removed,
+            "sparse": bool(sparse),
+        }
         if sparse:
-            payload = nz.astype(np.int64).tobytes() + self.counts[nz].tobytes()
-        else:
-            payload = self.counts.tobytes()
-        return len(meta).to_bytes(4, "little") + meta + payload
+            return write_sketch(meta, nz.astype(np.int64), self.counts[nz])
+        return write_sketch(meta, self.counts)
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "CountingBloomFilter":
-        meta, off = read_meta(buf, "cbf")
+        meta, payload = read_sketch(buf, "cbf")
         sk = cls(err_rate=meta["err_rate"], capacity=meta["capacity"])
-        payload = buf[off:]
-        if meta["sparse"]:
-            n = len(payload) // 12
-            idx = np.frombuffer(payload[: n * 8], dtype=np.int64)
-            vals = np.frombuffer(payload[n * 8 :], dtype=np.int32)
-            sk.counts[idx] = vals
-        else:
-            sk.counts = np.frombuffer(payload, dtype=np.int32).copy()
         sk.n_added = meta["n_added"]
         sk.n_removed = meta["n_removed"]
+        if not meta["sparse"]:
+            sk.counts = payload.take(np.int32, sk.slots).copy()
+            payload.end()
+            return sk
+        # the sparse dump carries no entry count: n int64 slots, then their
+        # n int32 counts, held to the invariant every add/remove keeps —
+        # the counts sum to k * (n_added - n_removed)
+        entries = payload.take(np.uint8)
+        n, ragged = divmod(entries.size, 12)
+        if ragged:
+            raise payload.error(f"{entries.size} bytes are not whole entries")
+        idx, vals = entries[: 8 * n].view(np.int64), entries[8 * n :].view(np.int32)
+        if int(vals.sum(dtype=np.int64)) != sk.k * sk.count or (
+            n and not (idx.min() >= 0 and idx.max() < sk.slots)
+        ):
+            raise payload.error("its entries disagree with n_added - n_removed")
+        sk.counts[idx] = vals
         return sk

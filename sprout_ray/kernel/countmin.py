@@ -13,13 +13,12 @@ Merge: elementwise add — associative and commutative. Query: min over rows.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
 from .murmur3 import hash_keys
-from .sketch import read_meta
+from .sketch import read_meta, read_sketch, write_sketch
 
 
 class CountMinSketch:
@@ -117,30 +116,25 @@ class CountMinSketch:
         return {"w": self.w, "d": self.d, "total": self.total}
 
     def to_bytes(self) -> bytes:
-        meta = json.dumps(
-            {"kind": "cms", "eps": self.eps, "delta": self.delta, "total": self.total}
-        ).encode()
-        return len(meta).to_bytes(4, "little") + meta + self.table.tobytes()
+        meta = {"kind": "cms", "eps": self.eps, "delta": self.delta,
+                "total": self.total}
+        return write_sketch(meta, self.table)
 
     def merge_bytes(self, buf: bytes) -> None:
         """Merge a serialized partial via a read-only view (no materialize)."""
-        meta, off = read_meta(buf, "cms")
+        meta, payload = read_sketch(buf, "cms")
         if meta["eps"] != self.eps or meta["delta"] != self.delta:
             raise ValueError(f"partial spec mismatch: {meta}")
-        view = np.frombuffer(buf, dtype=np.uint64, offset=off).reshape(
-            self.d, self.w
-        )
-        self.table += view
+        table = payload.take(np.uint64, self.d * self.w).reshape(self.d, self.w)
+        payload.end()
+        self.table += table
         self.total += meta["total"]
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "CountMinSketch":
-        meta, off = read_meta(buf, "cms")
+        """A fresh sketch of the serialized geometry with the bytes merged
+        in: :meth:`merge_bytes` is the one parse."""
+        meta, _ = read_meta(buf, "cms")
         c = cls(eps=meta["eps"], delta=meta["delta"])
-        c.table = (
-            np.frombuffer(buf[off:], dtype=np.uint64)
-            .reshape(c.d, c.w)
-            .copy()
-        )
-        c.total = meta["total"]
+        c.merge_bytes(buf)
         return c

@@ -29,11 +29,11 @@ O(l d) flops per absorbed row.
 
 from __future__ import annotations
 
-import json
+import math
 
 import numpy as np
 
-from .sketch import read_meta
+from .sketch import read_sketch, write_sketch
 
 
 def _rows_matrix(values, dtype=np.float64) -> np.ndarray:
@@ -187,29 +187,24 @@ class FrequentDirections:
     # -- serialization ------------------------------------------------------
     def to_bytes(self) -> bytes:
         b = np.ascontiguousarray(self.rows, dtype=np.float64)
-        meta = json.dumps(
-            {
-                "kind": "fd",
-                "l": self.l,
-                "d": self.d,
-                "shape": list(b.shape),
-                "delta": self.delta,
-                "n_rows": self.n_rows,
-                "frob2": self.frob2,
-            }
-        ).encode()
-        return len(meta).to_bytes(4, "little") + meta + b.tobytes()
+        meta = {
+            "kind": "fd",
+            "l": self.l,
+            "d": self.d,
+            "shape": list(b.shape),
+            "delta": self.delta,
+            "n_rows": self.n_rows,
+            "frob2": self.frob2,
+        }
+        return write_sketch(meta, b)
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "FrequentDirections":
-        meta, off = read_meta(buf, "fd")
+        meta, payload = read_sketch(buf, "fd")
         sk = cls(l=meta["l"], d=meta["d"])
         shape = tuple(meta["shape"])
-        sk.rows = (
-            np.frombuffer(buf[off:], dtype=np.float64).reshape(shape).copy()
-            if shape[0] * (shape[1] if len(shape) > 1 else 0)
-            else np.empty(shape, dtype=np.float64)
-        )
+        sk.rows = payload.take(np.float64, math.prod(shape)).reshape(shape).copy()
+        payload.end()
         sk.delta = meta["delta"]
         sk.n_rows = meta["n_rows"]
         sk.frob2 = meta["frob2"]

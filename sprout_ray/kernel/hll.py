@@ -25,13 +25,12 @@ sqrt(2^p)``.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
 from .murmur3 import hash_keys
-from .sketch import read_meta
+from .sketch import read_meta, read_sketch, write_sketch
 
 # densify when nnz * 9 > m: in-memory sparse costs ~9 B/register touched
 # (uint64 idx + uint8 rank) vs m bytes dense
@@ -155,56 +154,40 @@ class HyperLogLog:
     def to_bytes(self) -> bytes:
         if self._dense is not None:
             # the legacy dense format, unchanged (old checkpoints load)
-            meta = json.dumps({"kind": "hll", "p": self.p}).encode()
-            return len(meta).to_bytes(4, "little") + meta + self._dense.tobytes()
-        meta = json.dumps(
-            {"kind": "hll", "p": self.p, "mode": "sparse",
-             "nnz": int(self._sp_idx.size)}
-        ).encode()
+            return write_sketch({"kind": "hll", "p": self.p}, self._dense)
+        meta = {"kind": "hll", "p": self.p, "mode": "sparse",
+                "nnz": int(self._sp_idx.size)}
         # idx fits int32 for p <= 18; 5 B/entry on the wire
-        return (
-            len(meta).to_bytes(4, "little")
-            + meta
-            + self._sp_idx.astype(np.int32).tobytes()
-            + self._sp_rank.tobytes()
-        )
+        return write_sketch(meta, self._sp_idx.astype(np.int32), self._sp_rank)
 
     def merge_bytes(self, buf: bytes) -> None:
         """Merge a serialized partial via a read-only view (no materialize
         of a second sketch object)."""
-        meta, off = read_meta(buf, "hll")
+        meta, payload = read_sketch(buf, "hll")
         if meta["p"] != self.p:
             raise ValueError(f"partial spec mismatch: {meta}")
         if meta.get("mode") == "sparse":
             nnz = meta["nnz"]
-            idx = np.frombuffer(buf, dtype=np.int32, count=nnz, offset=off)
-            rank = np.frombuffer(
-                buf, dtype=np.uint8, count=nnz, offset=off + 4 * nnz
-            )
-            idx64 = idx.astype(np.int64).view(np.uint64)  # non-negative
-            if self._dense is not None:
-                if nnz:
-                    np.maximum.at(self._dense, idx64, rank)
-            else:
-                self._sparse_absorb(idx64, rank.copy())
-            return
-        view = np.frombuffer(buf, dtype=np.uint8, offset=off)
-        self._densify()
-        np.maximum(self._dense, view, out=self._dense)
+            idx = payload.take(np.int32, nnz).astype(np.int64).view(np.uint64)
+            rank = payload.take(np.uint8, nnz)
+        else:
+            idx, rank = None, payload.take(np.uint8, self.m)
+        payload.end()
+        if idx is None:
+            self._densify()
+            np.maximum(self._dense, rank, out=self._dense)
+        elif self._dense is not None:
+            if idx.size:
+                np.maximum.at(self._dense, idx, rank)
+        else:
+            self._sparse_absorb(idx, rank.copy())
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "HyperLogLog":
-        meta, off = read_meta(buf, "hll")
-        h = cls(p=meta["p"])
-        if meta.get("mode") == "sparse":
-            nnz = meta["nnz"]
-            idx = np.frombuffer(buf, dtype=np.int32, count=nnz, offset=off)
-            h._sp_idx = idx.astype(np.int64).view(np.uint64)
-            h._sp_rank = np.frombuffer(
-                buf, dtype=np.uint8, count=nnz, offset=off + 4 * nnz
-            ).copy()
-            return h
-        h._dense = np.frombuffer(buf[off:], dtype=np.uint8).copy()
+        """A fresh sketch of the serialized precision with the bytes merged
+        in: :meth:`merge_bytes` is the one parse."""
+        h = cls(p=read_meta(buf, "hll")[0]["p"])
+        h.merge_bytes(buf)
         return h
 
 

@@ -18,12 +18,11 @@ merge orders (inherent to random compaction).
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
-from .sketch import read_meta
+from .sketch import read_sketch, write_sketch
 
 _C = 2.0 / 3.0
 _MIN_CAP = 8
@@ -130,30 +129,22 @@ class KLLSketch:
     # ---- serialization ------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        meta = json.dumps(
-            {
-                "kind": "kll",
-                "k": self.k,
-                "seed": self.seed,
-                "n": self.n,
-                "sizes": [int(l.size) for l in self.levels],
-            }
-        ).encode()
-        parts = [len(meta).to_bytes(4, "little"), meta]
-        parts.extend(l.tobytes() for l in self.levels)
-        return b"".join(parts)
+        meta = {
+            "kind": "kll",
+            "k": self.k,
+            "seed": self.seed,
+            "n": self.n,
+            "sizes": [int(l.size) for l in self.levels],
+        }
+        return write_sketch(meta, *self.levels)
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "KLLSketch":
-        meta, off = read_meta(buf, "kll")
+        meta, payload = read_sketch(buf, "kll")
         s = cls(k=meta["k"], seed=meta["seed"])
         s.n = meta["n"]
-        s.levels = []
-        for size in meta["sizes"]:
-            s.levels.append(
-                np.frombuffer(buf[off : off + 8 * size], dtype=np.float64).copy()
-            )
-            off += 8 * size
+        s.levels = [payload.take(np.float64, size).copy() for size in meta["sizes"]]
+        payload.end()
         if not s.levels:
             s.levels = [np.empty(0, dtype=np.float64)]
         return s

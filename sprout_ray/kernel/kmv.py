@@ -26,11 +26,9 @@ update is one vectorized hash pass + ``np.unique`` + a bounded merge.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .sketch import read_meta
+from .sketch import decode_keys, encode_keys, read_keyed_sketch, write_sketch
 
 _TWO64 = float(2**64)
 
@@ -116,63 +114,27 @@ class KMVSketch:
         }
 
     def to_bytes(self) -> bytes:
-        """Length-prefixed framing; keys carry a per-key is-str flag so
-        binary keys (legal sketch input) round-trip as bytes instead of
-        corrupting through an unconditional decode. Non-str/bytes keys are
-        rejected explicitly (``bytes(int)`` would silently zero-fill)."""
-        meta = json.dumps({"kind": "kmv", "k": self.k, "v": 2}).encode()
-        kbytes, flags = _encode_keys(self.keys)
-        lengths = np.array([len(b) for b in kbytes], dtype=np.int32)
-        return (
-            len(meta).to_bytes(4, "little")
-            + meta
-            + len(kbytes).to_bytes(4, "little")
-            + self.hashes.tobytes()
-            + lengths.tobytes()
-            + flags.tobytes()
-            + b"".join(kbytes)
+        """A u32 key count, the hashes, then the key section
+        (:func:`kernel.sketch.encode_keys`: binary keys round-trip as bytes,
+        keys of other types are refused)."""
+        lengths, flags, data = encode_keys(self.keys)
+        return write_sketch(
+            {"kind": "kmv", "k": self.k, "v": 2},
+            np.uint32(len(self.keys)),
+            self.hashes,
+            lengths,
+            flags,
+            data,
         )
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "KMVSketch":
-        meta, off = read_meta(buf, "kmv")
-        if meta.get("v") != 2:
-            raise ValueError(
-                f"unsupported KMV wire format v={meta.get('v', 1)} "
-                "(v1 blobs predate per-key is-str flags and would "
-                "deserialize misaligned; rebuild the checkpoint)"
-            )
+        meta, payload = read_keyed_sketch(buf, "kmv")
         sk = cls(k=meta["k"])
-        n = int.from_bytes(buf[off : off + 4], "little")
-        off += 4
-        sk.hashes = np.frombuffer(buf, dtype=np.uint64, count=n, offset=off).copy()
-        off += 8 * n
-        lengths = np.frombuffer(buf, dtype=np.int32, count=n, offset=off)
-        off += 4 * n
-        flags = np.frombuffer(buf, dtype=np.uint8, count=n, offset=off)
-        off += n
-        keys = []
-        for ln, fl in zip(lengths.tolist(), flags.tolist()):
-            raw = buf[off : off + ln]
-            keys.append(raw.decode() if fl else raw)
-            off += ln
-        sk.keys = keys
+        n = int(payload.take(np.uint32, 1)[0])
+        sk.hashes = payload.take(np.uint64, n).copy()
+        lengths = payload.take(np.int32, n)
+        flags = payload.take(np.uint8, n)
+        sk.keys = decode_keys(payload, lengths, flags)
+        payload.end()
         return sk
-
-
-def _encode_keys(keys) -> tuple:
-    """(bytes list, uint8 is-str flags) for a key sequence; rejects key
-    types whose bytes round-trip would be lossy."""
-    out, flags = [], np.empty(len(keys), dtype=np.uint8)
-    for i, k in enumerate(keys):
-        if isinstance(k, str):
-            out.append(k.encode())
-            flags[i] = 1
-        elif isinstance(k, (bytes, bytearray)):
-            out.append(bytes(k))
-            flags[i] = 0
-        else:
-            raise TypeError(
-                f"sketch keys must be str or bytes, got {type(k).__name__}"
-            )
-    return out, flags

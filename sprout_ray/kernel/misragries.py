@@ -25,11 +25,9 @@ counter with ``np.partition`` and subtracts it everywhere.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .sketch import read_meta
+from .sketch import decode_keys, encode_keys, read_keyed_sketch, write_sketch
 
 
 class MisraGries:
@@ -112,58 +110,37 @@ class MisraGries:
         }
 
     def to_bytes(self) -> bytes:
-        """Length-prefixed framing with per-key is-str flags (see
-        kernel.kmv._encode_keys): binary keys round-trip as bytes, non-
-        str/bytes keys are rejected instead of silently corrupting."""
-        from .kmv import _encode_keys
-
-        meta = json.dumps(
+        """A u32 key count, the counts, then the key section
+        (:func:`kernel.sketch.encode_keys`: binary keys round-trip as bytes,
+        keys of other types are refused)."""
+        lengths, flags, data = encode_keys(list(self.counts))
+        cnts = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
+        return write_sketch(
             {
                 "kind": "mg",
                 "m": self.m,
                 "total": self.total,
                 "err_bound": self.err_bound,
                 "v": 2,
-            }
-        ).encode()
-        keys = list(self.counts.keys())
-        kbytes, flags = _encode_keys(keys)
-        lengths = np.array([len(b) for b in kbytes], dtype=np.int32)
-        cnts = np.fromiter(self.counts.values(), dtype=np.int64, count=len(keys))
-        return (
-            len(meta).to_bytes(4, "little")
-            + meta
-            + len(keys).to_bytes(4, "little")
-            + lengths.tobytes()
-            + cnts.tobytes()
-            + flags.tobytes()
-            + b"".join(kbytes)
+            },
+            np.uint32(len(self.counts)),
+            lengths,
+            cnts,
+            flags,
+            data,
         )
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "MisraGries":
-        meta, off = read_meta(buf, "mg")
-        if meta.get("v") != 2:
-            raise ValueError(
-                f"unsupported MG wire format v={meta.get('v', 1)} "
-                "(v1 blobs predate per-key is-str flags and would "
-                "deserialize misaligned; rebuild the checkpoint)"
-            )
+        meta, payload = read_keyed_sketch(buf, "mg")
         sk = cls(m=meta["m"])
         sk.total = meta["total"]
         sk.err_bound = meta["err_bound"]
-        n = int.from_bytes(buf[off : off + 4], "little")
-        off += 4
-        lengths = np.frombuffer(buf, dtype=np.int32, count=n, offset=off)
-        off += 4 * n
-        cnts = np.frombuffer(buf, dtype=np.int64, count=n, offset=off)
-        off += 8 * n
-        flags = np.frombuffer(buf, dtype=np.uint8, count=n, offset=off)
-        off += n
-        counts: dict = {}
-        for ln, c, fl in zip(lengths.tolist(), cnts.tolist(), flags.tolist()):
-            raw = buf[off : off + ln]
-            counts[raw.decode() if fl else raw] = c
-            off += ln
-        sk.counts = counts
+        n = int(payload.take(np.uint32, 1)[0])
+        lengths = payload.take(np.int32, n)
+        cnts = payload.take(np.int64, n)
+        flags = payload.take(np.uint8, n)
+        keys = decode_keys(payload, lengths, flags)
+        payload.end()
+        sk.counts = dict(zip(keys, cnts.tolist()))
         return sk

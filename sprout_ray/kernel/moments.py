@@ -44,11 +44,9 @@ doubles agree bit-for-bit (int→nearest-double conversion and IEEE
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .sketch import read_meta
+from .sketch import read_sketch, write_sketch
 
 # |c| <= MAXC keeps c**2 (and every partial product below) int64-exact.
 MAXC = 2**31 - 1
@@ -270,7 +268,7 @@ class MomentsSketch:
         return out
 
     def to_bytes(self) -> bytes:
-        meta = json.dumps(
+        return write_sketch(
             {
                 "kind": "moments",
                 "n": self.n,
@@ -281,12 +279,12 @@ class MomentsSketch:
                 "mn": self.mn,
                 "mx": self.mx,
             }
-        ).encode()
-        return len(meta).to_bytes(4, "little") + meta
+        )
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "MomentsSketch":
-        meta, _ = read_meta(buf, "moments")
+        meta, payload = read_sketch(buf, "moments")
+        payload.end()
         sk = cls()
         sk.n = meta["n"]
         sk.s1, sk.s2, sk.s3, sk.s4 = meta["s1"], meta["s2"], meta["s3"], meta["s4"]

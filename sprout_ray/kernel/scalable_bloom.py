@@ -30,14 +30,13 @@ appends the longer tail. This is commutative and associative by construction
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
 from .bloom import BloomFilter, BloomMergeError, BloomStats
 from .murmur3 import hash_keys
-from .sketch import read_meta
+from .sketch import read_sketch, write_sketch
 
 GROWTH_SMALL = 2
 GROWTH_LARGE = 4
@@ -191,23 +190,19 @@ class ScalableBloomFilter:
     # ---- serialization ------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        meta = json.dumps(
-            {
-                "kind": "sbf",
-                "err_rate": self.err_rate,
-                "initial_capacity": self.initial_capacity,
-                "growth_rate": self.growth_rate,
-                "counts": [f.count for f in self.filters],
-                "stage_widths": [f.bit_width for f in self.filters],
-            }
-        ).encode()
-        parts = [len(meta).to_bytes(4, "little"), meta]
-        parts.extend(f.bits.tobytes() for f in self.filters)
-        return b"".join(parts)
+        meta = {
+            "kind": "sbf",
+            "err_rate": self.err_rate,
+            "initial_capacity": self.initial_capacity,
+            "growth_rate": self.growth_rate,
+            "counts": [f.count for f in self.filters],
+            "stage_widths": [f.bit_width for f in self.filters],
+        }
+        return write_sketch(meta, *(f.bits for f in self.filters))
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "ScalableBloomFilter":
-        meta, off = read_meta(buf, "sbf")
+        meta, payload = read_sketch(buf, "sbf")
         sbf = cls(
             err_rate=meta["err_rate"],
             initial_capacity=meta["initial_capacity"],
@@ -216,8 +211,9 @@ class ScalableBloomFilter:
         while len(sbf.filters) < len(meta["counts"]):
             sbf._grow()
         for f, cnt, width in zip(sbf.filters, meta["counts"], meta["stage_widths"]):
-            assert f.bit_width == width, (f.bit_width, width)
-            f.bits = np.frombuffer(buf[off : off + width], dtype=np.uint8).copy()
+            if f.bit_width != width:
+                raise payload.error(f"stage width {width}, expected {f.bit_width}")
+            f.bits = payload.take(np.uint8, width).copy()
             f.count = cnt
-            off += width
+        payload.end()
         return sbf

@@ -11,12 +11,11 @@ to recompression; estimate-level equivalence is property-tested.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
-from .sketch import read_meta
+from .sketch import read_sketch, write_sketch
 
 _BUFFER_FACTOR = 5
 
@@ -152,30 +151,22 @@ class TDigest:
 
     def to_bytes(self) -> bytes:
         self._compress()
-        meta = json.dumps(
-            {
-                "kind": "tdigest",
-                "delta": self.delta,
-                "n": int(self.means.size),
-                "min": None if math.isinf(self._min) else self._min,
-                "max": None if math.isinf(self._max) else self._max,
-            }
-        ).encode()
-        return (
-            len(meta).to_bytes(4, "little")
-            + meta
-            + self.means.tobytes()
-            + self.weights.tobytes()
-        )
+        meta = {
+            "kind": "tdigest",
+            "delta": self.delta,
+            "n": int(self.means.size),
+            "min": None if math.isinf(self._min) else self._min,
+            "max": None if math.isinf(self._max) else self._max,
+        }
+        return write_sketch(meta, self.means, self.weights)
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "TDigest":
-        meta, off = read_meta(buf, "tdigest")
+        meta, payload = read_sketch(buf, "tdigest")
         td = cls(delta=meta["delta"])
-        n = meta["n"]
-        td.means = np.frombuffer(buf[off : off + 8 * n], dtype=np.float64).copy()
-        off += 8 * n
-        td.weights = np.frombuffer(buf[off : off + 8 * n], dtype=np.float64).copy()
+        td.means = payload.take(np.float64, meta["n"]).copy()
+        td.weights = payload.take(np.float64, meta["n"]).copy()
+        payload.end()
         td._min = meta["min"] if meta["min"] is not None else math.inf
         td._max = meta["max"] if meta["max"] is not None else -math.inf
         return td

@@ -116,12 +116,19 @@ def _oround(arr, ndigits: int = 0):
     return pc.round(arr, ndigits=ndigits, round_mode="half_towards_infinity")
 
 
+def _cents(x):
+    """Oracle-parity integer cents: ``x * 100`` rounded like DuckDB
+    (:func:`_oround`) as int64 — a money column in cents, a rate in
+    percent."""
+    return pc.cast(_oround(pc.multiply(x, 100.0)), pa.int64())
+
+
 def _rev_cc(t: pa.Table):
     """Discounted lineitem revenue in integer centi-cents: cents(price) *
     (100 - discount percent), both rounded like the oracle. Integer-exact,
     so sums agree with DuckDB in any aggregation order."""
-    base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-    disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
+    base_c = _cents(t["l_extendedprice"])
+    disc_pct = _cents(t["l_discount"])
     return pc.multiply(base_c, pc.subtract(pa.scalar(100, pa.int64()), disc_pct))
 
 
@@ -254,9 +261,7 @@ def q1_pricing_summary(sf_dir: str):
                 "l_returnflag": t["l_returnflag"],
                 "l_linestatus": t["l_linestatus"],
                 "qty": pc.cast(_oround(t["l_quantity"]), pa.int64()),
-                "base_cents": pc.cast(
-                    _oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64()
-                ),
+                "base_cents": _cents(t["l_extendedprice"]),
                 "disc_centicents": _rev_cc(t),
             }
         )
@@ -3095,7 +3100,7 @@ def _type_cents_histogram(ev):
         lambda t: pa.table(
             {
                 "event_type": t["event_type"],
-                "cents": pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64()),
+                "cents": _cents(t["value"]),
             }
         ),
         batch_format="pyarrow",
@@ -3135,7 +3140,7 @@ def value_rank_by_type(sf_dir: str):
     def rank_rows(t: pa.Table) -> pa.Table:
         lu = ray.get(lut_ref)
         cents = (
-            pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64())
+            _cents(t["value"])
             .to_numpy(zero_copy_only=False)
         )
         n = len(t)
@@ -3407,7 +3412,7 @@ def user_running_value(sf_dir: str):
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
     def cents(t: pa.Table) -> pa.Table:
-        c = pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64())
+        c = _cents(t["value"])
         return pa.table(
             {
                 "user_id": t["user_id"],
@@ -4402,7 +4407,7 @@ def value_time_corr(sf_dir: str):
 
     def moments(t: pa.Table) -> pa.Table:
         x = (
-            pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64())
+            _cents(t["value"])
             .to_numpy(zero_copy_only=False)
         )
         y = (
@@ -4507,9 +4512,7 @@ def user_moving_value(sf_dir: str):
                 "event_id": t["event_id"],
                 "ts": t["ts"],
                 "user_id": t["user_id"],
-                "cents": pc.cast(
-                    _oround(pc.multiply(t["value"], 100.0)), pa.int64()
-                ),
+                "cents": _cents(t["value"]),
             }
         ),
         batch_format="pyarrow",
@@ -4540,9 +4543,7 @@ def user_trailing_hour_value(sf_dir: str):
                 "event_id": t["event_id"],
                 "ts": t["ts"],
                 "user_id": t["user_id"],
-                "cents": pc.cast(
-                    _oround(pc.multiply(t["value"], 100.0)), pa.int64()
-                ),
+                "cents": _cents(t["value"]),
             }
         ),
         batch_format="pyarrow",
@@ -4571,9 +4572,7 @@ def user_time_weighted_value(sf_dir: str):
                 "event_id": t["event_id"],
                 "ts": t["ts"],
                 "user_id": t["user_id"],
-                "cents": pc.cast(
-                    _oround(pc.multiply(t["value"], 100.0)), pa.int64()
-                ),
+                "cents": _cents(t["value"]),
             }
         ),
         batch_format="pyarrow",
@@ -4854,9 +4853,7 @@ def weighted_median_price(sf_dir: str):
         return pa.table(
             {
                 "l_returnflag": t["l_returnflag"],
-                "price_cents": pc.cast(
-                    _oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64()
-                ),
+                "price_cents": _cents(t["l_extendedprice"]),
                 "qty": pc.cast(_oround(t["l_quantity"]), pa.int64()),
             }
         )
@@ -4943,7 +4940,7 @@ def value_quartile_rollup(sf_dir: str):
         return pa.table(
             {
                 "event_type": t["event_type"],
-                "cents": pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64()),
+                "cents": _cents(t["value"]),
                 "event_id": t["event_id"],
                 "_one": pa.array(np.ones(t.num_rows, np.int64)),
             }
@@ -5298,9 +5295,7 @@ def ohlc_hourly(sf_dir: str):
             zero_copy_only=False
         ).astype(np.int64)
         gkey = (code << 24) | hour
-        cents = pc.cast(
-            _oround(pc.multiply(t["value"], 100.0)), pa.int64()
-        ).to_numpy(zero_copy_only=False)
+        cents = _cents(t["value"]).to_numpy(zero_copy_only=False)
         return gkey, ord_, cents
 
     def block_parts(t: pa.Table) -> pa.Table:
@@ -5901,9 +5896,7 @@ def large_volume_customers(sf_dir: str, min_qty: int = 300):
             {
                 "o_orderkey": t["o_orderkey"],
                 "o_custkey": t["o_custkey"],
-                "total_c": pc.cast(
-                    _oround(pc.multiply(t["o_totalprice"], 100.0)), pa.int64()
-                ),
+                "total_c": _cents(t["o_totalprice"]),
                 "orderdate_us": pc.cast(t["o_orderdate"], pa.int64()),
             }
         ),
@@ -5959,9 +5952,7 @@ def orders_above_cust_avg(sf_dir: str):
         lambda t: pa.table(
             {
                 "o_custkey": t["o_custkey"],
-                "tc": pc.cast(
-                    _oround(pc.multiply(t["o_totalprice"], 100.0)), pa.int64()
-                ),
+                "tc": _cents(t["o_totalprice"]),
                 "o_orderpriority": t["o_orderpriority"],
             }
         ),
@@ -6123,7 +6114,7 @@ def cube_type_weekday(sf_dir: str):
         )
         us = pc.cast(t["ts"], pa.int64()).to_numpy(zero_copy_only=False)
         dow = (us // day_us + 4) % 7  # epoch day 0 (1970-01-01) = Thursday
-        vc = pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64())
+        vc = _cents(t["value"])
         g = (
             pa.table({"b": pa.array(code * 8 + dow), "v": vc})
             .group_by("b")
@@ -6359,9 +6350,7 @@ def parts_pareto(sf_dir: str):
             {
                 "p_partkey": t["p_partkey"],
                 "p_size": pc.cast(t["p_size"], pa.int64()),
-                "price_c": pc.cast(
-                    _oround(pc.multiply(t["p_retailprice"], 100.0)), pa.int64()
-                ),
+                "price_c": _cents(t["p_retailprice"]),
             }
         ),
         batch_format="pyarrow",
@@ -6747,9 +6736,7 @@ def revenue_concentration(sf_dir: str, top_n: int = 100):
         lambda t: pa.table(
             {
                 "o_custkey": t["o_custkey"],
-                "tc": pc.cast(
-                    _oround(pc.multiply(t["o_totalprice"], 100.0)), pa.int64()
-                ),
+                "tc": _cents(t["o_totalprice"]),
             }
         ),
         batch_format="pyarrow",
@@ -7046,7 +7033,7 @@ def trimmed_value_sums(sf_dir: str, k: int = 5):
 
     def partials(t: pa.Table) -> pa.Table:
         et = t["event_type"].to_numpy(zero_copy_only=False)
-        vc = pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64()).to_numpy(
+        vc = _cents(t["value"]).to_numpy(
             zero_copy_only=False
         )
         order = np.lexsort((vc, et))
@@ -7172,10 +7159,7 @@ def q17_small_quantity_revenue(sf_dir: str):
             {
                 "l_partkey": t["l_partkey"],
                 "q": pc.cast(t["l_quantity"], pa.int64()),
-                "cents": pc.cast(
-                    _oround(pc.multiply(t["l_extendedprice"], 100.0)),
-                    pa.int64(),
-                ),
+                "cents": _cents(t["l_extendedprice"]),
             }
         )
 
@@ -7448,9 +7432,7 @@ def q22_idle_balance(sf_dir: str):
             lambda t: pa.table(
                 {
                     "c_custkey": t["c_custkey"],
-                    "cents": pc.cast(
-                        _oround(pc.multiply(t["c_acctbal"], 100.0)), pa.int64()
-                    ),
+                    "cents": _cents(t["c_acctbal"]),
                     "c_mktsegment": t["c_mktsegment"],
                 }
             ),
@@ -7569,8 +7551,8 @@ def q6_forecast_revenue(sf_dir: str):
     bit-deterministic at any block count."""
 
     def partial(t: pa.Table) -> pa.Table:
-        base_c = pc.cast(_oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
-        disc_pct = pc.cast(_oround(pc.multiply(t["l_discount"], 100.0)), pa.int64())
+        base_c = _cents(t["l_extendedprice"])
+        disc_pct = _cents(t["l_discount"])
         yr = pc.year(t["l_shipdate"])
         qty = t["l_quantity"].to_numpy(zero_copy_only=False)
         keep = (
@@ -7701,9 +7683,7 @@ def q19_discount_revenue(sf_dir: str):
         qty = pc.cast(_oround(t["l_quantity"]), pa.int64()).to_numpy(
             zero_copy_only=False
         )
-        disc_pct = pc.cast(
-            _oround(pc.multiply(t["l_discount"], 100.0)), pa.int64()
-        ).to_numpy(zero_copy_only=False)
+        disc_pct = _cents(t["l_discount"]).to_numpy(zero_copy_only=False)
         keep = (
             member
             & (disc_pct >= 5)
@@ -7713,10 +7693,7 @@ def q19_discount_revenue(sf_dir: str):
             & (size >= 1)
             & (size <= size_hi[cls])
         )
-        base_c = pc.cast(
-            _oround(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64()
-        ).to_numpy(zero_copy_only=False)
-        cc = (base_c * (100 - disc_pct))[keep]
+        cc = _rev_cc(t).to_numpy(zero_copy_only=False)[keep]
         return pa.table(
             {
                 "revenue_centicents": pa.array([int(cc.sum())], pa.int64()),
@@ -7819,7 +7796,7 @@ def q10_returned_items(sf_dir: str):
             "c_custkey": top["o_custkey"],
             "c_name": c["c_name"],
             "revenue_centicents": top["cc"],
-            "acctbal_cents": pc.cast(_oround(pc.multiply(c["c_acctbal"], 100.0)), pa.int64()),
+            "acctbal_cents": _cents(c["c_acctbal"]),
             "n_name": pa.array([nname[k] for k in c["c_nationkey"].to_pylist()], pa.string()),
         }
     )
@@ -8214,9 +8191,7 @@ def q2_min_balance_supplier(sf_dir: str):
             {
                 "l_suppkey": t["s_suppkey"],
                 "s_nat": pc.cast(t["s_nationkey"], pa.int64()),
-                "cents": pc.cast(
-                    _oround(pc.multiply(t["s_acctbal"], 100.0)), pa.int64()
-                ),
+                "cents": _cents(t["s_acctbal"]),
             }
         ),
         batch_format="pyarrow",
@@ -8430,9 +8405,7 @@ def q16_supplier_part_counts(sf_dir: str):
         lambda t: pa.table(
             {
                 "l_suppkey": t["s_suppkey"],
-                "s_cents": pc.cast(
-                    _oround(pc.multiply(t["s_acctbal"], 100.0)), pa.int64()
-                ),
+                "s_cents": _cents(t["s_acctbal"]),
             }
         ),
         batch_format="pyarrow",
@@ -8788,7 +8761,7 @@ def moments_by_type(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
-        c = pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64())
+        c = _cents(t["value"])
         cn = c.to_numpy(zero_copy_only=False)
         # min/max form, not np.abs: abs(INT64_MIN) wraps (kernel convention)
         if cn.size and max(-int(cn.min()), int(cn.max())) > 2**31 - 1:
@@ -9068,7 +9041,7 @@ def events_range_layout(sf_dir: str, k: int = 8):
 
     def to_cents(t: pa.Table) -> pa.Table:
         return pa.table(
-            {"c": pc.cast(_oround(pc.multiply(t["value"], 100.0)), pa.int64())}
+            {"c": _cents(t["value"])}
         )
 
     def cents_ds():
@@ -9113,7 +9086,7 @@ def customer_rfm_segments(sf_dir: str, k: int = 4):
     )
 
     def pre(t: pa.Table) -> pa.Table:
-        cents = pc.cast(_oround(pc.multiply(t["o_totalprice"], 100.0)), pa.int64())
+        cents = _cents(t["o_totalprice"])
         # integer µs // µs-per-day (non-negative, so truncation == floor;
         # float division risks an off-by-one at exact-midnight boundaries)
         day = pc.divide(

@@ -3,14 +3,17 @@
 Complements ``state.checkpoint`` (which checkpoints SKETCH state): this is
 the resumable layout for pipelines whose output is row data (filtered /
 transformed corpora). One output directory per input shard, written
-atomically (tmp + rename), plus a manifest of completed shards — a rerun
-skips finished partitions entirely, never re-reading their input.
+atomically (tmp + rename), plus a manifest of completed shards, itself
+replaced atomically — a rerun skips finished partitions entirely, never
+re-reading their input.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import shutil
 
 
 def resumable_transform_write(
@@ -38,9 +41,14 @@ def resumable_transform_write(
     corpus. The atomic unit stays the shard group (all value dirs appear
     under one rename), so resume semantics are unchanged.
 
-    Returns metrics {partitions, written, resumed}. The unit of recovery is
-    the input shard group: output for a partition appears only after its
-    rename, so a killed run leaves either nothing or a complete partition.
+    Returns metrics {partitions, written, resumed, invalidated}. The unit
+    of recovery is the input shard group: output for a partition appears
+    only after its rename, and a partition resumes only when the manifest
+    lists it with the group's current input files. A partition dir the
+    manifest does not list (a run killed between the rename and the
+    manifest write) or lists with other input files is removed and
+    rebuilt, and a dir past the current partition count is removed; each
+    is counted in ``invalidated``.
     """
     if output_format not in ("parquet", "jsonl"):
         raise ValueError(f"unsupported output_format {output_format!r}")
@@ -59,7 +67,24 @@ def resumable_transform_write(
             (len(input_files) + files_per_partition - 1) // files_per_partition
         )
     ]
-    metrics = {"partitions": len(groups), "written": 0, "resumed": 0}
+    metrics = {"partitions": len(groups), "written": 0, "resumed": 0,
+               "invalidated": 0}
+
+    def save_manifest():
+        with open(manifest_path + ".tmp", "w") as f:
+            json.dump(done, f)
+        os.replace(manifest_path + ".tmp", manifest_path)
+
+    # partitions past the current group count (a run over more input
+    # files) would be read back with this run's output: remove them
+    for name in os.listdir(out_dir):
+        m = re.fullmatch(r"part=(\d+)", name)
+        if m and int(m.group(1)) >= len(groups):
+            shutil.rmtree(os.path.join(out_dir, name))
+            metrics["invalidated"] += 1
+    if any(int(k) >= len(groups) for k in done):
+        done = {k: v for k, v in done.items() if int(k) < len(groups)}
+        save_manifest()
     for pid, files in groups:
         key = str(pid)
         part_dir = os.path.join(out_dir, f"part={pid:05d}")
@@ -90,15 +115,19 @@ def resumable_transform_write(
                     f"{pid} was written under {prev_tag!r}, run requests "
                     f"{layout_tag!r} — use a fresh out_dir"
                 )
-            metrics["resumed"] += 1
-            continue
+            if done[key].get("input_files") == files:
+                metrics["resumed"] += 1
+                continue
+        if os.path.isdir(part_dir):
+            # committed output this run cannot reuse: not in the manifest,
+            # or built from other input files
+            shutil.rmtree(part_dir)
+            metrics["invalidated"] += 1
         ds = rd.read_parquet(files, columns=columns)
         if transform is not None:
             ds = transform(ds)
         tmp_dir = part_dir + ".tmp"
         if os.path.isdir(tmp_dir):
-            import shutil
-
             shutil.rmtree(tmp_dir)
 
         def _write(d, path):
@@ -137,7 +166,6 @@ def resumable_transform_write(
         if partition_by is not None:
             done[key]["partition_by"] = partition_by
             done[key]["values"] = values
-        with open(manifest_path, "w") as f:
-            json.dump(done, f)
+        save_manifest()
         metrics["written"] += 1
     return metrics

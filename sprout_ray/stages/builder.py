@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from functools import reduce
 
 import pyarrow as pa
 import ray
@@ -72,12 +71,14 @@ def pack_partial(buf: bytes) -> bytes:
     return b"Z1" + zlib.compress(buf, 1)
 
 
-def unpack_partial(buf: bytes) -> bytes:
+def unpack_partial(buf: bytes):
+    """A packed partial's raw ``to_bytes()`` state; an ``R0`` partial comes
+    back as a zero-copy view."""
     if buf[:2] == b"Z1":
-        return zlib.decompress(buf[2:])
+        return zlib.decompress(memoryview(buf)[2:])
     if buf[:2] == b"R0":
-        return bytes(buf[2:])
-    return bytes(buf)
+        return memoryview(buf)[2:]
+    return buf
 
 
 # Update chunk: temporaries for a 32k-row hash pass stay ~2-3 MB — under the
@@ -109,25 +110,32 @@ def update_block(sketches: dict, specs: dict, block: pa.Table) -> dict:
     return sketches
 
 
-def merge_partials(partial_blobs, spec: SketchSpec):
-    """Merge serialized partials into one sketch on this node (associative;
-    the node of :func:`tree_reduce`). Empty input -> a fresh sketch."""
-    blobs = iter(partial_blobs)
-    first = next(blobs, None)
+def merge_states(states, spec: SketchSpec | None = None):
+    """Merge raw ``to_bytes()`` states into one sketch: the one merge loop
+    of every build (:func:`merge_partials`, the checkpointed builds and
+    ``state.checkpoint.read_checkpoint_dir``). The first state becomes the
+    accumulator; kinds with ``merge_bytes`` merge the rest straight from
+    their buffers, with no sketch object per state. Merge order is input
+    order. An empty input gives ``spec.make()``."""
+    states = iter(states)
+    first = next(states, None)
     if first is None:
         return spec.make()
-    acc = sketch_from_bytes(unpack_partial(first))
+    acc = sketch_from_bytes(first)
     if hasattr(acc, "merge_bytes"):
-        # stream-OR the raw buffers: no per-partial materialization
-        for b in blobs:
-            acc.merge_bytes(unpack_partial(b))
-        return acc
-    return reduce(_merged, (sketch_from_bytes(unpack_partial(b)) for b in blobs), acc)
+        for buf in states:
+            acc.merge_bytes(buf)
+    else:
+        for buf in states:
+            acc.merge(sketch_from_bytes(buf))
+    return acc
 
 
-def _merged(a, b):
-    a.merge(b)
-    return a
+def merge_partials(partial_blobs, spec: SketchSpec):
+    """Merge packed partials (:func:`pack_partial`) into one sketch on this
+    node (associative; the node of :func:`tree_reduce`). Empty input -> a
+    fresh sketch."""
+    return merge_states(map(unpack_partial, partial_blobs), spec)
 
 
 # Tree geometry: every FAN_IN leaf partials launch a merge task; levels
@@ -297,14 +305,10 @@ def build_grouped_salted(
     per_shard = salted.groupby([key, "_salt"]).aggregate(
         SketchAgg(spec, on=on, alias_name=alias)
     )
-    rows = per_shard.take_all()  # one small serialized sketch per (key, shard)
-    merged: dict = {}
-    for r in rows:
-        sk = sketch_from_bytes(r[alias])
-        if r[key] in merged:
-            merged[r[key]].merge(sk)
-        else:
-            merged[r[key]] = sk
+    shards: dict = {}  # key -> its shards' serialized sketches
+    for r in per_shard.take_all():  # one small sketch per (key, shard)
+        shards.setdefault(r[key], []).append(r[alias])
+    merged = {k: merge_states(states) for k, states in shards.items()}
     out = {
         key: list(merged.keys()),
         alias: [

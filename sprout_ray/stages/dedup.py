@@ -507,10 +507,6 @@ def lsh_candidate_pairs(
     return dedupe_pair_stream(cand)
 
 
-def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    return float((sig_a == sig_b).mean())
-
-
 def ngram_jaccard(a: str, b: str, k: int = 5) -> float:
     """Exact character-k-gram Jaccard — the verifier for candidate pairs."""
     sa, sb = set(char_shingles(a, k)), set(char_shingles(b, k))

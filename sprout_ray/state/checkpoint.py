@@ -42,8 +42,8 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..kernel.sketch import SketchSpec, sketch_from_bytes
-from ..stages.builder import merge_partials, update_block
+from ..kernel.sketch import SketchSpec
+from ..stages.builder import merge_states, update_block
 
 
 # pending partition tasks in flight at once, so a long file list doesn't
@@ -212,12 +212,11 @@ def build_multi_with_checkpoints(
     while pending:
         drain_one()
 
-    # states are raw to_bytes() blobs: "R0" marks them for merge_partials;
     # merging in partition order keeps the result independent of which
     # partitions resumed and which task finished first
     order = sorted(states)
     built = {
-        name: merge_partials((b"R0" + states[pid][name] for pid in order), spec)
+        name: merge_states((states[pid][name] for pid in order), spec)
         for name, (spec, _on) in specs.items()
     }
     return built, metrics
@@ -277,7 +276,4 @@ def read_checkpoint_dir(ckpt_dir: str):
                     f"{prev} and {r['partition_id']} (stale checkpoints from "
                     "another partitioning); rebuild the directory"
                 )
-    acc = sketch_from_bytes(rows[0]["state"])
-    for r in rows[1:]:
-        acc.merge(sketch_from_bytes(r["state"]))
-    return acc
+    return merge_states(r["state"] for r in rows)

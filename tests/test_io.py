@@ -24,10 +24,10 @@ def test_resumable_transform_write(ray_session, tmp_path):
     )
     out = str(tmp_path / "out")
     m1 = resumable_transform_write(files, out, transform=_transform)
-    assert m1 == {"partitions": 4, "written": 4, "resumed": 0}
+    assert m1 == {"partitions": 4, "written": 4, "resumed": 0, "invalidated": 0}
     # full rerun: everything resumes
     m2 = resumable_transform_write(files, out, transform=_transform)
-    assert m2 == {"partitions": 4, "written": 0, "resumed": 4}
+    assert m2 == {"partitions": 4, "written": 0, "resumed": 4, "invalidated": 0}
     # output equals a direct one-shot transform
     import duckdb
 
@@ -46,6 +46,84 @@ def test_resumable_transform_write(ray_session, tmp_path):
     m3 = resumable_transform_write(files, out, transform=_transform)
     assert m3["written"] == 1 and m3["resumed"] == 3
     assert os.path.isdir(victim)
+
+
+def test_resumable_transform_write_survives_a_kill_and_new_inputs(
+    ray_session, tmp_path, monkeypatch
+):
+    """A run killed between a partition's rename and its manifest record,
+    or in the middle of the manifest write, resumes cleanly; a partition
+    whose input files changed is rebuilt, not resumed."""
+    import json
+    import shutil
+    import types
+
+    import duckdb
+
+    import sprout_ray.sources.io as io_mod
+    from sprout_ray.sources.synth import ensure_corpus
+
+    corpus = ensure_corpus(str(tmp_path / "c"), 3000, n_files=4, seed=7)
+    files = sorted(
+        os.path.join(corpus, p) for p in os.listdir(corpus) if p.endswith(".parquet")
+    )
+    out = str(tmp_path / "out")
+    manifest = os.path.join(out, "_MANIFEST.json")
+
+    def python_rows(paths):
+        listed = ", ".join(f"'{p}'" for p in paths)
+        return duckdb.sql(
+            f"SELECT count(*) FROM read_parquet([{listed}]) WHERE lang='python'"
+        ).fetchone()[0]
+
+    def out_rows():
+        return duckdb.sql(
+            f"SELECT count(*) FROM read_parquet('{out}/part=*/*.parquet')"
+        ).fetchone()[0]
+
+    write = io_mod.resumable_transform_write
+    assert write(files[:3], out, transform=_transform)["written"] == 3
+    # killed after part=00002's rename, before the manifest listed it
+    with open(manifest) as f:
+        listed = json.load(f)
+    del listed["2"]
+    with open(manifest, "w") as f:
+        json.dump(listed, f)
+    m = write(files[:3], out, transform=_transform)
+    assert m == {"partitions": 3, "written": 1, "resumed": 2, "invalidated": 1}
+    assert out_rows() == python_rows(files[:3]) > 0
+
+    # killed in the middle of a manifest write: the last manifest survives
+    class Killed(Exception):
+        pass
+
+    def dump_half(obj, f):
+        f.write(json.dumps(obj)[:10])
+        raise Killed
+
+    shutil.rmtree(os.path.join(out, "part=00001"))
+    monkeypatch.setattr(
+        io_mod, "json", types.SimpleNamespace(load=json.load, dump=dump_half)
+    )
+    with pytest.raises(Killed):
+        write(files[:3], out, transform=_transform)
+    monkeypatch.undo()
+    with open(manifest) as f:
+        assert sorted(json.load(f)) == ["0", "1", "2"]
+    m = write(files[:3], out, transform=_transform)
+    assert m == {"partitions": 3, "written": 0, "resumed": 3, "invalidated": 0}
+
+    # partition 2 now reads another file: rebuilt, never resumed stale
+    moved = files[:2] + files[3:]
+    m = write(moved, out, transform=_transform)
+    assert m == {"partitions": 3, "written": 1, "resumed": 2, "invalidated": 1}
+    assert out_rows() == python_rows(moved)
+    # fewer input files: the partition past the end goes
+    m = write(files[:2], out, transform=_transform)
+    assert m == {"partitions": 2, "written": 0, "resumed": 2, "invalidated": 1}
+    assert out_rows() == python_rows(files[:2])
+    with open(manifest) as f:
+        assert sorted(json.load(f)) == ["0", "1"]
 
 
 def test_read_any_formats_build_identical_sketch(ray_session, tmp_path):
@@ -299,7 +377,7 @@ def test_partitioned_by_value_write(ray_session, tmp_path):
     )
     out = str(tmp_path / "out_pb")
     m1 = resumable_transform_write(files, out, partition_by="lang")
-    assert m1 == {"partitions": 3, "written": 3, "resumed": 0}
+    assert m1 == {"partitions": 3, "written": 3, "resumed": 0, "invalidated": 0}
     import duckdb
 
     # every (part, lang) dir holds exactly that lang's rows; totals match

@@ -76,7 +76,7 @@ def test_write_range_partitioned_end_to_end(tmp_path):
     out = tmp_path / "layout"
     bounds, metrics = write_range_partitioned(files, "v", 4, str(out))
     assert len(bounds) == 3
-    assert metrics == {"partitions": 4, "written": 4, "resumed": 0}
+    assert metrics == {"partitions": 4, "written": 4, "resumed": 0, "invalidated": 0}
     part_files = glob.glob(str(out / "part=*" / "bucket=*" / "*.parquet"))
     assert part_files
     back = pa.concat_tables(pq.read_table(f) for f in part_files)
@@ -91,7 +91,7 @@ def test_write_range_partitioned_end_to_end(tmp_path):
         assert ((vals > lo) & (vals <= hi)).all() or b == len(bl)
     # resume: second call skips every finished shard group
     _, metrics2 = write_range_partitioned(files, "v", 4, str(out))
-    assert metrics2 == {"partitions": 4, "written": 0, "resumed": 4}
+    assert metrics2 == {"partitions": 4, "written": 0, "resumed": 4, "invalidated": 0}
 
 
 def test_layout_cli_end_to_end(tmp_path):
@@ -204,7 +204,7 @@ def test_write_zorder_partitioned_end_to_end(tmp_path):
         assert hi <= lo2
     # resume
     _, m2 = write_zorder_partitioned(files, "x", "y", 8, str(out))
-    assert m2 == {"partitions": 4, "written": 0, "resumed": 4}
+    assert m2 == {"partitions": 4, "written": 0, "resumed": 4, "invalidated": 0}
 
 
 def test_layout_cli_zorder(tmp_path):

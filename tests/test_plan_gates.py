@@ -142,3 +142,45 @@ def test_no_unused_function_local_imports():
                 if imported not in used:
                     found.append(f"{rel}:{lineno} {fn.name}({imported})")
     assert not found, "unused function-local imports: " + ", ".join(found)
+
+
+def _header_framings(fn):
+    """Line numbers in ``fn`` of ``len(x).to_bytes(...)`` calls where ``x``
+    is named ``meta`` or was assigned from a ``json.dumps(...)`` expression:
+    a sketch header (JSON metadata behind its length) framed by hand."""
+    json_names = {"meta"}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(c, ast.Call)
+            and isinstance(c.func, ast.Attribute)
+            and c.func.attr == "dumps"
+            for c in ast.walk(node.value)
+        ):
+            json_names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return [
+        node.lineno
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "to_bytes"
+        and isinstance(node.func.value, ast.Call)
+        and getattr(node.func.value.func, "id", None) == "len"
+        and node.func.value.args
+        and getattr(node.func.value.args[0], "id", None) in json_names
+    ]
+
+
+def test_sketch_headers_are_framed_in_one_place():
+    """``kernel.sketch.write_sketch`` is the one writer of the sketch
+    header (a u32 length, then JSON metadata): no other function under
+    ``sprout_ray/`` frames one, and it does so once."""
+    found = []
+    for rel, tree in _package_trees():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{rel}:{ln} {fn.name}" for ln in _header_framings(fn)]
+    where = os.path.join("kernel", "sketch.py")
+    assert len(found) == 1 and found[0].startswith(where + ":"), (
+        "sketch headers are framed by kernel.sketch.write_sketch alone: "
+        + ", ".join(found)
+    )

@@ -760,3 +760,102 @@ class TestSketchBytesFormat:
                 load(garbled)
         with pytest.raises(SketchFormatError, match="unreadable header"):
             sketch_from_bytes(garbled)
+
+
+def _keys(n, prefix="k"):
+    return [f"{prefix}-{i}" for i in range(n)]
+
+
+def _vals(n):
+    return np.arange(n, dtype=np.float64) * 0.37 % 101.0
+
+
+def _kll_batches(sk):
+    for i in range(20):
+        sk.update_batch(np.arange(i, 40 + i, dtype=np.float64) * 0.37)
+
+
+# name -> (kind, spec params, feed); every layout a kind can write
+_GOLDEN_BUILDS = {
+    "bloom-sparse-u4": ("bloom", (0.01, 100_000), lambda s: s.update_batch(_keys(50))),
+    "bloom-dense": ("bloom", (0.01, 1_000), lambda s: s.update_batch(_keys(900))),
+    "hll-sparse": ("hll", (12,), lambda s: s.update_batch(_keys(40))),
+    "hll-dense": ("hll", (8,), lambda s: s.update_batch(_keys(5_000))),
+    "cbf-sparse": ("cbf", (0.01, 10_000), lambda s: s.update_batch(_keys(30))),
+    "cbf-dense": ("cbf", (0.01, 200), lambda s: s.update_batch(_keys(200))),
+    "sbf-5-stage": ("sbf", (0.01, 64), lambda s: s.update_batch(_keys(600))),
+    "mg-str": ("mg", (16,), lambda s: s.update_batch(_keys(100) + _keys(7) * 5)),
+    "mg-bytes": (
+        "mg", (16,),
+        lambda s: s.update_batch([k.encode() for k in _keys(7) * 5 + ["\xff\x00"]]),
+    ),
+    "kmv-str": ("kmv", (32,), lambda s: s.update_batch(_keys(100))),
+    "kmv-bytes": (
+        "kmv", (32,),
+        lambda s: s.update_batch([b"\x00\xff" + k.encode() for k in _keys(100)]),
+    ),
+    "ams": ("ams", (64, 3), lambda s: s.update_batch(_keys(500))),
+    "cms": ("cms", (0.01, 0.1), lambda s: s.update_batch(_keys(500))),
+    "fd": ("fd", (4,), lambda s: s.update_batch(np.arange(60.0).reshape(10, 6) % 7)),
+    "kll": ("kll", (16,), _kll_batches),
+    "moments": ("moments", (), lambda s: s.update_batch(_vals(1_000))),
+    "tdigest": ("tdigest", (50.0,), lambda s: s.update_batch(_vals(1_000))),
+}
+
+# sha256 of each build's to_bytes(), as the format has written it since
+# the header-plus-payload layout settled; a change here breaks every
+# stored checkpoint and partial
+_GOLDEN_SHA256 = {
+    "bloom-sparse-u4": "297fedcc617b63f097972f06cb0bef0ce630f50f7962ad05e6e4d9df8a6fda8f",
+    "bloom-dense": "9b5b83348de35d4889172feb449c6d4875cc1260243b0ba8826a2c6a73610388",
+    "hll-sparse": "da8cb4406ee7a1f7ade3e4e64f7a50cad2c5e3c76229375f6d5a5901ca926bea",
+    "hll-dense": "70d72b26be93f5135990fa3b7e8f6a7291647bc0f2dc9d5d85c7528d0007cf66",
+    "cbf-sparse": "5131ea09b244c904c8778d146a8fae69f6458f1316f5359aa5feefb1a6f5f23c",
+    "cbf-dense": "d17b9605051d0dff01d4bce748bff913ac19c8b371acc8b1c597c0c0ec2ca089",
+    "sbf-5-stage": "ee940f42855801bd9dcea1b93b8928b766966032b83560d8eee3076c31b7d6ca",
+    "mg-str": "41554fc9bd131fe140bfdcdbff05a6fef0868b0b88271a27acc07b9ca74dd664",
+    "mg-bytes": "53ab123fb6058e1ae29f9ff835f8c765c284f3d4da4ef4a92406571cce2579f5",
+    "kmv-str": "12e52d36e4e142753fdce4a7d938d6b6d59574275cd34837fdb4206faea50e91",
+    "kmv-bytes": "627e2c1c73b5bc966fc900c72d29710644ad0ea86baa5ba9f01fd1dafac7c1d0",
+    "ams": "7f048e8dfb46b73eb8f805e7dce981d3745ab486bfe0063f224f27a46d25aaac",
+    "cms": "3c6002208276caffe95b194e8f6e1779e4a9d696c6ed579b1a360779ef0793f3",
+    "fd": "1b08a03c690dc7db2d30bfc8c89c62bdbd47c93f60b6650843742d5944e25544",
+    "kll": "4ead64e1f8cb2ba2a6c1d1001c70d5052eff907835aa7eb7676bd6f0c83b3e2e",
+    "moments": "4cca89630dea18b62e8e29b4ecb725467f1cfa91d1f567f298b54f8d2f85cb82",
+    "tdigest": "6f118965dc2c07416732adb1883216503bea6676283dddc64f0df03cc0ab64dc",
+}
+
+
+def _golden(name):
+    kind, params, feed = _GOLDEN_BUILDS[name]
+    sk = SketchSpec.of(kind, *params).make()
+    feed(sk)
+    return kind, sk
+
+
+class TestSketchByteCodec:
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_BUILDS))
+    def test_bytes_match_the_golden_digest_and_round_trip(self, name):
+        import hashlib
+
+        kind, sk = _golden(name)
+        blob = sk.to_bytes()
+        assert hashlib.sha256(blob).hexdigest() == _GOLDEN_SHA256[name]
+        assert SketchSpec.of(kind).from_bytes(blob).to_bytes() == blob
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_BUILDS))
+    def test_truncated_and_overlong_bytes_raise_format_error(self, name):
+        from sprout_ray.kernel.sketch import SketchFormatError, read_meta
+
+        kind, sk = _golden(name)
+        blob = sk.to_bytes()
+        payload = len(blob) - read_meta(blob)[1]
+        cuts = {1, 7, 8, 12, payload // 3, payload} - {0}
+        bad = [blob[:-c] for c in sorted(cuts)] + [blob + b"\0", blob + bytes(8)]
+        loaders = [SketchSpec.of(kind).from_bytes]
+        if hasattr(sk, "merge_bytes"):
+            loaders.append(_golden(name)[1].merge_bytes)
+        for load in loaders:
+            for buf in bad:
+                with pytest.raises(SketchFormatError):
+                    load(buf)
